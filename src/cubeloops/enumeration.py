@@ -21,13 +21,14 @@ orientation edge by edge.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Any
 
 from .errors import BadParametersError
 from .paths import CanonicalWord, DirectionWord, canonicalize, validate
-from .verdict import SurfaceReport, build_report, decide_embedded
+from .verdict import SurfaceReport, build_report, decide_embedded, embedded_length_cap
 
 __all__ = [
     "EnumerationQuery",
@@ -88,8 +89,7 @@ class EnumerationQuery:
             if max_length is not None:
                 hi = min(hi, max_length - (max_length % 2))
         if embedded_only:
-            cap = 4 * (dim - 1) if dim % 2 == 0 else 8 * (dim - 3) + 18
-            hi = min(hi, cap)  # lo > hi then means: provably no embedded class
+            hi = min(hi, embedded_length_cap(dim))  # lo > hi: no embedded class
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
         return cls(dim, lo, hi, embedded_only, limit, first_direction)
@@ -109,7 +109,8 @@ def enumerate_paths(
         raw = _search(query, prefix=())
     else:
         prefixes = _prefixes(query)
-        with Pool(processes=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1, len(prefixes))
+        with Pool(processes=workers) as pool:
             chunks = pool.map(
                 _shard_worker, [(query, prefix) for prefix in prefixes]
             )

@@ -39,7 +39,6 @@ __all__ = [
     "cone_disk",
     "expand_patches",
     "vertex_incidence",
-    "vertex_incidence_verdict",
     "torus_mesh",
     "export_mesh",
 ]
@@ -159,11 +158,6 @@ def vertex_incidence(patches: PatchSet) -> VertexIncidence:
             counts[vertex] = counts.get(vertex, 0) + 1
     worst = max(counts.values(), default=0)
     return VertexIncidence(worst, worst < 8, counts)
-
-
-def vertex_incidence_verdict(path: JordanPath) -> VertexIncidence:
-    """Geometric embeddedness test straight from a validated path."""
-    return vertex_incidence(expand_patches(path))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,9 @@
-"""Translation lattices of the periodic surface, from word combinatorics.
+"""Translation lattices of the periodic surface, read off the vertex trail.
 
 Composing the half-turns about two parallel loop edges yields a pure
 translation whose entries are all 0 or 2 modulo 4; these translations
 generate a subgroup of the even classes (2Z mod 4)^n that controls whether
-the reflected surface is embedded and orientable.  The subgroup can be read
-off the word alone: the translation of a parallel pair has entry 2 on an
-axis exactly when an odd number of edges in that direction lie strictly
-between the two edges (either arc gives the same parity).
+the reflected surface is embedded and orientable.
 
 Since every entry is 0 or 2, halving identifies the group (2Z mod 4)^n with
 the vector space GF(2)^n.  Subgroups become row spaces, stored here in
@@ -14,9 +11,16 @@ fully reduced row-echelon form — a canonical basis, so two lattices are
 equal as subgroups exactly when their stored rows are equal — and order and
 membership become rank computations over machine integers.
 
-For odd dimension one more translation matters: the product of one edge
-rotation per direction is itself a pure even translation, and whether it
-already lies in the pair-generated lattice decides orientability.
+Both generators are read off the vertex masks ``v_i`` (the vertex before
+edge i).  For parallel edges i < j in direction d the halved translation is
+``(v_i ^ v_j) & ~bit(d)``: the masks differ in exactly the directions used
+an odd number of times from edge i up to edge j, which with the common axis
+cleared is the parity of the edges strictly between them.  For odd
+dimension the product of the rotations about each direction's first edge
+is a pure even translation with halved row ``XOR_d v_first(d) & ~bit(d)``;
+whether it lies in the pair lattice decides orientability.  The arc walk
+(:func:`parallel_pair_translation`) and the rotation composition
+(:func:`direction_product_translation`) remain as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "all_pairs_lattice",
     "direction_product_translation",
     "even_translation_lattice",
+    "even_lattice_from_pair",
     "halve_even_vector",
     "double_bit_vector",
 ]
@@ -108,13 +113,6 @@ class TranslationLattice:
         """Basis as mod-4 vectors with entries in {0,2}."""
         return tuple(double_bit_vector(row, self.dim) for row in self.rows)
 
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        """All 2**rank members as mod-4 vectors, sorted."""
-        members = {0}
-        for row in self.rows:
-            members |= {m ^ row for m in members}
-        return tuple(double_bit_vector(m, self.dim) for m in sorted(members))
-
 
 def span_lattice(dim: int, vectors: list[tuple[int, ...]]) -> TranslationLattice:
     """The subgroup generated by the given even mod-4 vectors."""
@@ -162,36 +160,27 @@ def parallel_pair_translation(
     )
 
 
-def _base_edges(path: JordanPath, last: bool) -> dict[int, int]:
-    """One representative edge index per direction (first or last in the word)."""
+def _base_edges(path: JordanPath) -> dict[int, int]:
+    """The first edge index of every direction in the word."""
     base: dict[int, int] = {}
     for i, d in enumerate(path.word.labels):
-        if last or d not in base:
-            base[d] = i
+        base.setdefault(d, i)
     return base
 
 
-def pair_translation_lattice(
-    path: JordanPath, base_edge: str = "first"
-) -> TranslationLattice:
-    """Subgroup generated by pairing every edge with its direction's base edge.
-
-    ``base_edge`` picks the representative ("first" or "last" occurrence in
-    the word); the resulting subgroup is independent of the choice, which
-    the test suite exercises.
-    """
-    if base_edge not in ("first", "last"):
-        raise ValueError(f"base_edge must be 'first' or 'last', not {base_edge!r}")
-    base = _base_edges(path, last=base_edge == "last")
-    vectors = []
-    for i, d in enumerate(path.word.labels):
-        if i != base[d]:
-            vectors.append(parallel_pair_translation(path, i, base[d]))
-    return span_lattice(path.dim, vectors)
+def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
+    """Subgroup generated by pairing every edge with its direction's first edge."""
+    base = _base_edges(path)
+    masks = path.vertex_masks
+    rows = [
+        (masks[i] ^ masks[base[d]]) & ~(1 << (d - 1))
+        for i, d in enumerate(path.word.labels)
+    ]
+    return TranslationLattice(path.dim, _row_reduce(rows))
 
 
 def all_pairs_lattice(path: JordanPath) -> TranslationLattice:
-    """Subgroup generated by every parallel pair (oracle for the base-edge rule)."""
+    """Subgroup generated by every parallel pair, from the arc walk (oracle)."""
     labels = path.word.labels
     vectors = []
     for i, j in combinations(range(len(labels)), 2):
@@ -203,33 +192,42 @@ def all_pairs_lattice(path: JordanPath) -> TranslationLattice:
 def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     """Translation part of the product of one edge rotation per direction.
 
-    The quotient group is abelian, so the order of the factors does not
-    matter.  For odd dimension the flips cancel and the result is a pure
-    translation with even entries — the extra generator deciding
-    orientability.  For even dimension the product is not a translation
-    and its vector has odd entries; it is returned for inspection but is
-    not an even translation.
+    Composes the rotations about each direction's first edge in the
+    quotient group (oracle for the vertex-mask row).  The quotient group
+    is abelian, so the order of the factors does not matter.  For odd
+    dimension the flips cancel and the result is a pure translation with
+    even entries — the extra generator deciding orientability.  For even
+    dimension the product is not a translation and its vector has odd
+    entries; it is returned for inspection but is not an even translation.
     """
     from .reflection import reflection_generators
 
     gens = reflection_generators(path)
-    base = _base_edges(path, last=False)
+    base = _base_edges(path)
     element = quotient_identity(path.dim)
     for d in sorted(base):
         element = compose_quotient(element, gens.quotient[base[d]])
     return element.vector
 
 
-def even_translation_lattice(path: JordanPath) -> TranslationLattice:
-    """The full group of even translations mapping the surface to itself.
+def even_lattice_from_pair(
+    path: JordanPath, pair: TranslationLattice
+) -> TranslationLattice:
+    """The even translation lattice, given the path's pair lattice.
 
     Equals the pair lattice for even dimension; for odd dimension the
-    direction-product translation is adjoined (it may or may not already
-    lie in the pair lattice — that dichotomy is the orientability test).
+    direction-product row is adjoined (it may or may not already lie in
+    the pair lattice — that dichotomy is the orientability test).
     """
-    pair = pair_translation_lattice(path)
     if path.dim % 2 == 0:
         return pair
-    extra = direction_product_translation(path)
-    rows = list(pair.rows) + [halve_even_vector(extra)]
-    return TranslationLattice(path.dim, _row_reduce(rows))
+    masks = path.vertex_masks
+    product = 0
+    for d, i in _base_edges(path).items():
+        product ^= masks[i] & ~(1 << (d - 1))
+    return TranslationLattice(path.dim, _row_reduce([*pair.rows, product]))
+
+
+def even_translation_lattice(path: JordanPath) -> TranslationLattice:
+    """The full group of even translations mapping the surface to itself."""
+    return even_lattice_from_pair(path, pair_translation_lattice(path))

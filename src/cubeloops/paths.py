@@ -47,7 +47,6 @@ __all__ = [
     "validate",
     "canonicalize",
     "gap_invariant",
-    "walk_vertices",
     "path_symmetries",
 ]
 
@@ -162,28 +161,19 @@ def validate(
         )
     trail = []
     vertex = base_mask
-    seen = 0
+    seen: set[int] = set()
     for lab in labels:
-        if (seen >> vertex) & 1:
+        if vertex in seen:
             raise NotEmbeddedError(
                 f"walk revisits a vertex after {len(trail)} edges; "
                 "the loop must be simple"
             )
-        seen |= 1 << vertex
+        seen.add(vertex)
         trail.append(vertex)
         vertex ^= 1 << (lab - 1)
     # even counts force the walk back to its base
     assert vertex == base_mask
     return JordanPath(word, base_mask, tuple(trail))
-
-
-def walk_vertices(path: JordanPath) -> tuple[tuple[float, ...], ...]:
-    """The m distinct walk vertices as points of {-1/2, +1/2}^n, base first."""
-    n = path.dim
-    return tuple(
-        tuple(-0.5 if (mask >> i) & 1 else 0.5 for i in range(n))
-        for mask in path.vertex_masks
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Decisions about the reflected surface: embedded, orientable, Euler data.
 
 The fast path decides everything from the translation lattice, which the
-word determines in O(m^2) time: the surface is embedded exactly when the
-even translation lattice has order 4 (even dimension) or 8 (odd), and the
-reflection group order follows as flip-subgroup order times lattice order.
+walk's vertex trail determines in O(mn) time: the surface is embedded
+exactly when the even translation lattice has order 4 (even dimension) or
+8 (odd), and the reflection group order follows as flip-subgroup order
+times lattice order.
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -11,8 +12,10 @@ the three methods is an internal invariant violation, never a user error.
 Orientability: in even dimension the surface and both standard quotients
 are orientable.  In odd dimension the surface (and its quotient by the
 pair lattice) is orientable exactly when the direction-product translation
-falls outside the pair lattice, while the quotient by all even
-translations is never orientable.
+falls outside the pair lattice — that is, when the even lattice has higher
+rank than the pair lattice — while the quotient by all even translations
+is never orientable.  A report builds the pair lattice once and derives
+every decision from it.
 
 The Euler characteristic of the compact quotient by twice-integer
 translations counts cells of the patch complex: each patch contributes
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InternalInvariantError, SurfaceNotEmbeddedError
-from .geometry import VertexIncidence, expand_patches, vertex_incidence
+from .geometry import expand_patches, vertex_incidence
 from .groups import flip_subgroup_order
 from .lattice import (
     TranslationLattice,
-    direction_product_translation,
+    even_lattice_from_pair,
     even_translation_lattice,
     pair_translation_lattice,
 )
@@ -57,6 +60,7 @@ __all__ = [
     "decide_orientable",
     "euler_genus",
     "edge_bound",
+    "embedded_length_cap",
     "per_direction_bound",
     "build_report",
     "CLOSURE_ORACLE_MAX_DIM",
@@ -107,11 +111,16 @@ class OrientabilityFlags:
 
 
 def decide_orientable(path: JordanPath) -> OrientabilityFlags:
-    if path.dim % 2 == 0:
-        return OrientabilityFlags(True, True, True)
     pair = pair_translation_lattice(path)
-    extra = direction_product_translation(path)
-    surface = not pair.contains(extra)
+    return _orientable(pair, even_lattice_from_pair(path, pair))
+
+
+def _orientable(
+    pair: TranslationLattice, even: TranslationLattice
+) -> OrientabilityFlags:
+    if pair.dim % 2 == 0:
+        return OrientabilityFlags(True, True, True)
+    surface = even.rank != pair.rank
     return OrientabilityFlags(surface, surface, False)
 
 
@@ -122,17 +131,18 @@ def euler_genus(path: JordanPath) -> tuple[int, int | None]:
     complex does not satisfy the four-patches-per-vertex identification
     the count relies on.
     """
-    lattice = even_translation_lattice(path)
-    decision = _decide_from_lattice(path.dim, lattice)
+    decision = decide_embedded(path)
     if not decision.embedded:
         raise SurfaceNotEmbeddedError(
             f"lattice order {decision.lattice_order} != {decision.embedded_order}; "
             "Euler characteristic is defined here only for embedded surfaces"
         )
-    m = path.length
-    cube_count = decision.reflection_group_order // lattice.order
-    chi = cube_count * (4 - m) // 4
-    genus = 1 - chi // 2 if path.dim % 2 == 0 else None
+    return _euler_genus(path.dim, path.length)
+
+
+def _euler_genus(dim: int, length: int) -> tuple[int, int | None]:
+    chi = flip_subgroup_order(dim) * (4 - length) // 4
+    genus = 1 - chi // 2 if dim % 2 == 0 else None
     return chi, genus
 
 
@@ -154,6 +164,11 @@ class BoundDiagnostic:
         }
 
 
+def embedded_length_cap(dim: int) -> int:
+    """Most edges a loop with an embedded surface has (see :func:`edge_bound`)."""
+    return 4 * (dim - 1) if dim % 2 == 0 else 8 * (dim - 3) + 18
+
+
 def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     """Necessary length conditions: cycle capacity and the dimension bounds.
 
@@ -171,8 +186,8 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
             f"{dim}-cube",
             capacity,
         )
+    limit = embedded_length_cap(dim)
     if dim % 2 == 0:
-        limit = 4 * (dim - 1)
         if length > limit:
             return BoundDiagnostic(
                 RULED_OUT,
@@ -181,7 +196,6 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
                 limit,
             )
         return BoundDiagnostic(MAYBE_EMBEDDED, f"within the limit {limit}", limit)
-    limit = 8 * (dim - 3) + 18
     if length > limit:
         return BoundDiagnostic(
             RULED_OUT,
@@ -379,11 +393,12 @@ def build_report(
     path = _coerce_path(word, dim)
     n = path.dim
     m = path.length
-    lattice = even_translation_lattice(path)
+    pair = pair_translation_lattice(path)
+    lattice = even_lattice_from_pair(path, pair)
     decision = _decide_from_lattice(n, lattice)
-    orientable = decide_orientable(path)
+    orientable = _orientable(pair, lattice)
     if decision.embedded:
-        chi, genus = euler_genus(path)
+        chi, genus = _euler_genus(n, m)
     else:
         chi, genus = None, None
     symmetries = path_symmetries(path)
@@ -492,7 +507,7 @@ def _run_oracles(
                 "filled-cube counts are not balanced across the large cubes"
             )
     if n <= GEOMETRY_ORACLE_MAX_DIM or force:
-        incidence = _geometric_verdict(path, closure)
+        incidence = vertex_incidence(expand_patches(path, closure))
         checks["geometric_max_multiplicity"] = incidence.max_multiplicity
         checks["geometric_embedded"] = incidence.embedded
         checks["geometric_agrees"] = incidence.embedded == decision.embedded
@@ -504,7 +519,3 @@ def _run_oracles(
             )
     return checks
 
-
-def _geometric_verdict(path: JordanPath, closure) -> VertexIncidence:
-    patches = expand_patches(path, closure)
-    return vertex_incidence(patches)

@@ -28,6 +28,7 @@ from cubeloops import (
     edge_bound,
     enumerate_paths,
     euler_genus,
+    expand_patches,
     family_word,
     filled_cubes,
     flip_subgroup_order,
@@ -40,7 +41,7 @@ from cubeloops import (
     reflection_generators,
     series_check,
     validate,
-    vertex_incidence_verdict,
+    vertex_incidence,
 )
 from cubeloops.cli import main
 from cubeloops.groups import ambient_identity, compose_ambient
@@ -146,7 +147,7 @@ def test_criterion_05_tri_oracle_agreement(n3_classes, n4_classes, random_n5_pat
         n = path.dim
         decision = decide_embedded(path)
         closure = reflection_closure(reflection_generators(path))
-        geometric = vertex_incidence_verdict(path)
+        geometric = vertex_incidence(expand_patches(path))
         closure_verdict = closure.order == 1 << (n + 2)
         assert decision.embedded == closure_verdict == geometric.embedded
         assert closure.order == flip_subgroup_order(n) * decision.lattice_order

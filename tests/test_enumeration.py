@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
+import cubeloops.enumeration as enumeration
 from cubeloops import (
     BadParametersError,
     DirectionWord,
@@ -15,6 +17,7 @@ from cubeloops import (
     canonicalize,
     decide_embedded,
     decide_orientable,
+    edge_bound,
     enumerate_paths,
     euler_genus,
     expand_word,
@@ -110,6 +113,30 @@ def test_census_parallel_workers_agree(n4_classes):
     assert parallel == n4_classes
 
 
+def test_census_worker_count_is_clamped(monkeypatch, n4_classes):
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            recorded.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    query = EnumerationQuery.create(4)
+    assert enumerate_paths(query, jobs=10**6) == n4_classes
+    shards = len(enumeration._prefixes(query))
+    assert len(recorded) == 1
+    assert 1 <= recorded[0] <= min(os.cpu_count() or 1, shards)
+
+
 def test_census_words_are_canonical_and_valid(n4_classes):
     for word in n4_classes:
         validate(word)
@@ -126,6 +153,11 @@ def test_query_window_normalization():
     assert (q.min_length, q.max_length) == (10, 10)
     q = EnumerationQuery.create(4, embedded_only=True)
     assert q.max_length == 12
+    # the embedded window ends at the same cap the edge bound reports
+    for dim in range(3, 10):
+        cap = edge_bound(dim, 2 * dim).limit
+        q = EnumerationQuery.create(dim, embedded_only=True)
+        assert q.max_length == min(1 << dim, cap)
     # beyond the embedded cap the window collapses and the census is empty
     q = EnumerationQuery.create(4, min_length=14, embedded_only=True)
     assert q.min_length > q.max_length

@@ -20,7 +20,6 @@ from cubeloops import (
     torus_mesh,
     validate,
     vertex_incidence,
-    vertex_incidence_verdict,
 )
 
 
@@ -70,7 +69,7 @@ def test_expand_patches_coordinates_in_window(n4_m8_classes):
 
 
 def test_vertex_incidence_embedded_hexagon():
-    incidence = vertex_incidence_verdict(validate(parse_word("123123", 3)))
+    incidence = vertex_incidence(expand_patches(validate(parse_word("123123", 3))))
     assert incidence.embedded
     assert incidence.max_multiplicity == 4
     assert set(incidence.counts.values()) == {4}
@@ -79,17 +78,17 @@ def test_vertex_incidence_embedded_hexagon():
 
 def test_vertex_incidence_selfintersecting_paths():
     for text in ("12341234", "12314243"):
-        incidence = vertex_incidence_verdict(validate(parse_word(text, 4)))
+        incidence = vertex_incidence(expand_patches(validate(parse_word(text, 4))))
         assert not incidence.embedded
         assert incidence.max_multiplicity == 16
-    five = vertex_incidence_verdict(validate(parse_word("145231425232", 5)))
+    five = vertex_incidence(expand_patches(validate(parse_word("145231425232", 5))))
     assert not five.embedded
     assert five.max_multiplicity == 8
 
 
 def test_vertex_incidence_counts_always_multiples_of_four(n4_m8_classes):
     for word in n4_m8_classes:
-        incidence = vertex_incidence_verdict(validate(word))
+        incidence = vertex_incidence(expand_patches(validate(word)))
         assert all(c % 4 == 0 for c in incidence.counts.values())
         if incidence.embedded:
             assert set(incidence.counts.values()) == {4}
@@ -98,7 +97,8 @@ def test_vertex_incidence_counts_always_multiples_of_four(n4_m8_classes):
 def test_vertex_incidence_agrees_with_lattice(n4_m8_classes):
     for word in n4_m8_classes:
         path = validate(word)
-        assert vertex_incidence_verdict(path).embedded == decide_embedded(path).embedded
+        geometric = vertex_incidence(expand_patches(path))
+        assert geometric.embedded == decide_embedded(path).embedded
 
 
 def test_torus_mesh_structure():

@@ -89,20 +89,24 @@ def test_pair_lattice_reference_orders():
         assert pair_translation_lattice(path).order == 4
 
 
-def test_pair_lattice_base_edge_choice_is_irrelevant(n3_classes, n4_classes):
-    for word in (*n3_classes, *n4_classes):
-        path = validate(word)
-        assert pair_translation_lattice(path, base_edge="first") == pair_translation_lattice(
-            path, base_edge="last"
-        )
-    with pytest.raises(ValueError):
-        pair_translation_lattice(validate(parse_word("123123", 3)), base_edge="middle")
-
-
-def test_all_pairs_lattice_equals_base_pair_lattice(n3_classes, n4_classes):
-    for word in (*n3_classes, *n4_classes):
-        path = validate(word)
+def test_all_pairs_lattice_equals_base_pair_lattice(
+    n3_classes, n4_classes, random_n5_paths
+):
+    # oracle: the arc walk over every parallel pair spans the same subgroup
+    # as the vertex-mask rows against each direction's first edge
+    for path in (*map(validate, (*n3_classes, *n4_classes)), *random_n5_paths):
         assert all_pairs_lattice(path) == pair_translation_lattice(path)
+
+
+def test_even_lattice_matches_composed_direction_product(n3_classes, random_n5_paths):
+    # oracle: the vertex-mask direction-product row against the composed
+    # edge rotations, adjoined to the arc-walk pair lattice
+    for path in (*map(validate, n3_classes), *random_n5_paths):
+        expected = span_lattice(
+            path.dim,
+            [*all_pairs_lattice(path).basis_vectors(), direction_product_translation(path)],
+        )
+        assert even_translation_lattice(path) == expected
 
 
 def test_direction_product_is_composition_order_independent():
@@ -166,11 +170,8 @@ def test_contains_reference_memberships():
     g3 = validate(parse_word("12314234", 4))
     lam3 = even_translation_lattice(g3)
     assert not lam3.contains((2, 0, 0, 0))
-    # cross-check against the explicit four-element enumeration
-    elements = set(lam3.elements())
-    assert len(elements) == 4
-    assert (2, 0, 0, 0) not in elements
-    assert (0, 0, 0, 0) in elements
+    assert lam3.order == 4
+    assert all(lam3.contains(v) for v in lam3.basis_vectors())
     with pytest.raises(BadVectorError):
         lam3.contains((2, 1, 0, 0))
 
@@ -180,19 +181,6 @@ def test_halve_double_roundtrip():
     assert double_bit_vector(0b0101, 4) == (2, 0, 2, 0)
     with pytest.raises(BadVectorError):
         halve_even_vector((2, 3, 0, 0))
-
-
-def test_lattice_elements_form_a_group(n4_m8_classes):
-    for word in n4_m8_classes:
-        lam = even_translation_lattice(validate(word))
-        elements = set(lam.elements())
-        assert len(elements) == lam.order
-        for v in lam.basis_vectors():
-            assert v in elements
-        for a in elements:
-            for b in elements:
-                total = tuple((x + y) % 4 for x, y in zip(a, b))
-                assert total in elements
 
 
 def test_odd_dimension_order_dichotomy(n3_classes, random_n5_paths):
@@ -214,8 +202,9 @@ def test_even_dimension_orders_agree(n4_m8_classes):
 
 
 def test_lattice_elements_lie_in_reflection_closure(n3_classes, n4_m8_classes):
+    # the closure is a group, so containing a basis means containing the lattice
     for word in (*n3_classes, *n4_m8_classes):
         path = validate(word)
         closure = reflection_closure(reflection_generators(path))
-        for v in even_translation_lattice(path).elements():
+        for v in even_translation_lattice(path).basis_vectors():
             assert QuotientElement.from_vector(v) in closure

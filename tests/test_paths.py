@@ -9,16 +9,17 @@ import pytest
 from cubeloops import (
     BadLabelError,
     DirectionWord,
+    FamilySpec,
     MissingDirectionError,
     NotClosedError,
     NotEmbeddedError,
     OddLengthError,
     canonicalize,
+    family_word,
     gap_invariant,
     parse_word,
     path_symmetries,
     validate,
-    walk_vertices,
 )
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
@@ -70,21 +71,26 @@ def test_validate_accepts_references():
 
 def test_walk_vertices_shape_and_distinctness():
     path = validate(parse_word("123123", 3))
-    verts = walk_vertices(path)
-    assert len(verts) == 6
-    assert verts[0] == (0.5, 0.5, 0.5)
-    assert all(len(v) == 3 and set(map(abs, v)) == {0.5} for v in verts)
-    assert len(set(verts)) == 6
-    # consecutive vertices differ exactly in the edge's coordinate
+    masks = path.vertex_masks
+    assert len(masks) == 6
+    assert masks[0] == path.base_mask == 0
+    assert all(0 <= v < 8 for v in masks)
+    assert len(set(masks)) == 6
+    # consecutive vertices differ exactly in the edge's bit
     for i, lab in enumerate(path.word.labels):
-        nxt = verts[(i + 1) % 6]
-        diff = [k for k in range(3) if verts[i][k] != nxt[k]]
-        assert diff == [lab - 1]
+        assert masks[i] ^ masks[(i + 1) % 6] == 1 << (lab - 1)
 
 
 def test_walk_vertices_g5_eight_distinct():
     path = validate(parse_word("12341234", 4))
-    assert len(set(walk_vertices(path))) == 8
+    assert len(set(path.vertex_masks)) == 8
+
+
+def test_validate_high_dimension_sharp_loop():
+    # the visited set holds m masks, not a 2^n-bit map of the cube
+    path = validate(family_word(FamilySpec("sharp", 64)))
+    assert path.length == 252
+    assert len(set(path.vertex_masks)) == 252
 
 
 def test_canonicalize_pinned_forms():

@@ -34,8 +34,11 @@ def test_generators_first_edge_of_hexagonal_loop():
 def test_generators_track_walk_vertices():
     path = validate(parse_word("12314234", 4))
     gens = reflection_generators(path)
+    masks = path.vertex_masks
     for i, d in enumerate(gens.directions):
-        mask = path.vertex_masks[i]
+        mask = masks[i]
+        # edge i runs from vertex i to vertex i+1 along its own axis
+        assert mask ^ masks[(i + 1) % len(masks)] == 1 << (d - 1)
         elem = gens.ambient[i]
         assert elem.translation[d - 1] == 0
         for k in range(4):
