@@ -9,8 +9,18 @@ is reported exactly once no matter how many representatives the walk
 finds.  Pruning uses exact necessities only: the walk must be able to get
 home within budget (each odd-count direction needs another edge, each
 unused direction two), revisits are forbidden, and the embedded-only mode
-adds the four-edges-per-direction ceiling (even dimension) and the
-dimension-specific length caps.
+adds the four-edges-per-direction ceiling (even dimension), the
+dimension-specific length caps and a lattice-rank cut.
+
+The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
+& ~bit(d)`` for every edge after its direction's first — as a GF(2)
+echelon basis pushed and popped with the walk.  Each row is fixed by the
+prefix, so the prefix's lattice is a subgroup of the finished loop's and
+its rank never falls as the word grows.  An embedded surface has an even
+lattice of order 4 (even dimension) or 8 (odd), and the pair lattice lies
+inside it, so its rank is at most 2 or 3; a branch or closing edge that
+would pass that rank has no embedded completion and is cut.  The embedded
+verdict on each surviving class stays the final filter.
 
 The named families reproduce the known infinite series of embedded
 loops — three two-parameter families, the sharp maximal-length family,
@@ -151,6 +161,39 @@ def _search(
     per_direction_cap = query.embedded_only and n % 2 == 0
     out: list[tuple[int, ...]] = []
 
+    # embedded-only rank cut (module docstring): the prefix's pair-lattice
+    # echelon basis, pivots[k] holding the row whose leading bit is k
+    rank_cap = (2 if n % 2 == 0 else 3) if query.embedded_only else None
+    first_vertex = [0] * (n + 1)
+    pivots = [0] * n
+    rank = 0
+
+    def residue(d: int) -> int:
+        """The pair row of an edge in direction d leaving the current
+        vertex, reduced modulo the basis (0 when it is already spanned)."""
+        row = (vertex ^ first_vertex[d]) & ~(1 << (d - 1))
+        while row:
+            pivot = pivots[row.bit_length() - 1]
+            if not pivot:
+                break
+            row ^= pivot
+        return row
+
+    def admit(d: int) -> int | None:
+        """Record the pair row of a new edge in direction d; the pivot row
+        added (0 if none), or None when the rank would pass the cap."""
+        nonlocal rank
+        if not counts[d]:
+            first_vertex[d] = vertex
+            return 0
+        row = residue(d)
+        if row:
+            if rank == rank_cap:
+                return None
+            pivots[row.bit_length() - 1] = row
+            rank += 1
+        return row
+
     # replay the mandatory first edge plus any shard prefix
     word = [query.first_direction]
     if prefix:
@@ -161,6 +204,8 @@ def _search(
     counts = [0] * (n + 1)
     used_mask = 0
     for lab in word:
+        if rank_cap is not None and admit(lab) is None:
+            return []
         visited |= 1 << vertex
         vertex ^= 1 << (lab - 1)
         counts[lab] += 1
@@ -170,7 +215,7 @@ def _search(
         return used_mask.bit_count()
 
     def step(d: int, depth: int) -> None:
-        nonlocal vertex, visited, used_mask
+        nonlocal vertex, visited, used_mask, rank
         target = vertex ^ (1 << (d - 1))
         if target == 0:
             # the closing edge always revisits direction d (its count must
@@ -179,6 +224,7 @@ def _search(
                 stop_depth is None
                 and used_mask == (2 << n) - 2
                 and min_len <= depth + 1 <= max_len
+                and (rank_cap is None or rank < rank_cap or not residue(d))
             ):
                 out.append(tuple(word + [d]))
             return
@@ -186,6 +232,11 @@ def _search(
             return
         if per_direction_cap and counts[d] >= 4:
             return
+        row = 0
+        if rank_cap is not None:
+            row = admit(d)
+            if row is None:
+                return
         counts[d] += 1
         prior_mask = used_mask
         used_mask |= 1 << d
@@ -202,6 +253,9 @@ def _search(
         word.pop()
         used_mask = prior_mask
         counts[d] -= 1
+        if row:
+            pivots[row.bit_length() - 1] = 0
+            rank -= 1
 
     def extend(depth: int) -> None:
         remaining = max_len - depth

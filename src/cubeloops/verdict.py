@@ -176,7 +176,10 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     dimension an embedded surface forces at most 4(dim-1) edges; in odd
     dimension the working bound 8(dim-3)+18 is applied and flagged as
     heuristic (it rests on the even-dimensional argument applied
-    coordinate-wise, not on a full proof).
+    coordinate-wise, not on a full proof).  Census evidence, not a proof:
+    the complete embedded censuses reach at most 16 edges at dim 5 and 24
+    at dim 7, i.e. 4(dim-1) as in even dimension, against working bounds
+    of 34 and 50.
     """
     capacity = 1 << dim
     if length > capacity:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -177,3 +179,13 @@ def test_export_io_error(tmp_path, capsys):
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_module_entry_point(monkeypatch, capsys):
+    # python -m cubeloops runs the same command line as the console script
+    argv = ["cubeloops", "enumerate", "--dim", "4", "--embedded-only"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("cubeloops", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.endswith("\n5 classes\n")

@@ -113,7 +113,10 @@ def test_census_parallel_workers_agree(n4_classes):
     assert parallel == n4_classes
 
 
-def test_census_worker_count_is_clamped(monkeypatch, n4_classes):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the worker pool by an in-process map; yields the requested
+    worker counts, one per pool opened."""
     recorded = []
 
     class SerialPool:
@@ -130,11 +133,44 @@ def test_census_worker_count_is_clamped(monkeypatch, n4_classes):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    return recorded
+
+
+def test_census_worker_count_is_clamped(serial_pool, n4_classes):
     query = EnumerationQuery.create(4)
     assert enumerate_paths(query, jobs=10**6) == n4_classes
     shards = len(enumeration._prefixes(query))
-    assert len(recorded) == 1
-    assert 1 <= recorded[0] <= min(os.cpu_count() or 1, shards)
+    assert len(serial_pool) == 1
+    assert 1 <= serial_pool[0] <= min(os.cpu_count() or 1, shards)
+
+
+def test_embedded_census_equals_filtered_full_census(n3_classes, n4_classes):
+    # the rank-pruned search against the unpruned census filtered afterwards
+    windows = [(3, None, n3_classes), (4, None, n4_classes)]
+    for dim, max_length in ((5, 12), (6, 12)):
+        full = enumerate_paths(EnumerationQuery.create(dim, max_length=max_length))
+        windows.append((dim, max_length, full))
+    for dim, max_length, full in windows:
+        query = EnumerationQuery.create(dim, max_length=max_length, embedded_only=True)
+        expected = tuple(w for w in full if decide_embedded(validate(w)).embedded)
+        assert enumerate_paths(query) == expected, (dim, max_length)
+
+
+def test_embedded_census_shards_agree(serial_pool):
+    # each shard rebuilds the rank state from its prefix
+    query = EnumerationQuery.create(5, max_length=14, embedded_only=True)
+    serial = enumerate_paths(query)
+    assert len(serial) == 7
+    assert enumerate_paths(query, jobs=2) == serial
+    assert serial_pool and len(enumeration._prefixes(query)) > 1
+
+
+def test_complete_embedded_censuses():
+    # n=7 (16 classes, longest m=24) is left out for its run time
+    for dim, classes, longest in ((5, 8, 16), (6, 12, 20), (8, 21, 28)):
+        census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
+        assert len(census) == classes, dim
+        assert max(len(w) for w in census) == longest, dim
 
 
 def test_census_words_are_canonical_and_valid(n4_classes):

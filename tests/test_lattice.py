@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import random_valid_path
 
 from cubeloops import (
     BadVectorError,
@@ -96,6 +97,31 @@ def test_all_pairs_lattice_equals_base_pair_lattice(
     # as the vertex-mask rows against each direction's first edge
     for path in (*map(validate, (*n3_classes, *n4_classes)), *random_n5_paths):
         assert all_pairs_lattice(path) == pair_translation_lattice(path)
+
+
+def test_prefix_pair_rank_never_falls():
+    # the embedded census prunes on this: the pairs with each direction's
+    # first edge that lie inside a prefix depend on the prefix alone (here
+    # by the arc walk, which never leaves it), so the prefix's lattice is a
+    # subgroup of the loop's and its rank only grows, ending at the full rank
+    rng = random.Random(404117)
+    for dim in range(4, 8):
+        for _ in range(12):
+            path = random_valid_path(rng, dim)
+            final = pair_translation_lattice(path)
+            first: dict[int, int] = {}
+            rows: list[tuple[int, ...]] = []
+            ranks = []
+            for j, d in enumerate(path.word.labels):
+                if d in first:
+                    rows.append(parallel_pair_translation(path, first[d], j))
+                else:
+                    first[d] = j
+                prefix = span_lattice(dim, rows)
+                assert all(final.contains(v) for v in prefix.basis_vectors())
+                ranks.append(prefix.rank)
+            assert ranks == sorted(ranks)
+            assert ranks[-1] == final.rank
 
 
 def test_even_lattice_matches_composed_direction_product(n3_classes, random_n5_paths):
