@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .enumeration import (
@@ -60,7 +61,10 @@ def _condition_label(exc: CubeLoopsError) -> str:
     return name[: -len("Error")] if name.endswith("Error") else name
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh Namespace on every
+    # call and no action writes back into the parser.
     parser = argparse.ArgumentParser(
         prog="cubeloops",
         description=(
@@ -243,8 +247,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     path = validate(word)
     patches = expand_patches(path)
     projection = _parse_projection(args)
-    data = export_mesh(patches, format=args.format, projection=projection)
     incidence = vertex_incidence(patches)
+    data = export_mesh(
+        patches, format=args.format, projection=projection, incidence=incidence
+    )
     summary = (
         f"{patches.count} patches, {patches.triangle_count} triangles, "
         f"{'embedded' if incidence.embedded else 'NOT embedded'}"

@@ -19,7 +19,9 @@ inside one fundamental domain so triangles are not torn by wrap-around.
 
 from __future__ import annotations
 
+import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadProjectionError, UnsupportedFormatError
@@ -115,25 +117,27 @@ def expand_patches(
 ) -> PatchSet:
     """Place one cone-disk copy per reflection-closure element.
 
-    The identity element reproduces the original disk in the base cube;
-    patch anchors coincide with the filled-cube map.
+    The element with translation vector a places coordinate k of a disk
+    point x at 2a_k + x_k, or at 2a_k - x_k when a_k is odd (the element's
+    flips are the parity pattern of a).  So each coordinate of the disk has
+    only four placed columns, one per value of a_k; they are built once per
+    loop and every patch is zipped together from n of them.  The identity
+    element reproduces the original disk in the base cube; patch anchors
+    coincide with the filled-cube map.
     """
     disk = cone_disk(path)
     if closure is None:
         closure = reflection_closure(reflection_generators(path))
-    n = path.dim
+    placed = [
+        [tuple(2 * a - x if a % 2 else 2 * a + x for x in column) for a in range(4)]
+        for column in zip(disk.apex, *disk.rim)
+    ]
     patches = []
     for index, element in enumerate(closure.elements):
         anchor = element.vector
-        flips = element.flips
-        signs = tuple(-1 if (flips >> k) & 1 else 1 for k in range(n))
-        offset = tuple(2 * a for a in anchor)
-        apex = tuple(offset[k] + signs[k] * disk.apex[k] for k in range(n))
-        rim = tuple(
-            tuple(offset[k] + signs[k] * v[k] for k in range(n)) for v in disk.rim
-        )
-        patches.append(Patch(index, anchor, flips, apex, rim))
-    return PatchSet(n, len(disk.rim), tuple(patches))
+        apex, *rim = zip(*(placed[k][a] for k, a in enumerate(anchor)))
+        patches.append(Patch(index, anchor, element.flips, apex, tuple(rim)))
+    return PatchSet(path.dim, len(disk.rim), tuple(patches))
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,13 @@ class VertexIncidence:
 
 
 def vertex_incidence(patches: PatchSet) -> VertexIncidence:
+    # Placed coordinates lie in [-1, 7]: count the placed rim vertices,
+    # then fold the distinct ones onto the torus.
+    placed = Counter(vertex for patch in patches.patches for vertex in patch.rim)
     counts: dict[tuple[int, ...], int] = {}
-    for patch in patches.patches:
-        for vertex in patch.rim_wrapped():
-            counts[vertex] = counts.get(vertex, 0) + 1
+    for vertex, count in placed.items():
+        wrapped = tuple(c % 8 for c in vertex)
+        counts[wrapped] = counts.get(wrapped, 0) + count
     worst = max(counts.values(), default=0)
     return VertexIncidence(worst, worst < 8, counts)
 
@@ -213,6 +220,7 @@ def export_mesh(
     patches: PatchSet,
     format: str = "obj",
     projection: tuple[int, ...] | None = None,
+    incidence: VertexIncidence | None = None,
 ) -> bytes:
     """Serialize the patch set.
 
@@ -220,9 +228,12 @@ def export_mesh(
     with one fractional digit; the effective dimension after dropping the
     ``projection`` axes must be 3.  JSON: the full-dimensional exact
     torus mesh (doubled integer coordinates, mod 8); no projection
-    applies.  Non-embedded surfaces carry a warning in either format.
+    applies.  Non-embedded surfaces carry a warning in either format;
+    ``incidence`` is the patch set's :func:`vertex_incidence` when the
+    caller has it already.
     """
-    incidence = vertex_incidence(patches)
+    if incidence is None:
+        incidence = vertex_incidence(patches)
     warning = None
     if not incidence.embedded:
         warning = (
@@ -271,12 +282,20 @@ def _half_str(doubled: int) -> str:
 
 def _render_json(patches: PatchSet, warning: str | None) -> bytes:
     mesh = torus_mesh(patches)
+    # json writes tuples as arrays, so the mesh needs no list copies
     document = {
         "dim": mesh.dim,
-        "vertices": [list(v) for v in mesh.vertices],
-        "triangles": [list(t) for t in mesh.triangles],
-        "patch_of_triangle": list(mesh.patch_of_triangle),
+        "vertices": mesh.vertices,
+        "triangles": mesh.triangles,
+        "patch_of_triangle": mesh.patch_of_triangle,
     }
     if warning:
         document["warning"] = warning
-    return (json.dumps(document, indent=1) + "\n").encode()
+    # json.dumps with an indent joins a list of every token, several times
+    # the size of the text; encoding the tokens as they come keeps the
+    # peak memory near the size of the output
+    out = io.BytesIO()
+    for chunk in json.JSONEncoder(indent=1).iterencode(document):
+        out.write(chunk.encode())
+    out.write(b"\n")
+    return out.getvalue()

@@ -240,8 +240,8 @@ def close_under_composition(
 ) -> tuple[QuotientElement, ...]:
     """Subgroup generated by the given quotient elements, in sorted order.
 
-    Breadth-first worklist from the identity; the visited set is a bitset
-    over the 2^(2n) packed values, so the whole walk is allocation-light.
+    Breadth-first worklist from the identity over packed values, with a
+    set of the packed values seen so far.
     """
     gens = sorted(set(generators))
     if not gens:
@@ -252,21 +252,18 @@ def close_under_composition(
     lo, _ = _lane_masks(dim)
     gen_packed = [g.packed for g in gens]
 
-    seen = 1  # bitset over packed values; identity = 0 is present
+    seen = {0}  # the identity
     frontier = [0]
-    members = [0]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gen_packed:
                 y = _compose_packed(x, g, lo)
-                if not (seen >> y) & 1:
-                    seen |= 1 << y
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
-                    members.append(y)
         frontier = nxt
-    members.sort()
-    return tuple(QuotientElement(dim, p) for p in members)
+    return tuple(QuotientElement(dim, p) for p in sorted(seen))
 
 
 def cube_edge_generators(dim: int) -> tuple[QuotientElement, ...]:

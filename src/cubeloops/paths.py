@@ -282,17 +282,26 @@ def path_symmetries(path: JordanPath) -> tuple[SignSymmetry, ...]:
     """All nontrivial sign changes preserving the loop's edge set.
 
     A sign change acts on vertex masks by XOR, so the check is purely
-    combinatorial.  The result does not depend on the base vertex: moving
-    the base translates every edge by the same XOR, which commutes with
-    the symmetry action.
+    combinatorial.  Every loop vertex lies on a loop edge, so a sign change
+    that maps the edge set onto itself maps the vertex set onto itself and
+    in particular sends ``vertex_masks[0]`` to some loop vertex v.  The
+    sign change is then ``vertex_masks[0] ^ v``: the m - 1 masks built from
+    the other loop vertices are the only candidates, which makes the search
+    O(m^2) instead of O(2^n m).  Each candidate must map the vertex set
+    onto itself, then the edge set.  The result does not depend on the base
+    vertex: moving the base translates every edge by the same XOR, which
+    commutes with the symmetry action.
     """
     n = path.dim
+    masks = path.vertex_masks
+    vertices = set(masks)
     edges = _edge_set(path)
     out = []
-    for mask in range(1, 1 << n):
-        mapped = {(a ^ mask, b ^ mask) if a ^ mask < b ^ mask else (b ^ mask, a ^ mask)
-                  for a, b in edges}
-        if mapped == edges:
+    for v in masks[1:]:
+        mask = masks[0] ^ v
+        if all(a ^ mask in vertices for a in masks) and all(
+            _edge(a ^ mask, b ^ mask) in edges for a, b in edges
+        ):
             preserving = (mask.bit_count() % 2 == 0) if n % 2 == 0 else None
             out.append(
                 SignSymmetry(tuple((mask >> i) & 1 for i in range(n)), preserving)
@@ -300,12 +309,10 @@ def path_symmetries(path: JordanPath) -> tuple[SignSymmetry, ...]:
     return tuple(sorted(out))
 
 
+def _edge(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
 def _edge_set(path: JordanPath) -> set[tuple[int, int]]:
-    edges = set()
     masks = path.vertex_masks
-    m = len(masks)
-    for i, lab in enumerate(path.word.labels):
-        a = masks[i]
-        b = masks[(i + 1) % m]
-        edges.add((a, b) if a < b else (b, a))
-    return edges
+    return {_edge(a, b) for a, b in zip(masks, masks[1:] + masks[:1])}

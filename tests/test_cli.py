@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cubeloops.cli import main
+from cubeloops.cli import _build_parser, main
 
 
 def test_check_text_report(capsys):
@@ -189,3 +189,26 @@ def test_module_entry_point(monkeypatch, capsys):
         runpy.run_module("cubeloops", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.endswith("\n5 classes\n")
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    # main reuses one parser per process; no option may carry over between calls
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    check_json = ["check", "--dim", "4", "--word", "12321434", "--json"]
+    check_text = ["check", "--dim", "4", "--word", "12321434"]
+    export_five = ["export", "--dim", "5", "--word", "145231425232", "--project", "4,5"]
+    export_four = ["export", "--dim", "4", "--word", "12314234"]
+    alone = {}
+    for argv in (check_json, check_text, export_five, export_four):
+        _build_parser.cache_clear()
+        alone[tuple(argv)] = run(argv)
+    for first, second in ((check_json, check_text), (export_five, export_four)):
+        _build_parser.cache_clear()
+        assert run(first) == alone[tuple(first)]
+        assert run(second) == alone[tuple(second)]
+    assert alone[tuple(check_text)][1] != alone[tuple(check_json)][1]
+    assert "# projection: dropped axes [4]" in alone[tuple(export_four)][1]

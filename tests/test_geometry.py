@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -58,6 +59,28 @@ def test_expand_patches_identity_patch_and_anchors():
     assert {p.anchor for p in patches.patches} == set(filled_cubes(closure).anchors)
 
 
+@pytest.fixture(scope="module")
+def oracle_paths(n4_classes, random_n5_paths):
+    """Every n=4 class and ten seeded n=5 loops."""
+    return tuple(validate(word) for word in n4_classes) + random_n5_paths[:10]
+
+
+def test_expand_patches_match_quotient_action(oracle_paths):
+    # reference: each closure element's doubled action on the cone disk
+    for path in oracle_paths:
+        closure = reflection_closure(reflection_generators(path))
+        disk = cone_disk(path)
+        patches = expand_patches(path, closure)
+        assert patches.count == closure.order
+        for patch, element in zip(patches.patches, closure.elements):
+            assert patch.anchor == element.vector
+            assert patch.flips == element.flips
+            assert patch.apex_wrapped() == element.apply_doubled(disk.apex)
+            assert patch.rim_wrapped() == tuple(
+                element.apply_doubled(vertex) for vertex in disk.rim
+            )
+
+
 def test_expand_patches_coordinates_in_window(n4_m8_classes):
     for word in n4_m8_classes:
         patches = expand_patches(validate(word))
@@ -86,9 +109,14 @@ def test_vertex_incidence_selfintersecting_paths():
     assert five.max_multiplicity == 8
 
 
-def test_vertex_incidence_counts_always_multiples_of_four(n4_m8_classes):
-    for word in n4_m8_classes:
-        incidence = vertex_incidence(expand_patches(validate(word)))
+def test_vertex_incidence_counts_always_multiples_of_four(oracle_paths):
+    for path in oracle_paths:
+        patches = expand_patches(path)
+        incidence = vertex_incidence(patches)
+        per_vertex = Counter(
+            vertex for patch in patches.patches for vertex in patch.rim_wrapped()
+        )
+        assert incidence.counts == dict(per_vertex)
         assert all(c % 4 == 0 for c in incidence.counts.values())
         if incidence.embedded:
             assert set(incidence.counts.values()) == {4}

@@ -193,3 +193,84 @@ def test_path_symmetries_base_independent():
     for base in range(1, 16):
         path = validate(word, base_mask=base)
         assert {s.flips for s in path_symmetries(path)} == reference
+
+
+def _brute_force_symmetries(path):
+    """Reference: every nonzero sign mask that maps the edge set onto itself."""
+    masks = path.vertex_masks
+    edges = {frozenset(pair) for pair in zip(masks, masks[1:] + masks[:1])}
+    return {
+        tuple((mask >> i) & 1 for i in range(path.dim))
+        for mask in range(1, 1 << path.dim)
+        if {frozenset((a ^ mask, b ^ mask)) for a, b in edges} == edges
+    }
+
+
+def _random_short_loop(rng: random.Random, dim: int, cap: int) -> DirectionWord:
+    """A random valid word of even length between 2*dim and cap, by restarts."""
+    while True:
+        length = rng.randrange(2 * dim, cap + 1, 2)
+        vertex, seen, labels = 0, {0}, []
+        while len(labels) < length:
+            left = length - len(labels) - 1  # edges still to walk after this one
+            options = []
+            for d in range(1, dim + 1):
+                target = vertex ^ (1 << (d - 1))
+                if target == 0 and left == 0:
+                    options.append(d)
+                elif target not in seen and target.bit_count() <= left:
+                    options.append(d)
+            if not options:
+                break
+            d = rng.choice(options)
+            labels.append(d)
+            vertex ^= 1 << (d - 1)
+            seen.add(vertex)
+        else:
+            if len(set(labels)) == dim:
+                return DirectionWord(tuple(labels), dim)
+
+
+def _random_doubled_loop(rng: random.Random, dim: int, cap: int) -> DirectionWord:
+    """A random valid word h + h: the sign change XOR(h) maps it onto itself."""
+    while True:
+        size = rng.randrange(dim, cap // 2 + 1)
+        half = [rng.randrange(1, dim + 1) for _ in range(size)]
+        if len(set(half)) < dim:
+            continue
+        try:
+            return validate(half * 2, dim).word
+        except NotEmbeddedError:
+            continue
+
+
+def test_path_symmetries_match_brute_force_on_random_loops():
+    rng = random.Random(20171)
+    for dim in range(3, 9):
+        cap = min(4 * dim, 1 << dim)
+        for _ in range(25):
+            for word in (
+                _random_short_loop(rng, dim, cap),
+                _random_doubled_loop(rng, dim, cap),
+            ):
+                for base in (0, rng.randrange(1, 1 << dim)):
+                    path = validate(word, base_mask=base)
+                    found = {s.flips for s in path_symmetries(path)}
+                    assert found == _brute_force_symmetries(path), (word, base)
+
+
+def test_path_symmetries_match_brute_force_on_families():
+    specs = []
+    for dim in range(3, 11):
+        specs.append(FamilySpec("d-series", dim))
+        if dim >= 4:
+            specs.append(FamilySpec("sharp", dim))
+        for beta in range(1, dim):
+            specs.append(FamilySpec("gamma-a", dim, beta=beta))
+            for alpha in range(1, beta):
+                specs.append(FamilySpec("gamma-b", dim, alpha=alpha, beta=beta))
+                specs.append(FamilySpec("gamma-c", dim, alpha=alpha, beta=beta))
+    for spec in specs:
+        path = validate(family_word(spec))
+        found = {s.flips for s in path_symmetries(path)}
+        assert found == _brute_force_symmetries(path), spec

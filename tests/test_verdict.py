@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cubeloops import (
+    FamilySpec,
     NotClosedError,
     SurfaceNotEmbeddedError,
     build_report,
@@ -13,6 +14,7 @@ from cubeloops import (
     edge_bound,
     euler_genus,
     even_translation_lattice,
+    family_word,
     parse_word,
     per_direction_bound,
     reflection_closure,
@@ -247,3 +249,11 @@ def test_reports_for_all_references_are_deterministic():
         second = build_report(text, dim=dim).to_json_dict()
         assert first == second
         assert first["embedded"] == (text in EMBEDDED_N4 or dim == 3)
+
+
+def test_sharp_family_symmetries_high_dimension():
+    # 2^64 - 1 sign masks could never be tried one by one; the candidates
+    # are the m - 1 masks taking the base vertex to another loop vertex
+    report = build_report(family_word(FamilySpec("sharp", 64)))
+    assert report.embedded
+    assert len(report.symmetries) == 3
