@@ -29,7 +29,7 @@ from .enumeration import (
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import expand_patches, export_mesh, vertex_incidence
 from .paths import format_word, parse_word, validate
-from .verdict import build_report
+from .verdict import SurfaceReport, build_report
 
 __all__ = ["main"]
 
@@ -96,14 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--limit", type=int, help="report at most this many classes")
     enum.add_argument(
-        "--jobs", type=int, default=1, help="parallel search workers (default 1)"
-    )
-    enum.add_argument(
-        "--first-direction",
-        type=int,
-        default=1,
-        help="pin the first edge to this direction (search symmetry anchor; "
-        "the class set does not depend on it)",
+        "--jobs", type=int, default=1, help="workers, at most one per CPU (default 1)"
     )
     _add_mode_args(enum)
     enum.add_argument(
@@ -178,12 +171,7 @@ def _parse_cli_word(args: argparse.Namespace):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     word = _parse_cli_word(args)
-    report = build_report(word, mode=args.mode, force=args.force)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.render_text())
-    return 0
+    return _print_report(args, build_report(word, mode=args.mode, force=args.force))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -194,7 +182,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_length=args.max_length,
         embedded_only=args.embedded_only,
         limit=args.limit,
-        first_direction=args.first_direction,
     )
     classes = enumerate_paths(query, jobs=args.jobs)
     reports = [
@@ -235,6 +222,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
     report = build_report(
         word, mode=args.mode, force=args.force, family=spec.to_json_dict()
     )
+    return _print_report(args, report)
+
+
+def _print_report(args: argparse.Namespace, report: SurfaceReport) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:

@@ -1,16 +1,18 @@
 """Search and generation of loop classes: exhaustive census and named families.
 
-The census walks the cube graph depth-first from a fixed corner with the
-first edge direction pinned and new direction labels introduced in
-increasing order — a partial symmetry reduction that keeps the search
-complete while shrinking it by roughly a factor of 2m * n!.  Full
-deduplication happens afterwards through canonical forms, so every class
-is reported exactly once no matter how many representatives the walk
-finds.  Pruning uses exact necessities only: the walk must be able to get
-home within budget (each odd-count direction needs another edge, each
-unused direction two), revisits are forbidden, and the embedded-only mode
-adds the four-edges-per-direction ceiling (even dimension), the
-dimension-specific length caps and a lattice-rank cut.
+The census walks the cube graph depth-first from a fixed corner, with the
+first edge in direction 1 and new direction labels introduced in
+increasing order.  Every class's canonical word (:func:`canonicalize`
+relabels in first-occurrence order) is such a walk, and the search keeps
+a closed word only when it is its own canonical form, so it emits every
+class exactly once (orderly generation: R. C. Read, Ann. Discrete Math. 2,
+1978; B. D. McKay, J. Algorithms 26, 1998).  Pruning uses exact
+necessities only, met by every prefix of every loop (of every embedded
+loop, for the embedded-only cuts), so no canonical word is cut: the walk
+must be able to get home within budget (each odd-count direction needs
+another edge, each unused direction two), revisits are forbidden, and the
+embedded-only mode adds the four-edges-per-direction ceiling (even
+dimension), the dimension-specific length caps and a lattice-rank cut.
 
 The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
 & ~bit(d)`` for every edge after its direction's first — as a GF(2)
@@ -19,8 +21,13 @@ prefix, so the prefix's lattice is a subgroup of the finished loop's and
 its rank never falls as the word grows.  An embedded surface has an even
 lattice of order 4 (even dimension) or 8 (odd), and the pair lattice lies
 inside it, so its rank is at most 2 or 3; a branch or closing edge that
-would pass that rank has no embedded completion and is cut.  The embedded
-verdict on each surviving class stays the final filter.
+would pass that rank has no embedded completion, canonical or not, and is
+cut.  The embedded verdict on each class kept stays the final filter.
+
+Shard k of K walks the levels above depth n + 1, where subtrees far
+outnumber workers, and descends only into the subtrees k, k + K, ... at
+that depth.  No loop is shorter than 2n, so each closed word lies in
+exactly one subtree and the shards' outputs are disjoint.
 
 The named families reproduce the known infinite series of embedded
 loops — three two-parameter families, the sharp maximal-length family,
@@ -33,10 +40,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import count
 from multiprocessing import Pool
 from typing import Any
 
 from .errors import BadParametersError
+from .lattice import pair_translation_lattice
 from .paths import CanonicalWord, DirectionWord, canonicalize, validate
 from .verdict import SurfaceReport, build_report, decide_embedded, embedded_length_cap
 
@@ -50,8 +59,6 @@ __all__ = [
     "series_check",
 ]
 
-_SHARD_DEPTH = 3
-
 
 @dataclass(frozen=True)
 class EnumerationQuery:
@@ -62,7 +69,6 @@ class EnumerationQuery:
     max_length: int
     embedded_only: bool = False
     limit: int | None = None
-    first_direction: int = 1
 
     @classmethod
     def create(
@@ -73,15 +79,12 @@ class EnumerationQuery:
         max_length: int | None = None,
         embedded_only: bool = False,
         limit: int | None = None,
-        first_direction: int = 1,
     ) -> "EnumerationQuery":
         """Normalize a request: exact length wins over a range; open range
         ends clamp to the feasible window [2*dim, 2**dim] (tightened by the
         embedded-length caps when filtering to embedded classes)."""
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, not {dim}")
-        if not 1 <= first_direction <= dim:
-            raise ValueError(f"first direction {first_direction} out of range 1..{dim}")
         lo = 2 * dim
         hi = 1 << dim
         if length is not None:
@@ -102,7 +105,7 @@ class EnumerationQuery:
             hi = min(hi, embedded_length_cap(dim))  # lo > hi: no embedded class
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
-        return cls(dim, lo, hi, embedded_only, limit, first_direction)
+        return cls(dim, lo, hi, embedded_only, limit)
 
 
 def enumerate_paths(
@@ -111,55 +114,36 @@ def enumerate_paths(
     """All loop classes matching the query, one canonical word per class.
 
     Deterministic output sorted by (length, word), independent of the
-    worker count: shards are merged as a set union before sorting.
+    worker count: the search emits each class once, so ``jobs`` shards
+    (at most the CPU count) split its subtrees and the parent merges them.
     """
     if query.min_length > query.max_length:
         return ()
-    if jobs <= 1:
-        raw = _search(query, prefix=())
+    shards = min(jobs, os.cpu_count() or 1)
+    if shards <= 1:
+        words = _search(query)
     else:
-        prefixes = _prefixes(query)
-        workers = min(jobs, os.cpu_count() or 1, len(prefixes))
-        with Pool(processes=workers) as pool:
-            chunks = pool.map(
-                _shard_worker, [(query, prefix) for prefix in prefixes]
-            )
-        raw = [word for chunk in chunks for word in chunk]
-    classes = {canonicalize(DirectionWord(word, query.dim)).labels for word in raw}
-    ordered = sorted(classes, key=lambda labels: (len(labels), labels))
-    result = [CanonicalWord(labels, query.dim) for labels in ordered]
-    if query.embedded_only:
-        result = [
-            word
-            for word in result
-            if decide_embedded(validate(word)).embedded
-        ]
-    if query.limit is not None:
-        result = result[: query.limit]
-    return tuple(result)
-
-
-def _shard_worker(args: tuple[EnumerationQuery, tuple[int, ...]]) -> list[tuple[int, ...]]:
-    query, prefix = args
-    return _search(query, prefix)
-
-
-def _prefixes(query: EnumerationQuery) -> list[tuple[int, ...]]:
-    return _search(query, prefix=(), stop_depth=_SHARD_DEPTH)
+        with Pool(processes=shards) as pool:
+            chunks = pool.starmap(_search, [(query, k, shards) for k in range(shards)])
+        words = [word for chunk in chunks for word in chunk]
+    words.sort(key=lambda word: (len(word.labels), word.labels))
+    return tuple(words[: query.limit])
 
 
 def _search(
-    query: EnumerationQuery,
-    prefix: tuple[int, ...],
-    stop_depth: int | None = None,
-) -> list[tuple[int, ...]]:
-    """Depth-first walk collecting closed words (or, with ``stop_depth``,
-    the open partial words of exactly that length, for sharding)."""
+    query: EnumerationQuery, shard: int = 0, shards: int = 1
+) -> list[CanonicalWord]:
+    """Depth-first walk emitting the canonical word of every class the
+    query admits, each once; with ``shards`` > 1, only those in the
+    ``shard``-th share of the subtrees (module docstring)."""
     n = query.dim
     max_len = query.max_length
     min_len = query.min_length
     per_direction_cap = query.embedded_only and n % 2 == 0
-    out: list[tuple[int, ...]] = []
+    # the split depth of the module docstring (never reached unsharded)
+    split_depth = n + 1 if shards > 1 else -1
+    subtrees = count()
+    out: list[CanonicalWord] = []
 
     # embedded-only rank cut (module docstring): the prefix's pair-lattice
     # echelon basis, pivots[k] holding the row whose leading bit is k
@@ -194,25 +178,13 @@ def _search(
             rank += 1
         return row
 
-    # replay the mandatory first edge plus any shard prefix
-    word = [query.first_direction]
-    if prefix:
-        assert prefix[0] == query.first_direction
-        word = list(prefix)
-    vertex = 0
-    visited = 0
+    # the first edge leaves the base vertex 0 in direction 1
+    word = [1]
+    vertex = 1
+    visited = 1
     counts = [0] * (n + 1)
-    used_mask = 0
-    for lab in word:
-        if rank_cap is not None and admit(lab) is None:
-            return []
-        visited |= 1 << vertex
-        vertex ^= 1 << (lab - 1)
-        counts[lab] += 1
-        used_mask |= 1 << lab
-
-    def used_count() -> int:
-        return used_mask.bit_count()
+    counts[1] = 1
+    used_mask = 2
 
     def step(d: int, depth: int) -> None:
         nonlocal vertex, visited, used_mask, rank
@@ -221,12 +193,16 @@ def _search(
             # the closing edge always revisits direction d (its count must
             # already be odd), so coverage needs only the mask check
             if (
-                stop_depth is None
-                and used_mask == (2 << n) - 2
+                used_mask == (2 << n) - 2
                 and min_len <= depth + 1 <= max_len
                 and (rank_cap is None or rank < rank_cap or not residue(d))
             ):
-                out.append(tuple(word + [d]))
+                closed = (*word, d)
+                canonical = canonicalize(DirectionWord(closed, n))
+                if canonical.labels == closed and (
+                    rank_cap is None or decide_embedded(validate(canonical)).embedded
+                ):
+                    out.append(canonical)
             return
         if (visited >> target) & 1:
             return
@@ -242,13 +218,9 @@ def _search(
         used_mask |= 1 << d
         word.append(d)
         visited |= 1 << vertex
-        prior_vertex = vertex
         vertex = target
-        if stop_depth is not None and depth + 1 == stop_depth:
-            out.append(tuple(word))
-        else:
-            extend(depth + 1)
-        vertex = prior_vertex
+        extend(depth + 1)
+        vertex ^= 1 << (d - 1)
         visited &= ~(1 << vertex)
         word.pop()
         used_mask = prior_mask
@@ -258,23 +230,21 @@ def _search(
             rank -= 1
 
     def extend(depth: int) -> None:
-        remaining = max_len - depth
+        if depth == split_depth and next(subtrees) % shards != shard:
+            return
         # exact lower bound on edges still needed: one per odd-count
         # direction (equivalently the Hamming distance home) plus two per
         # direction never used
-        need = vertex.bit_count() + 2 * (n - used_count())
-        if need > remaining:
+        need = vertex.bit_count() + 2 * (n - used_mask.bit_count())
+        if need > max_len - depth:
             return
-        lowest_unused = next(
-            (d for d in range(1, n + 1) if not (used_mask >> d) & 1), None
-        )
+        # the used directions plus the lowest unused one (bit n + 1 if none)
+        allowed = used_mask | (((used_mask | 1) + 1) & ~(used_mask | 1))
         for d in range(1, n + 1):
-            if (used_mask >> d) & 1 or d == lowest_unused:
+            if (allowed >> d) & 1:
                 step(d, depth)
 
-    if stop_depth is not None and len(word) >= stop_depth:
-        return [tuple(word[:stop_depth])]
-    extend(len(word))
+    extend(1)
     return out
 
 
@@ -385,8 +355,6 @@ def expand_word(word: DirectionWord, new_dim: int, direction: int) -> DirectionW
     property the construction preserves and the embeddedness argument
     needs); other seeds are refused.
     """
-    from .lattice import pair_translation_lattice
-
     n = word.dim
     if new_dim <= n:
         raise BadParametersError(

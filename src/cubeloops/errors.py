@@ -80,6 +80,10 @@ class UnsupportedFormatError(CubeLoopsError, ValueError):
     """An unknown mesh export format was requested."""
 
 
+class BudgetExceededError(CubeLoopsError, ValueError):
+    """A closure's patches would place more coordinates than the budget."""
+
+
 class InternalInvariantError(CubeLoopsError, RuntimeError):
     """Two independent computations of the same fact disagreed.
 

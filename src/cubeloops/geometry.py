@@ -24,13 +24,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadProjectionError, UnsupportedFormatError
+from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
+from .groups import flip_subgroup_order
+from .lattice import TranslationLattice, even_translation_lattice
 from .paths import JordanPath
-from .reflection import (
-    ReflectionClosure,
-    reflection_closure,
-    reflection_generators,
-)
+from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
 __all__ = [
     "ConeDisk",
@@ -38,12 +36,40 @@ __all__ = [
     "PatchSet",
     "VertexIncidence",
     "TorusMesh",
+    "PATCH_COORDINATE_BUDGET",
+    "closure_within_budget",
     "cone_disk",
     "expand_patches",
     "vertex_incidence",
     "torus_mesh",
     "export_mesh",
 ]
+
+
+# Most doubled coordinates the patches of one surface may place: about
+# 150 MB peak RSS for patches and incidence counts, 500 MB for a JSON
+# export (scaled from sharp n=10, Python 3.11).  The unforced verify mode
+# places at most 1.6 million (dimension 6).
+PATCH_COORDINATE_BUDGET = 1 << 22
+
+
+def closure_within_budget(
+    path: JordanPath, lattice: TranslationLattice | None = None
+) -> ReflectionClosure:
+    """The reflection closure, refused up front when its patches would
+    place over PATCH_COORDINATE_BUDGET coordinates: m + 1 points in R^n per
+    element, flip-subgroup order times even ``lattice`` order elements."""
+    n = path.dim
+    if lattice is None:
+        lattice = even_translation_lattice(path)
+    order = flip_subgroup_order(n) * lattice.order
+    coordinates = order * (path.length + 1) * n
+    if coordinates > PATCH_COORDINATE_BUDGET:
+        raise BudgetExceededError(
+            f"{order} patches would place {coordinates} coordinates, over "
+            f"the budget of {PATCH_COORDINATE_BUDGET}"
+        )
+    return reflection_closure(reflection_generators(path))
 
 
 @dataclass(frozen=True)
@@ -127,7 +153,7 @@ def expand_patches(
     """
     disk = cone_disk(path)
     if closure is None:
-        closure = reflection_closure(reflection_generators(path))
+        closure = closure_within_budget(path)
     placed = [
         [tuple(2 * a - x if a % 2 else 2 * a + x for x in column) for a in range(4)]
         for column in zip(disk.apex, *disk.rim)

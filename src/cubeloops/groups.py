@@ -240,8 +240,11 @@ def close_under_composition(
 ) -> tuple[QuotientElement, ...]:
     """Subgroup generated by the given quotient elements, in sorted order.
 
-    Breadth-first worklist from the identity over packed values, with a
-    set of the packed values seen so far.
+    Adds the generators one at a time to a group of packed values, from
+    the identity up, skipping those already in it: the group times the
+    new generator gives new elements, closed breadth first under the
+    generators kept so far.  Exact for any group; each kept generator at
+    least doubles the order, so this is O(order * log2(order)) compositions.
     """
     gens = sorted(set(generators))
     if not gens:
@@ -250,19 +253,25 @@ def close_under_composition(
     if any(g.dim != dim for g in gens):
         raise DimensionMismatchError("generators mix dimensions")
     lo, _ = _lane_masks(dim)
-    gen_packed = [g.packed for g in gens]
 
     seen = {0}  # the identity
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_packed:
-                y = _compose_packed(x, g, lo)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    kept: list[int] = []
+    for g in (g.packed for g in gens):
+        if g in seen:
+            continue
+        kept.append(g)
+        # the coset of a group by an element outside it is disjoint from it
+        frontier = [_compose_packed(x, g, lo) for x in seen]
+        seen.update(frontier)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k in kept:
+                    y = _compose_packed(x, k, lo)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
     return tuple(QuotientElement(dim, p) for p in sorted(seen))
 
 

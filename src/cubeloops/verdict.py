@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import InternalInvariantError, SurfaceNotEmbeddedError
-from .geometry import expand_patches, vertex_incidence
+from .geometry import closure_within_budget, expand_patches, vertex_incidence
 from .groups import flip_subgroup_order
 from .lattice import (
     TranslationLattice,
@@ -47,10 +47,11 @@ from .paths import (
     canonicalize,
     format_word,
     gap_invariant,
+    parse_word,
     path_symmetries,
     validate,
 )
-from .reflection import filled_cubes, reflection_closure, reflection_generators
+from .reflection import filled_cubes
 
 __all__ = [
     "EmbeddedDecision",
@@ -438,8 +439,6 @@ def _coerce_path(
     if isinstance(word, JordanPath):
         return word
     if isinstance(word, str):
-        from .paths import parse_word
-
         if dim is None:
             raise ValueError("dim is required when passing a word string")
         return validate(parse_word(word, dim))
@@ -490,7 +489,7 @@ def _run_oracles(
     }
     closure = None
     if n <= CLOSURE_ORACLE_MAX_DIM or force:
-        closure = reflection_closure(reflection_generators(path))
+        closure = closure_within_budget(path, lattice)
         checks["closure_order"] = closure.order
         product = flip_subgroup_order(n) * lattice.order
         closure_embedded = closure.order == 1 << (n + 2)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import runpy
 import sys
+import time
 
 import pytest
 
+import cubeloops.reflection as reflection
+from cubeloops import FamilySpec, family_word
 from cubeloops.cli import _build_parser, main
 
 
@@ -174,6 +177,26 @@ def test_export_io_error(tmp_path, capsys):
     code = main(["export", "--dim", "3", "--word", "123123", "-o", str(target)])
     assert code == 3
     assert capsys.readouterr().err.startswith("i/o error:")
+
+
+def test_oversized_closure_is_refused_before_any_work(monkeypatch, capsys):
+    # sharp n=20: 2^20 * 4 patches of 77 vertices, about 6.5e9 coordinates
+    def no_closure(generators):
+        raise AssertionError("the closure started")
+
+    monkeypatch.setattr(reflection, "close_under_composition", no_closure)
+    word = [str(lab) for lab in family_word(FamilySpec("sharp", 20)).labels]
+    for argv in (
+        ["check", "--dim", "20", "--word", *word, "--mode", "verify", "--force"],
+        ["family", "--name", "sharp", "--dim", "20", "--mode", "verify", "--force"],
+        ["export", "--dim", "20", "--word", *word, "--format", "json"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv[0]
+        assert time.perf_counter() - start < 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("BudgetExceeded:"), argv[0]
 
 
 def test_unknown_subcommand_exits_via_argparse():

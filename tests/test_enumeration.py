@@ -101,22 +101,19 @@ def test_long_even_dimension_classes_never_embed():
             assert not decide_embedded(validate(word)).embedded
 
 
-def test_census_independent_of_first_direction(n3_classes):
-    reference = {w.labels for w in n3_classes}
-    for start in (2, 3):
-        census = enumerate_paths(EnumerationQuery.create(3, first_direction=start))
-        assert {w.labels for w in census} == reference
-
-
 def test_census_parallel_workers_agree(n4_classes):
     parallel = enumerate_paths(EnumerationQuery.create(4), jobs=2)
     assert parallel == n4_classes
 
 
+PINNED_CPU_COUNT = 3
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Replace the worker pool by an in-process map; yields the requested
-    worker counts, one per pool opened."""
+    """Replace the worker pool by an in-process map and pin the CPU count
+    to PINNED_CPU_COUNT, so the pool path runs on any machine; yields the
+    requested worker counts, one per pool opened."""
     recorded = []
 
     class SerialPool:
@@ -129,19 +126,43 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: PINNED_CPU_COUNT)
     return recorded
 
 
 def test_census_worker_count_is_clamped(serial_pool, n4_classes):
     query = EnumerationQuery.create(4)
     assert enumerate_paths(query, jobs=10**6) == n4_classes
-    shards = len(enumeration._prefixes(query))
-    assert len(serial_pool) == 1
-    assert 1 <= serial_pool[0] <= min(os.cpu_count() or 1, shards)
+    assert serial_pool == [PINNED_CPU_COUNT]
+    assert enumerate_paths(query, jobs=2) == n4_classes
+    assert serial_pool == [PINNED_CPU_COUNT, 2]
+
+
+def test_census_shards_partition_the_classes(n4_classes):
+    # the search emits each class once as its canonical word, so the shards
+    # must be disjoint and together give the unsharded output
+    windows = [
+        (EnumerationQuery.create(4), {w.labels for w in n4_classes}),
+        (EnumerationQuery.create(5, max_length=14, embedded_only=True), None),
+    ]
+    for query, expected in windows:
+        whole = enumeration._search(query)
+        labels = [word.labels for word in whole]
+        assert all(canonicalize(word) == word for word in whole)
+        assert len(set(labels)) == len(labels)
+        assert expected is None or set(labels) == expected
+        for shards in range(1, 5):
+            found = [
+                word.labels
+                for shard in range(shards)
+                for word in enumeration._search(query, shard, shards)
+            ]
+            assert len(set(found)) == len(found), (query, shards)
+            assert set(found) == set(labels), (query, shards)
 
 
 def test_embedded_census_equals_filtered_full_census(n3_classes, n4_classes):
@@ -157,12 +178,14 @@ def test_embedded_census_equals_filtered_full_census(n3_classes, n4_classes):
 
 
 def test_embedded_census_shards_agree(serial_pool):
-    # each shard rebuilds the rank state from its prefix
+    # each shard builds the rank state as it walks the levels above its
+    # subtrees
     query = EnumerationQuery.create(5, max_length=14, embedded_only=True)
     serial = enumerate_paths(query)
     assert len(serial) == 7
+    assert serial_pool == []
     assert enumerate_paths(query, jobs=2) == serial
-    assert serial_pool and len(enumeration._prefixes(query)) > 1
+    assert serial_pool == [2]
 
 
 def test_complete_embedded_censuses():
@@ -203,8 +226,6 @@ def test_query_window_normalization():
 def test_query_validation_errors():
     with pytest.raises(ValueError):
         EnumerationQuery.create(1)
-    with pytest.raises(ValueError):
-        EnumerationQuery.create(3, first_direction=4)
     with pytest.raises(ValueError):
         EnumerationQuery.create(3, length=7)
     with pytest.raises(ValueError):

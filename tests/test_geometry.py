@@ -9,12 +9,16 @@ import pytest
 
 from cubeloops import (
     BadProjectionError,
+    BudgetExceededError,
+    FamilySpec,
     UnsupportedFormatError,
     cone_disk,
     decide_embedded,
     expand_patches,
     export_mesh,
+    family_word,
     filled_cubes,
+    flip_subgroup_order,
     parse_word,
     reflection_closure,
     reflection_generators,
@@ -22,6 +26,8 @@ from cubeloops import (
     validate,
     vertex_incidence,
 )
+from cubeloops.geometry import PATCH_COORDINATE_BUDGET, closure_within_budget
+from cubeloops.verdict import CLOSURE_ORACLE_MAX_DIM
 
 
 def test_cone_disk_hexagon():
@@ -211,3 +217,17 @@ def test_export_unknown_format():
     patches = expand_patches(validate(parse_word("123123", 3)))
     with pytest.raises(UnsupportedFormatError):
         export_mesh(patches, format="stl")
+
+
+def test_patch_budget_spares_unforced_verify():
+    # an even lattice has order at most 2^n and a loop at most 2^n edges,
+    # so no closure the unforced verify mode builds reaches the budget
+    for n in range(2, CLOSURE_ORACLE_MAX_DIM + 1):
+        most = flip_subgroup_order(n) * (1 << n) * ((1 << n) + 1) * n
+        assert most <= PATCH_COORDINATE_BUDGET, n
+    path = validate(parse_word("123123", 3))
+    assert closure_within_budget(path) == reflection_closure(reflection_generators(path))
+    # sharp n=12: 2^12 * 4 patches of 45 vertices, about 8.8 million coordinates
+    sharp = validate(family_word(FamilySpec("sharp", 12)))
+    with pytest.raises(BudgetExceededError):
+        closure_within_budget(sharp)

@@ -6,9 +6,12 @@ import random
 
 import pytest
 
+import cubeloops.groups as groups
+from conftest import random_valid_path
 from cubeloops import (
     AmbientElement,
     DimensionMismatchError,
+    FamilySpec,
     QuotientDomainError,
     QuotientElement,
     ambient_identity,
@@ -17,11 +20,14 @@ from cubeloops import (
     compose_quotient,
     cube_edge_generators,
     edge_rotation_flips,
+    family_word,
     flip_subgroup_order,
     in_flip_subgroup,
     inverse_ambient,
     project_to_quotient,
     quotient_identity,
+    reflection_generators,
+    validate,
 )
 
 
@@ -218,6 +224,50 @@ def test_closure_is_deterministic_and_closed():
     for a in first[:8]:
         for b in first[:8]:
             assert compose_quotient(a, b) in members
+
+
+def _breadth_first_closure(generators):
+    """Reference: compose every element with every generator until no new
+    element appears."""
+    gens = sorted(set(generators))
+    dim = gens[0].dim
+    lo, _ = groups._lane_masks(dim)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = groups._compose_packed(x, g.packed, lo)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(QuotientElement(dim, p) for p in sorted(seen))
+
+
+def test_closure_matches_breadth_first_reference(n4_classes, random_n5_paths):
+    rng = random.Random(20240607)
+    paths = [validate(word) for word in n4_classes] + list(random_n5_paths)
+    # random loops at n=8 have order 65,536, seconds for the reference
+    paths += [random_valid_path(rng, 7) for _ in range(3)]
+    for name in ("sharp", "d-series"):
+        paths.append(validate(family_word(FamilySpec(name, 8))))
+    for path in paths:
+        gens = reflection_generators(path).quotient
+        assert close_under_composition(gens) == _breadth_first_closure(gens), path.word
+    # generator sets that are not a loop's: all edges of the cube, and
+    # random admissible elements with repeats and the identity
+    for n in (3, 4, 5):
+        gens = cube_edge_generators(n)
+        assert close_under_composition(gens) == _breadth_first_closure(gens)
+        for _ in range(20):
+            picks = [quotient_identity(n)]
+            while len(picks) < 6:
+                vector = [rng.randrange(4) for _ in range(n)]
+                if in_flip_subgroup(n, _mask(v % 2 for v in vector)):
+                    picks += [QuotientElement.from_vector(vector)] * rng.randint(1, 2)
+            assert close_under_composition(picks) == _breadth_first_closure(picks)
 
 
 def test_edge_rotation_flips_fixes_only_its_axis():
