@@ -11,8 +11,20 @@ necessities only, met by every prefix of every loop (of every embedded
 loop, for the embedded-only cuts), so no canonical word is cut: the walk
 must be able to get home within budget (each odd-count direction needs
 another edge, each unused direction two), revisits are forbidden, and the
-embedded-only mode adds the four-edges-per-direction ceiling (even
-dimension), the dimension-specific length caps and a lattice-rank cut.
+embedded-only mode adds the dimension-specific length caps and a
+lattice-rank cut.
+
+The walk decides canonicity with :func:`is_canonical`, which never builds
+the canonical form.  :func:`canonicalize` compares the repeat profiles of
+all rotations of the word and of its reversal before any labels.  Those
+profiles are rearrangements of one multiset, the cyclic gaps between
+consecutive same-direction edges, so the winning profile starts with the
+smallest gap.  A closed walk whose own profile has an entry below its
+first is therefore not canonical; this rejects most closed walks (30,256
+of 37,159 for the full census of dimension 5 up to 14 edges) after one
+profile.  The rest are compared only with the rotations that start with
+the smallest gap, profile first and relabelled word on a tie, stopping at
+the first smaller one.
 
 The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
 & ~bit(d)`` for every edge after its direction's first — as a GF(2)
@@ -22,7 +34,10 @@ its rank never falls as the word grows.  An embedded surface has an even
 lattice of order 4 (even dimension) or 8 (odd), and the pair lattice lies
 inside it, so its rank is at most 2 or 3; a branch or closing edge that
 would pass that rank has no embedded completion, canonical or not, and is
-cut.  The embedded verdict on each class kept stays the final filter.
+cut.  It also bounds each direction's edges: two direction-d edges with
+equal pair rows are the same cube edge, so a direction has at most 4
+edges (even dimension) or 8 (odd).  The embedded verdict on each class
+kept stays the final filter.
 
 Shard k of K walks the levels above depth n + 1, where subtrees far
 outnumber workers, and descends only into the subtrees k, k + K, ... at
@@ -46,7 +61,7 @@ from typing import Any
 
 from .errors import BadParametersError
 from .lattice import pair_translation_lattice
-from .paths import CanonicalWord, DirectionWord, canonicalize, validate
+from .paths import CanonicalWord, DirectionWord, is_canonical, validate
 from .verdict import SurfaceReport, build_report, decide_embedded, embedded_length_cap
 
 __all__ = [
@@ -139,7 +154,6 @@ def _search(
     n = query.dim
     max_len = query.max_length
     min_len = query.min_length
-    per_direction_cap = query.embedded_only and n % 2 == 0
     # the split depth of the module docstring (never reached unsharded)
     split_depth = n + 1 if shards > 1 else -1
     subtrees = count()
@@ -198,15 +212,12 @@ def _search(
                 and (rank_cap is None or rank < rank_cap or not residue(d))
             ):
                 closed = (*word, d)
-                canonical = canonicalize(DirectionWord(closed, n))
-                if canonical.labels == closed and (
-                    rank_cap is None or decide_embedded(validate(canonical)).embedded
-                ):
-                    out.append(canonical)
+                if is_canonical(closed):
+                    canonical = CanonicalWord(closed, n)
+                    if rank_cap is None or decide_embedded(validate(canonical)).embedded:
+                        out.append(canonical)
             return
         if (visited >> target) & 1:
-            return
-        if per_direction_cap and counts[d] >= 4:
             return
         row = 0
         if rank_cap is not None:

@@ -209,7 +209,9 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
 
     Requires a closed word (every label count even); embeddedness and
     coverage are not needed.  Idempotent and constant on equivalence
-    classes, and the result introduces labels in increasing order.
+    classes, and the result introduces labels in increasing order.  The
+    result's repeat profile starts with the word's smallest cyclic gap,
+    since every candidate profile rearranges the same gaps.
     """
     labels = word.labels
     m = len(labels)
@@ -225,6 +227,37 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
                 best = candidate
     assert best is not None
     return CanonicalWord(best[1], word.dim)
+
+
+def is_canonical(labels: tuple[int, ...]) -> bool:
+    """Whether :func:`canonicalize` fixes the word, without building the
+    canonical form.
+
+    Domain: a closed word (every label count even) in first-occurrence
+    form (labels introduced as 1, 2, 3, ... in order), such as every closed
+    walk of the census.  There it equals
+    ``canonicalize(DirectionWord(labels, n)).labels == labels``: the word
+    is its own relabelling, so it is fixed exactly when no rotation of it
+    or of its reversal has a smaller (profile, relabelled word) pair.
+    Every such profile holds the same multiset of cyclic gaps, so only
+    rotations starting with the smallest gap can win, and the word itself
+    must start with it.
+    """
+    profile = _repeat_profile(labels)
+    gap = profile[0]
+    if min(profile) < gap:
+        return False
+    reverse = labels[::-1]
+    for seq, seq_profile in ((labels, profile), (reverse, _repeat_profile(reverse))):
+        for r in range(len(labels)):
+            if seq_profile[r] != gap:
+                continue
+            rotated = seq_profile[r:] + seq_profile[:r]
+            if rotated < profile:
+                return False
+            if rotated == profile and _relabel_first_occurrence(seq[r:] + seq[:r]) < labels:
+                return False
+    return True
 
 
 def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:

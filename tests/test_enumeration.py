@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 
@@ -12,6 +13,7 @@ from cubeloops import (
     BadParametersError,
     DirectionWord,
     EnumerationQuery,
+    FAMILY_NAMES,
     FamilySpec,
     WordValidationError,
     canonicalize,
@@ -65,6 +67,15 @@ def test_census_dimension_four_full(n4_classes):
     for word in n4_classes:
         by_length[len(word)] = by_length.get(len(word), 0) + 1
     assert by_length == {8: 6, 10: 10, 12: 23, 14: 21, 16: 9}
+
+
+def test_census_dimension_five_up_to_twelve_edges():
+    # the class list itself is pinned: sha256 of the compact words joined
+    # by newlines in census order
+    census = enumerate_paths(EnumerationQuery.create(5, max_length=12))
+    assert len(census) == 193
+    digest = hashlib.sha256("\n".join(w.compact() for w in census).encode()).hexdigest()
+    assert digest == "6c5a37a45175d9e5f7477e02117d91d715e204dedf7ce492329acad5b360927a"
 
 
 def test_census_matches_brute_force_dimension_three(n3_classes):
@@ -194,6 +205,27 @@ def test_complete_embedded_censuses():
         census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
         assert len(census) == classes, dim
         assert max(len(w) for w in census) == longest, dim
+
+
+def _family_members(dim: int) -> list[FamilySpec]:
+    members = [FamilySpec("d-series", dim), FamilySpec("sharp", dim)]
+    members += [FamilySpec("gamma-a", dim, beta=beta) for beta in range(1, dim)]
+    for alpha, beta in itertools.combinations(range(1, dim), 2):
+        members += [FamilySpec(name, dim, alpha, beta) for name in ("gamma-b", "gamma-c")]
+    return members
+
+
+def test_embedded_census_equals_the_family_classes():
+    # two independent witnesses of every embedded class: the search, which
+    # never calls canonicalize, and the explicit constructions, which go
+    # through it
+    for dim, classes in ((4, 5), (5, 8), (6, 12), (8, 21)):
+        members = _family_members(dim)
+        assert {spec.name for spec in members} == set(FAMILY_NAMES)
+        from_families = {canonicalize(family_word(spec)).labels for spec in members}
+        census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
+        assert len(census) == classes, dim
+        assert {w.labels for w in census} == from_families, dim
 
 
 def test_census_words_are_canonical_and_valid(n4_classes):

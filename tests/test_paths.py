@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from cubeloops import (
     path_symmetries,
     validate,
 )
+from cubeloops.paths import is_canonical
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 
@@ -141,6 +143,68 @@ def test_canonicalize_idempotent_and_orbit_constant(n3_classes, n4_classes):
         for _ in range(50):
             image = _random_symmetry_image(rng, word.labels, word.dim)
             assert canonicalize(DirectionWord(image, word.dim)) == canon
+
+
+def _first_occurrence_form(labels) -> tuple[int, ...]:
+    mapping: dict[int, int] = {}
+    return tuple(mapping.setdefault(lab, len(mapping) + 1) for lab in labels)
+
+
+def _closed_walks(dim: int, max_len: int) -> list[tuple[int, ...]]:
+    """Direction words of every closed walk from vertex 0 with no repeated
+    vertex and at most max_len edges, in first-occurrence form (a superset
+    of the closed walks the census tests)."""
+    out: list[tuple[int, ...]] = []
+    word = [1]
+
+    def walk(vertex: int, visited: frozenset[int]) -> None:
+        for d in range(1, min(max(word) + 1, dim) + 1):
+            target = vertex ^ (1 << (d - 1))
+            if target == 0 and len(word) > 1:
+                out.append((*word, d))
+            elif target not in visited and target.bit_count() < max_len - len(word):
+                word.append(d)
+                walk(target, visited | {target})
+                word.pop()
+
+    walk(1, frozenset({0, 1}))
+    return out
+
+
+def _closed_first_occurrence_words(length: int):
+    """Every word of the given length in first-occurrence form whose labels
+    all occur an even number of times."""
+    for tail in itertools.product(range(1, length // 2 + 1), repeat=length - 1):
+        word = (1, *tail)
+        if word == _first_occurrence_form(word) and all(
+            word.count(lab) % 2 == 0 for lab in set(word)
+        ):
+            yield word
+
+
+def _canonicity_oracle(labels: tuple[int, ...]) -> bool:
+    return canonicalize(DirectionWord(labels, max(labels))).labels == labels
+
+
+def test_is_canonical_matches_canonicalize():
+    # the documented domain: closed words in first-occurrence form.  Every
+    # such word up to length 8, every closed walk for n=3 (up to 8 edges),
+    # n=4 (16) and n=5 (12), and seeded symmetry images of their classes,
+    # which are mostly not canonical
+    words = {w for m in (2, 4, 6, 8) for w in _closed_first_occurrence_words(m)}
+    rng = random.Random(161803)
+    for dim, max_len in ((3, 8), (4, 16), (5, 12)):
+        walks = _closed_walks(dim, max_len)
+        words.update(walks)
+        for word in filter(_canonicity_oracle, walks):
+            for _ in range(10):
+                image = _random_symmetry_image(rng, word, dim)
+                words.add(_first_occurrence_form(image))
+    verdicts = {word: is_canonical(word) for word in words}
+    assert verdicts == {word: _canonicity_oracle(word) for word in words}
+    # both answers occur often, and rejections outnumber acceptances
+    accepted = sum(verdicts.values())
+    assert 0 < accepted < len(words) - accepted
 
 
 def test_gap_invariant_reference_values():
