@@ -1,13 +1,18 @@
 """Classification of closed edge loops on the unit n-cube and the periodic
 surfaces they generate by reflection across their edges.
 
-The public surface mirrors the pipeline: parse and validate a word
-(:mod:`cubeloops.paths`), build the edge-rotation group
-(:mod:`cubeloops.reflection`), read off the translation lattice
-(:mod:`cubeloops.lattice`), decide embeddedness/orientability and
-assemble reports (:mod:`cubeloops.verdict`), realize the surface exactly
-(:mod:`cubeloops.geometry`), and search or generate loop classes
-(:mod:`cubeloops.enumeration`).
+The pipeline: parse and validate a word (:mod:`cubeloops.paths`), build
+the edge-rotation group (:mod:`cubeloops.reflection`), read off the
+translation lattice (:mod:`cubeloops.lattice`), decide
+embeddedness/orientability and assemble reports (:mod:`cubeloops.verdict`),
+realize the surface exactly (:mod:`cubeloops.geometry`), and search or
+generate loop classes (:mod:`cubeloops.enumeration`).
+
+This namespace exports the error classes and the entry points of the
+command line and the README, with the types they return.  Every other
+name is imported from its own module.  The reference implementations the
+tests check against are in :mod:`cubeloops.oracles`, which this package
+does not import.
 """
 
 from .errors import (
@@ -26,25 +31,9 @@ from .errors import (
     OddLengthError,
     QuotientDomainError,
     SameEdgeError,
-    SurfaceNotEmbeddedError,
     UnsupportedFormatError,
     WitnessNotFoundError,
     WordValidationError,
-)
-from .groups import (
-    AmbientElement,
-    QuotientElement,
-    ambient_identity,
-    close_under_composition,
-    compose_ambient,
-    compose_quotient,
-    cube_edge_generators,
-    edge_rotation_flips,
-    flip_subgroup_order,
-    in_flip_subgroup,
-    inverse_ambient,
-    project_to_quotient,
-    quotient_identity,
 )
 from .paths import (
     CanonicalWord,
@@ -52,54 +41,15 @@ from .paths import (
     JordanPath,
     SignSymmetry,
     canonicalize,
-    gap_invariant,
     parse_word,
-    path_symmetries,
     validate,
 )
-from .reflection import (
-    EdgeReflections,
-    FilledCubeMap,
-    ReflectionClosure,
-    filled_cubes,
-    four_translation_witness,
-    reflection_closure,
-    reflection_generators,
-)
-from .lattice import (
-    TranslationLattice,
-    all_pairs_lattice,
-    direction_product_translation,
-    double_bit_vector,
-    even_translation_lattice,
-    halve_even_vector,
-    pair_translation_lattice,
-    parallel_pair_translation,
-    span_lattice,
-)
-from .verdict import (
-    BoundDiagnostic,
-    DirectionLoadDiagnostic,
-    EmbeddedDecision,
-    OrientabilityFlags,
-    SurfaceReport,
-    build_report,
-    decide_embedded,
-    decide_orientable,
-    edge_bound,
-    euler_genus,
-    per_direction_bound,
-)
+from .verdict import SurfaceReport, build_report, decide_embedded
 from .geometry import (
-    ConeDisk,
-    Patch,
     PatchSet,
-    TorusMesh,
     VertexIncidence,
-    cone_disk,
     expand_patches,
     export_mesh,
-    torus_mesh,
     vertex_incidence,
 )
 from .enumeration import (
@@ -109,31 +59,23 @@ from .enumeration import (
     enumerate_paths,
     expand_word,
     family_word,
-    series_check,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "AmbientElement",
     "BadLabelError",
     "BadParametersError",
     "BadProjectionError",
     "BadVectorError",
-    "BoundDiagnostic",
     "BudgetExceededError",
     "CanonicalWord",
-    "ConeDisk",
     "CubeLoopsError",
     "DimensionMismatchError",
-    "DirectionLoadDiagnostic",
     "DirectionWord",
-    "EdgeReflections",
-    "EmbeddedDecision",
     "EnumerationQuery",
     "FAMILY_NAMES",
     "FamilySpec",
-    "FilledCubeMap",
     "InternalInvariantError",
     "JordanPath",
     "MissingDirectionError",
@@ -141,63 +83,24 @@ __all__ = [
     "NotEmbeddedError",
     "NotParallelError",
     "OddLengthError",
-    "OrientabilityFlags",
-    "Patch",
     "PatchSet",
     "QuotientDomainError",
-    "QuotientElement",
-    "ReflectionClosure",
     "SameEdgeError",
     "SignSymmetry",
-    "SurfaceNotEmbeddedError",
     "SurfaceReport",
-    "TorusMesh",
-    "TranslationLattice",
     "UnsupportedFormatError",
     "VertexIncidence",
     "WitnessNotFoundError",
     "WordValidationError",
-    "all_pairs_lattice",
-    "ambient_identity",
     "build_report",
     "canonicalize",
-    "close_under_composition",
-    "compose_ambient",
-    "compose_quotient",
-    "cone_disk",
-    "cube_edge_generators",
     "decide_embedded",
-    "decide_orientable",
-    "direction_product_translation",
-    "double_bit_vector",
-    "edge_bound",
-    "edge_rotation_flips",
     "enumerate_paths",
-    "euler_genus",
-    "even_translation_lattice",
     "expand_patches",
     "expand_word",
     "export_mesh",
     "family_word",
-    "filled_cubes",
-    "flip_subgroup_order",
-    "four_translation_witness",
-    "gap_invariant",
-    "halve_even_vector",
-    "in_flip_subgroup",
-    "inverse_ambient",
-    "pair_translation_lattice",
-    "parallel_pair_translation",
     "parse_word",
-    "path_symmetries",
-    "per_direction_bound",
-    "project_to_quotient",
-    "quotient_identity",
-    "reflection_closure",
-    "reflection_generators",
-    "series_check",
-    "span_lattice",
-    "torus_mesh",
     "validate",
     "vertex_incidence",
 ]

@@ -62,12 +62,6 @@ class BadVectorError(CubeLoopsError, ValueError):
     """A lattice membership query received a vector with an odd coordinate."""
 
 
-class SurfaceNotEmbeddedError(CubeLoopsError, ValueError):
-    """Euler data was requested for a surface that is not embedded."""
-
-    condition = "NotEmbedded"
-
-
 class BadParametersError(CubeLoopsError, ValueError):
     """Family parameters outside their admissible range."""
 

@@ -1,22 +1,15 @@
-"""Exact arithmetic in the reflection symmetry group and its finite quotient.
+"""Exact arithmetic in the finite quotient of the reflection symmetry group.
 
-The ambient group consists of the isometries of R^n of the form
+The edge rotations of a loop are isometries of R^n of the form
 
     x  |->  v + (-1)^rho x
 
 where v is an integer translation vector and rho is a sign-flip pattern
 (one bit per coordinate; bit set means that coordinate changes sign).
-Composition follows from substituting one map into the other:
-
-    (u, rho) o (v, sigma)  =  (u + (-1)^rho v, rho + sigma)
-
-with the translation parts added over Z (sign-adjusted coordinatewise) and
-the flip patterns added over Z_2.
-
-Not every flip pattern occurs in the groups generated by edge rotations of
-the unit cube: for even n all 2^n patterns are admissible, while for odd n
-only the patterns with an even number of flipped coordinates arise.  That
-admissible subgroup has order 2^n (n even) or 2^(n-1) (n odd).
+Not every flip pattern occurs in the groups they generate: for even n all
+2^n patterns are admissible, while for odd n only the patterns with an
+even number of flipped coordinates arise.  That admissible subgroup has
+order 2^n (n even) or 2^(n-1) (n odd).
 
 Dividing by the normal subgroup of translations by multiples of 4 leaves a
 finite quotient whose elements are determined by their translation vector
@@ -24,33 +17,25 @@ over Z_4 alone, because every element satisfies ``rho = v mod 2``
 coordinatewise.  A quotient element is therefore stored as one machine
 integer with two bits per coordinate (coordinate i occupies bits 2i and
 2i+1), which makes composition a handful of bitwise operations and gives a
-cheap total order for deterministic iteration.
+cheap total order for deterministic iteration.  The ambient group itself
+is kept in :mod:`cubeloops.oracles`, as a cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DimensionMismatchError, QuotientDomainError
 
 __all__ = [
-    "AmbientElement",
     "QuotientElement",
-    "ambient_identity",
-    "compose_ambient",
     "compose_quotient",
-    "inverse_ambient",
-    "project_to_quotient",
-    "edge_rotation_flips",
     "flip_subgroup_order",
-    "flip_vector",
     "in_flip_subgroup",
     "quotient_identity",
     "close_under_composition",
-    "cube_edge_generators",
 ]
 
 
@@ -66,68 +51,6 @@ def in_flip_subgroup(dim: int, flips: int) -> bool:
     if flips < 0 or flips >> dim:
         raise ValueError(f"flip mask {flips:#x} out of range for dimension {dim}")
     return dim % 2 == 0 or flips.bit_count() % 2 == 0
-
-
-def edge_rotation_flips(dim: int, direction: int) -> int:
-    """Flip pattern of the half-turn about a cube edge in the given direction.
-
-    The rotation fixes the edge line, so every coordinate except the edge
-    direction changes sign.  Directions are 1-based.
-    """
-    if not 1 <= direction <= dim:
-        raise ValueError(f"direction {direction} out of range 1..{dim}")
-    return ((1 << dim) - 1) ^ (1 << (direction - 1))
-
-
-def flip_vector(dim: int, flips: int) -> tuple[int, ...]:
-    """Expand a flip mask into a 0/1 vector, coordinate order."""
-    return tuple((flips >> i) & 1 for i in range(dim))
-
-
-# ---------------------------------------------------------------------------
-# ambient elements
-
-
-@dataclass(frozen=True, order=True)
-class AmbientElement:
-    """An isometry x |-> translation + (-1)^flips x with integer translation."""
-
-    translation: tuple[int, ...]
-    flips: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.translation)
-
-    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a point (any coordinate scale where the translation is exact)."""
-        return tuple(
-            t + (-p if (self.flips >> i) & 1 else p)
-            for i, (t, p) in enumerate(zip(self.translation, point))
-        )
-
-
-def ambient_identity(dim: int) -> AmbientElement:
-    return AmbientElement((0,) * dim, 0)
-
-
-def compose_ambient(a: AmbientElement, b: AmbientElement) -> AmbientElement:
-    """a o b, i.e. apply b first, then a."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    translation = tuple(
-        u + (-v if (a.flips >> i) & 1 else v)
-        for i, (u, v) in enumerate(zip(a.translation, b.translation))
-    )
-    return AmbientElement(translation, a.flips ^ b.flips)
-
-
-def inverse_ambient(a: AmbientElement) -> AmbientElement:
-    # (v, rho)^-1 = (-(-1)^rho v, rho): solving v + (-1)^rho x = 0.
-    translation = tuple(
-        -t if not (a.flips >> i) & 1 else t for i, t in enumerate(a.translation)
-    )
-    return AmbientElement(translation, a.flips)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +120,6 @@ class QuotientElement:
             i += 1
         return mask
 
-    def apply_doubled(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a doubled-coordinate point on the doubled torus grid Z_8^n."""
-        vec = self.vector
-        return tuple(
-            (2 * vec[i] + (-point[i] if vec[i] % 2 else point[i])) % 8
-            for i in range(self.dim)
-        )
-
 
 def quotient_identity(dim: int) -> QuotientElement:
     return QuotientElement(dim, 0)
@@ -217,22 +132,8 @@ def compose_quotient(a: QuotientElement, b: QuotientElement) -> QuotientElement:
     return QuotientElement(a.dim, _compose_packed(a.packed, b.packed, lo))
 
 
-def project_to_quotient(a: AmbientElement) -> QuotientElement:
-    """Reduce an ambient element mod 4.  A group homomorphism on its domain."""
-    flips = 0
-    for i, t in enumerate(a.translation):
-        if t % 2:
-            flips |= 1 << i
-    if flips != a.flips or not in_flip_subgroup(a.dim, a.flips):
-        raise QuotientDomainError(
-            "element lies outside the subgroup on which the quotient is defined "
-            f"(translation {a.translation}, flips {flip_vector(a.dim, a.flips)})"
-        )
-    return QuotientElement(a.dim, _pack(a.translation))
-
-
 # ---------------------------------------------------------------------------
-# closure and the full cube's generators
+# closure
 
 
 def close_under_composition(
@@ -274,18 +175,3 @@ def close_under_composition(
             frontier = nxt
     return tuple(QuotientElement(dim, p) for p in sorted(seen))
 
-
-def cube_edge_generators(dim: int) -> tuple[QuotientElement, ...]:
-    """Quotient rotations about *all* edges of the unit cube.
-
-    One generator per edge: the translation vanishes along the edge
-    direction and is +-1 (i.e. 1 or 3 mod 4) in every other coordinate,
-    matching the midpoint of the edge doubled.  There are n * 2^(n-1).
-    """
-    out = []
-    for direction in range(1, dim + 1):
-        for signs in itertools.product((1, 3), repeat=dim - 1):
-            it: Iterator[int] = iter(signs)
-            vec = tuple(0 if i == direction - 1 else next(it) for i in range(dim))
-            out.append(QuotientElement(dim, _pack(vec)))
-    return tuple(out)

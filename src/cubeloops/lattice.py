@@ -20,47 +20,32 @@ dimension the product of the rotations about each direction's first edge
 is a pure even translation with halved row ``XOR_d v_first(d) & ~bit(d)``;
 whether it lies in the pair lattice decides orientability.  The arc walk
 (:func:`parallel_pair_translation`) and the rotation composition
-(:func:`direction_product_translation`) remain as independent cross-checks.
+(:func:`direction_product_translation`) remain as independent cross-checks;
+lattices spanned from explicit vectors live in :mod:`cubeloops.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import BadVectorError, NotParallelError, SameEdgeError
+from .errors import NotParallelError, SameEdgeError
 from .groups import compose_quotient, quotient_identity
 from .paths import JordanPath
+from .reflection import reflection_generators
 
 __all__ = [
     "TranslationLattice",
-    "span_lattice",
     "parallel_pair_translation",
     "pair_translation_lattice",
-    "all_pairs_lattice",
     "direction_product_translation",
     "even_translation_lattice",
     "even_lattice_from_pair",
-    "halve_even_vector",
     "double_bit_vector",
 ]
 
 
-def halve_even_vector(vector: tuple[int, ...]) -> int:
-    """Pack a vector with entries in {0,2} into a bitmask (entry 2 -> bit 1)."""
-    mask = 0
-    for k, entry in enumerate(vector):
-        if entry not in (0, 2):
-            raise BadVectorError(
-                f"coordinate {entry} at axis {k + 1} is not an even class (0 or 2)"
-            )
-        if entry:
-            mask |= 1 << k
-    return mask
-
-
 def double_bit_vector(mask: int, dim: int) -> tuple[int, ...]:
-    """Inverse of :func:`halve_even_vector`."""
+    """Expand a halved row into a mod-4 vector with entries in {0,2}."""
     return tuple(2 if (mask >> k) & 1 else 0 for k in range(dim))
 
 
@@ -101,22 +86,9 @@ class TranslationLattice:
     def order(self) -> int:
         return 1 << len(self.rows)
 
-    def contains(self, vector: tuple[int, ...]) -> bool:
-        """Membership of a vector with entries in {0,2} (mod-4 classes)."""
-        residue = halve_even_vector(tuple(v % 4 for v in vector))
-        for b in self.rows:
-            if residue & _leading_bit(b):
-                residue ^= b
-        return residue == 0
-
     def basis_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Basis as mod-4 vectors with entries in {0,2}."""
         return tuple(double_bit_vector(row, self.dim) for row in self.rows)
-
-
-def span_lattice(dim: int, vectors: list[tuple[int, ...]]) -> TranslationLattice:
-    """The subgroup generated by the given even mod-4 vectors."""
-    return TranslationLattice(dim, _row_reduce([halve_even_vector(v) for v in vectors]))
 
 
 def parallel_pair_translation(
@@ -179,16 +151,6 @@ def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
     return TranslationLattice(path.dim, _row_reduce(rows))
 
 
-def all_pairs_lattice(path: JordanPath) -> TranslationLattice:
-    """Subgroup generated by every parallel pair, from the arc walk (oracle)."""
-    labels = path.word.labels
-    vectors = []
-    for i, j in combinations(range(len(labels)), 2):
-        if labels[i] == labels[j]:
-            vectors.append(parallel_pair_translation(path, i, j))
-    return span_lattice(path.dim, vectors)
-
-
 def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     """Translation part of the product of one edge rotation per direction.
 
@@ -200,13 +162,11 @@ def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     dimension the product is not a translation and its vector has odd
     entries; it is returned for inspection but is not an even translation.
     """
-    from .reflection import reflection_generators
-
     gens = reflection_generators(path)
     base = _base_edges(path)
     element = quotient_identity(path.dim)
     for d in sorted(base):
-        element = compose_quotient(element, gens.quotient[base[d]])
+        element = compose_quotient(element, gens[base[d]])
     return element.vector
 
 

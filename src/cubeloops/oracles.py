@@ -1,0 +1,282 @@
+"""Reference implementations that check the production path; tests only.
+
+The production modules decide everything in the finite quotient group and
+from vertex masks.  The forms here compute the same facts another way, so
+the tests can compare the two:
+
+- the ambient group of isometries x |-> v + (-1)^rho x of R^n, its
+  projection to the quotient, and the edge rotations built in it
+  independently of :func:`cubeloops.reflection.reflection_generators`;
+- the rotations about every edge of the cube, and the witness words that
+  compose to a translation by four along one axis;
+- even translation lattices spanned from explicit vectors, the all-pairs
+  lattice from the arc walk, and lattice membership.
+
+No production module imports this one, and ``import cubeloops`` does not
+load it.
+
+Ambient composition follows from substituting one map into the other:
+
+    (u, rho) o (v, sigma)  =  (u + (-1)^rho v, rho + sigma)
+
+with the translation parts added over Z (sign-adjusted coordinatewise) and
+the flip patterns added over Z_2.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Iterator
+
+from .errors import (
+    BadVectorError,
+    DimensionMismatchError,
+    QuotientDomainError,
+    WitnessNotFoundError,
+)
+from .groups import QuotientElement, _pack, in_flip_subgroup
+from .lattice import (
+    TranslationLattice,
+    _leading_bit,
+    _row_reduce,
+    parallel_pair_translation,
+)
+from .paths import JordanPath
+
+__all__ = [
+    "AmbientElement",
+    "ambient_identity",
+    "compose_ambient",
+    "inverse_ambient",
+    "project_to_quotient",
+    "flip_vector",
+    "edge_rotation_flips",
+    "cube_edge_generators",
+    "apply_doubled",
+    "ambient_generators",
+    "four_translation_witness",
+    "halve_even_vector",
+    "span_lattice",
+    "all_pairs_lattice",
+    "lattice_contains",
+]
+
+
+# ---------------------------------------------------------------------------
+# the ambient group
+
+
+def edge_rotation_flips(dim: int, direction: int) -> int:
+    """Flip pattern of the half-turn about a cube edge in the given direction.
+
+    The rotation fixes the edge line, so every coordinate except the edge
+    direction changes sign.  Directions are 1-based.
+    """
+    if not 1 <= direction <= dim:
+        raise ValueError(f"direction {direction} out of range 1..{dim}")
+    return ((1 << dim) - 1) ^ (1 << (direction - 1))
+
+
+def flip_vector(dim: int, flips: int) -> tuple[int, ...]:
+    """Expand a flip mask into a 0/1 vector, coordinate order."""
+    return tuple((flips >> i) & 1 for i in range(dim))
+
+
+@dataclass(frozen=True, order=True)
+class AmbientElement:
+    """An isometry x |-> translation + (-1)^flips x with integer translation."""
+
+    translation: tuple[int, ...]
+    flips: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.translation)
+
+    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
+        """Image of a point (any coordinate scale where the translation is exact)."""
+        return tuple(
+            t + (-p if (self.flips >> i) & 1 else p)
+            for i, (t, p) in enumerate(zip(self.translation, point))
+        )
+
+
+def ambient_identity(dim: int) -> AmbientElement:
+    return AmbientElement((0,) * dim, 0)
+
+
+def compose_ambient(a: AmbientElement, b: AmbientElement) -> AmbientElement:
+    """a o b, i.e. apply b first, then a."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+    translation = tuple(
+        u + (-v if (a.flips >> i) & 1 else v)
+        for i, (u, v) in enumerate(zip(a.translation, b.translation))
+    )
+    return AmbientElement(translation, a.flips ^ b.flips)
+
+
+def inverse_ambient(a: AmbientElement) -> AmbientElement:
+    # (v, rho)^-1 = (-(-1)^rho v, rho): solving v + (-1)^rho x = 0.
+    translation = tuple(
+        -t if not (a.flips >> i) & 1 else t for i, t in enumerate(a.translation)
+    )
+    return AmbientElement(translation, a.flips)
+
+
+def project_to_quotient(a: AmbientElement) -> QuotientElement:
+    """Reduce an ambient element mod 4.  A group homomorphism on its domain."""
+    flips = 0
+    for i, t in enumerate(a.translation):
+        if t % 2:
+            flips |= 1 << i
+    if flips != a.flips or not in_flip_subgroup(a.dim, a.flips):
+        raise QuotientDomainError(
+            "element lies outside the subgroup on which the quotient is defined "
+            f"(translation {a.translation}, flips {flip_vector(a.dim, a.flips)})"
+        )
+    return QuotientElement(a.dim, _pack(a.translation))
+
+
+def apply_doubled(
+    element: QuotientElement, point: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Image of a doubled-coordinate point on the doubled torus grid Z_8^n."""
+    vec = element.vector
+    return tuple(
+        (2 * vec[i] + (-point[i] if vec[i] % 2 else point[i])) % 8
+        for i in range(element.dim)
+    )
+
+
+def cube_edge_generators(dim: int) -> tuple[QuotientElement, ...]:
+    """Quotient rotations about *all* edges of the unit cube.
+
+    One generator per edge: the translation vanishes along the edge
+    direction and is +-1 (i.e. 1 or 3 mod 4) in every other coordinate,
+    matching the midpoint of the edge doubled.  There are n * 2^(n-1).
+    """
+    out = []
+    for direction in range(1, dim + 1):
+        for signs in product((1, 3), repeat=dim - 1):
+            it: Iterator[int] = iter(signs)
+            vec = tuple(0 if i == direction - 1 else next(it) for i in range(dim))
+            out.append(QuotientElement(dim, _pack(vec)))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# a loop's edge rotations in the ambient group
+
+
+def ambient_generators(path: JordanPath) -> tuple[AmbientElement, ...]:
+    """The m edge rotations of a validated loop, as ambient isometries.
+
+    Edge i runs from walk vertex i along axis d = word label i.  Doubling
+    its midpoint gives the translation: 0 on the edge's own axis, +1 where
+    the vertex coordinate is +1/2 and -1 where it is -1/2 on every other
+    axis.  The flip pattern reverses every axis except the edge's own.
+    """
+    n = path.dim
+    out = []
+    for i, d in enumerate(path.word.labels):
+        mask = path.vertex_masks[i]
+        translation = tuple(
+            0 if k == d - 1 else (-1 if (mask >> k) & 1 else 1) for k in range(n)
+        )
+        out.append(AmbientElement(translation, edge_rotation_flips(n, d)))
+    return tuple(out)
+
+
+def four_translation_witness(path: JordanPath, beta: int) -> tuple[int, ...]:
+    """Edge indices (0-based, at most 4) whose ambient rotations compose,
+    left to right, to a pure translation of +-4 along axis ``beta``.
+
+    The direct construction takes any edge in direction ``beta`` and
+    alternates its two neighboring edges: the neighbors' half-turns
+    combine so that every coordinate cancels except the chosen axis,
+    which accumulates to +-4.  A bounded search (words up to length 4
+    over all edge rotations) backs this up; the search failing would
+    contradict the group structure, so it raises an internal error.
+    """
+    if not 1 <= beta <= path.dim:
+        raise ValueError(f"direction {beta} out of range 1..{path.dim}")
+    gens = ambient_generators(path)
+    m = len(gens)
+    first = path.word.labels.index(beta)
+    f = (first + 1) % m
+    g = (first - 1) % m
+    for word in ((f, g, f, g), (g, f, g, f)):
+        if _is_axis_translation(_compose_word(path.dim, gens, word), beta):
+            return word
+    for depth in range(1, 5):
+        for word in product(range(m), repeat=depth):
+            if _is_axis_translation(_compose_word(path.dim, gens, word), beta):
+                return word
+    raise WitnessNotFoundError(
+        f"no edge-rotation word of length <= 4 composes to a +-4 translation "
+        f"along axis {beta}; the reflection group structure is broken"
+    )
+
+
+def _compose_word(
+    dim: int, gens: tuple[AmbientElement, ...], word: tuple[int, ...]
+) -> AmbientElement:
+    result = ambient_identity(dim)
+    for index in word:
+        result = compose_ambient(result, gens[index])
+    return result
+
+
+def _is_axis_translation(element: AmbientElement, beta: int) -> bool:
+    if element.flips:
+        return False
+    expected = tuple(
+        4 if k == beta - 1 else 0 for k in range(len(element.translation))
+    )
+    return element.translation in (
+        expected,
+        tuple(-t for t in expected),
+    )
+
+
+# ---------------------------------------------------------------------------
+# translation lattices from explicit vectors
+
+
+def halve_even_vector(vector: tuple[int, ...]) -> int:
+    """Pack a vector with entries in {0,2} into a bitmask (entry 2 -> bit 1)."""
+    mask = 0
+    for k, entry in enumerate(vector):
+        if entry not in (0, 2):
+            raise BadVectorError(
+                f"coordinate {entry} at axis {k + 1} is not an even class (0 or 2)"
+            )
+        if entry:
+            mask |= 1 << k
+    return mask
+
+
+def span_lattice(dim: int, vectors: list[tuple[int, ...]]) -> TranslationLattice:
+    """The subgroup generated by the given even mod-4 vectors."""
+    return TranslationLattice(dim, _row_reduce([halve_even_vector(v) for v in vectors]))
+
+
+def all_pairs_lattice(path: JordanPath) -> TranslationLattice:
+    """Subgroup generated by every parallel pair, from the arc walk."""
+    labels = path.word.labels
+    vectors = []
+    for i, j in combinations(range(len(labels)), 2):
+        if labels[i] == labels[j]:
+            vectors.append(parallel_pair_translation(path, i, j))
+    return span_lattice(path.dim, vectors)
+
+
+def lattice_contains(lattice: TranslationLattice, vector: tuple[int, ...]) -> bool:
+    """Membership of a vector with entries in {0,2} (mod-4 classes)."""
+    residue = halve_even_vector(tuple(v % 4 for v in vector))
+    for b in lattice.rows:
+        if residue & _leading_bit(b):
+            residue ^= b
+    return residue == 0

@@ -3,11 +3,9 @@
 Rotating space half a turn about the line through one edge of the loop maps
 the loop's spanning disk to a congruent copy in a neighboring cube; doing
 this repeatedly tiles space with copies ("patches").  This module builds
-those edge rotations — exactly, in both the ambient group and its finite
-quotient — computes the finite group they generate by breadth-first
-closure, derives which cubes of the 4-periodic torus carry a patch, and
-produces short certificates that the translation by four units along any
-axis is a composition of at most four edge rotations.
+those edge rotations exactly in the finite quotient group, computes the
+finite group they generate, and derives which cubes of the 4-periodic
+torus carry a patch.
 
 Each edge rotation fixes the edge's axis and reverses all other
 coordinates; its translation part is twice the edge midpoint.  In the
@@ -20,71 +18,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import WitnessNotFoundError
-from .groups import (
-    AmbientElement,
-    QuotientElement,
-    ambient_identity,
-    compose_ambient,
-    close_under_composition,
-    edge_rotation_flips,
-)
+from .groups import QuotientElement, close_under_composition
 from .paths import JordanPath
 
 __all__ = [
-    "EdgeReflections",
     "ReflectionClosure",
     "FilledCubeMap",
     "reflection_generators",
     "reflection_closure",
     "filled_cubes",
-    "four_translation_witness",
 ]
 
 
-@dataclass(frozen=True)
-class EdgeReflections:
-    """One rotation per loop edge, in walk order, in both groups.
-
-    ``quotient[i]`` and ``ambient[i]`` describe the half-turn about edge
-    i (0-based along the word); ``directions[i]`` is that edge's axis
-    label.  Every quotient entry has translation congruent to its flip
-    pattern mod 2, zero translation along its own axis, and odd entries
-    elsewhere.
-    """
-
-    dim: int
-    directions: tuple[int, ...]
-    quotient: tuple[QuotientElement, ...]
-    ambient: tuple[AmbientElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-
-def reflection_generators(path: JordanPath) -> EdgeReflections:
-    """The m edge rotations of a validated loop.
+def reflection_generators(path: JordanPath) -> tuple[QuotientElement, ...]:
+    """The m edge rotations of a validated loop, in walk order.
 
     Edge i runs from walk vertex i along axis d = word label i.  Doubling
-    its midpoint gives the translation: 0 on the edge's own axis, +1 where
-    the vertex coordinate is +1/2 and -1 where it is -1/2 on every other
-    axis.  The flip pattern reverses every axis except the edge's own.
+    its midpoint gives the translation: 0 on the edge's own axis, 1 where
+    the vertex coordinate is +1/2 and -1 = 3 (mod 4) where it is -1/2 on
+    every other axis.  The flips, every axis but the edge's own, are the
+    parity pattern of that vector.
     """
     n = path.dim
-    directions = path.word.labels
-    quotient = []
-    ambient = []
-    for i, d in enumerate(directions):
-        mask = path.vertex_masks[i]
-        axis = d - 1
-        translation = tuple(
-            0 if k == axis else (-1 if (mask >> k) & 1 else 1) for k in range(n)
+    return tuple(
+        QuotientElement.from_vector(
+            0 if k == d - 1 else (3 if (mask >> k) & 1 else 1) for k in range(n)
         )
-        flips = edge_rotation_flips(n, d)
-        ambient.append(AmbientElement(translation, flips))
-        vector = tuple(t % 4 for t in translation)
-        quotient.append(QuotientElement.from_vector(vector))
-    return EdgeReflections(n, directions, tuple(quotient), tuple(ambient))
+        for d, mask in zip(path.word.labels, path.vertex_masks)
+    )
 
 
 @dataclass(frozen=True)
@@ -103,16 +64,13 @@ class ReflectionClosure:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, element: QuotientElement) -> bool:
-        # elements are sorted, but the set is small enough for a scan to
-        # never matter; keep a set only if profiling says otherwise
-        return element in self.elements
 
-
-def reflection_closure(generators: EdgeReflections) -> ReflectionClosure:
-    """Breadth-first closure of the edge rotations under composition."""
-    elements = close_under_composition(generators.quotient)
-    return ReflectionClosure(generators.dim, elements)
+def reflection_closure(
+    generators: tuple[QuotientElement, ...],
+) -> ReflectionClosure:
+    """Closure of the edge rotations under composition."""
+    elements = close_under_composition(generators)
+    return ReflectionClosure(elements[0].dim, elements)
 
 
 @dataclass(frozen=True)
@@ -147,52 +105,3 @@ def filled_cubes(closure: ReflectionClosure) -> FilledCubeMap:
         counts[block] += 1
     return FilledCubeMap(n, anchors, counts)
 
-
-def four_translation_witness(path: JordanPath, beta: int) -> tuple[int, ...]:
-    """Edge indices (0-based, at most 4) whose ambient rotations compose,
-    left to right, to a pure translation of +-4 along axis ``beta``.
-
-    The direct construction takes any edge in direction ``beta`` and
-    alternates its two neighboring edges: the neighbors' half-turns
-    combine so that every coordinate cancels except the chosen axis,
-    which accumulates to +-4.  A bounded search (words up to length 4
-    over all edge rotations) backs this up; the search failing would
-    contradict the group structure, so it raises an internal error.
-    """
-    if not 1 <= beta <= path.dim:
-        raise ValueError(f"direction {beta} out of range 1..{path.dim}")
-    gens = reflection_generators(path)
-    m = len(gens)
-    first = next(i for i, d in enumerate(gens.directions) if d == beta)
-    f = (first + 1) % m
-    g = (first - 1) % m
-    for word in ((f, g, f, g), (g, f, g, f)):
-        if _is_axis_translation(_compose_word(gens, word), beta):
-            return word
-    for depth in range(1, 5):
-        for word in product(range(m), repeat=depth):
-            if _is_axis_translation(_compose_word(gens, word), beta):
-                return word
-    raise WitnessNotFoundError(
-        f"no edge-rotation word of length <= 4 composes to a +-4 translation "
-        f"along axis {beta}; the reflection group structure is broken"
-    )
-
-
-def _compose_word(gens: EdgeReflections, word: tuple[int, ...]) -> AmbientElement:
-    result = ambient_identity(gens.dim)
-    for index in word:
-        result = compose_ambient(result, gens.ambient[index])
-    return result
-
-
-def _is_axis_translation(element: AmbientElement, beta: int) -> bool:
-    if element.flips:
-        return False
-    expected = tuple(
-        4 if k == beta - 1 else 0 for k in range(len(element.translation))
-    )
-    return element.translation in (
-        expected,
-        tuple(-t for t in expected),
-    )

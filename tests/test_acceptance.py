@@ -17,34 +17,46 @@ from cubeloops import (
     DirectionWord,
     EnumerationQuery,
     FamilySpec,
-    QuotientElement,
+    build_report,
     canonicalize,
-    close_under_composition,
-    compose_quotient,
-    cube_edge_generators,
     decide_embedded,
-    decide_orientable,
-    direction_product_translation,
-    edge_bound,
     enumerate_paths,
-    euler_genus,
     expand_patches,
     family_word,
-    filled_cubes,
-    flip_subgroup_order,
-    four_translation_witness,
-    pair_translation_lattice,
-    parallel_pair_translation,
     parse_word,
-    quotient_identity,
-    reflection_closure,
-    reflection_generators,
-    series_check,
     validate,
     vertex_incidence,
 )
 from cubeloops.cli import main
-from cubeloops.groups import ambient_identity, compose_ambient
+from cubeloops.enumeration import series_check
+from cubeloops.groups import (
+    QuotientElement,
+    close_under_composition,
+    compose_quotient,
+    flip_subgroup_order,
+    quotient_identity,
+)
+from cubeloops.lattice import (
+    direction_product_translation,
+    even_translation_lattice,
+    pair_translation_lattice,
+    parallel_pair_translation,
+)
+from cubeloops.oracles import (
+    ambient_generators,
+    ambient_identity,
+    compose_ambient,
+    cube_edge_generators,
+    four_translation_witness,
+    lattice_contains,
+    span_lattice,
+)
+from cubeloops.reflection import (
+    filled_cubes,
+    reflection_closure,
+    reflection_generators,
+)
+from cubeloops.verdict import edge_bound
 
 
 def _canon(text: str, dim: int) -> tuple[int, ...]:
@@ -124,8 +136,6 @@ def test_criterion_04_lattice_ground_truth():
         "12314324": [(2, 0, 0, 2), (0, 2, 2, 0)],
         "12321434": [(0, 0, 2, 0), (2, 2, 0, 2)],
     }
-    from cubeloops import even_translation_lattice, span_lattice
-
     orders = {}
     for text, generators in published.items():
         lattice = even_translation_lattice(validate(parse_word(text, 4)))
@@ -179,15 +189,16 @@ def test_criterion_07_four_translation_witnesses(n3_classes, n4_classes):
     checked = 0
     for word in (*n3_classes, *n4_classes):
         path = validate(word)
-        gens = reflection_generators(path)
+        ambient = ambient_generators(path)
+        quotient = reflection_generators(path)
         for beta in range(1, path.dim + 1):
             witness = four_translation_witness(path, beta)
             assert len(witness) <= 4
             amb = ambient_identity(path.dim)
             quo = quotient_identity(path.dim)
             for index in witness:
-                amb = compose_ambient(amb, gens.ambient[index])
-                quo = compose_quotient(quo, gens.quotient[index])
+                amb = compose_ambient(amb, ambient[index])
+                quo = compose_quotient(quo, quotient[index])
             assert amb.flips == 0
             assert quo == quotient_identity(path.dim)
             assert sorted(map(abs, amb.translation)) == [0] * (path.dim - 1) + [4]
@@ -219,9 +230,10 @@ def test_criterion_08_families_embedded_and_orientable():
 
 def test_criterion_09_negative_and_odd_dimension_cases():
     five = validate(parse_word("145231425232", 5))
-    flags = decide_orientable(five)
-    assert not flags.surface
-    assert pair_translation_lattice(five).contains(direction_product_translation(five))
+    assert not build_report(five).orientable.surface
+    assert lattice_contains(
+        pair_translation_lattice(five), direction_product_translation(five)
+    )
 
     fourteen = validate(parse_word("13234121321432", 4))
     diagnostic = edge_bound(4, fourteen.length)
@@ -283,7 +295,7 @@ def test_criterion_10_property_suites(n3_classes, n4_classes):
         for i, j in itertools.combinations(range(path.length), 2):
             if word.labels[i] != word.labels[j]:
                 continue
-            product = compose_quotient(gens.quotient[i], gens.quotient[j])
+            product = compose_quotient(gens[i], gens[j])
             assert product.flips == 0
             assert product.vector == parallel_pair_translation(path, i, j)
             pairs += 1

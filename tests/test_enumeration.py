@@ -16,18 +16,17 @@ from cubeloops import (
     FAMILY_NAMES,
     FamilySpec,
     WordValidationError,
+    build_report,
     canonicalize,
     decide_embedded,
-    decide_orientable,
-    edge_bound,
     enumerate_paths,
-    euler_genus,
     expand_word,
     family_word,
     parse_word,
-    series_check,
     validate,
 )
+from cubeloops.enumeration import series_check
+from cubeloops.verdict import edge_bound
 
 
 def _canonical_set(texts: list[str], dim: int) -> set[tuple[int, ...]]:
@@ -56,7 +55,7 @@ def test_census_dimension_four_embedded(n4_embedded_classes):
     assert "1231413214" in compacts
     assert "123214123214" in compacts
     genus_by_length = sorted(
-        (len(w), euler_genus(validate(w))[1]) for w in n4_embedded_classes
+        (len(w), build_report(w).genus) for w in n4_embedded_classes
     )
     assert genus_by_length == [(8, 9), (8, 9), (8, 9), (10, 13), (12, 17)]
 

@@ -12,21 +12,27 @@ from cubeloops import (
     BudgetExceededError,
     FamilySpec,
     UnsupportedFormatError,
-    cone_disk,
     decide_embedded,
     expand_patches,
     export_mesh,
     family_word,
-    filled_cubes,
-    flip_subgroup_order,
     parse_word,
-    reflection_closure,
-    reflection_generators,
-    torus_mesh,
     validate,
     vertex_incidence,
 )
-from cubeloops.geometry import PATCH_COORDINATE_BUDGET, closure_within_budget
+from cubeloops.geometry import (
+    PATCH_COORDINATE_BUDGET,
+    closure_within_budget,
+    cone_disk,
+    torus_mesh,
+)
+from cubeloops.groups import flip_subgroup_order
+from cubeloops.oracles import apply_doubled
+from cubeloops.reflection import (
+    filled_cubes,
+    reflection_closure,
+    reflection_generators,
+)
 from cubeloops.verdict import CLOSURE_ORACLE_MAX_DIM
 
 
@@ -81,9 +87,9 @@ def test_expand_patches_match_quotient_action(oracle_paths):
         for patch, element in zip(patches.patches, closure.elements):
             assert patch.anchor == element.vector
             assert patch.flips == element.flips
-            assert patch.apex_wrapped() == element.apply_doubled(disk.apex)
+            assert patch.apex_wrapped() == apply_doubled(element, disk.apex)
             assert patch.rim_wrapped() == tuple(
-                element.apply_doubled(vertex) for vertex in disk.rim
+                apply_doubled(element, vertex) for vertex in disk.rim
             )
 
 

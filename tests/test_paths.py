@@ -17,12 +17,10 @@ from cubeloops import (
     OddLengthError,
     canonicalize,
     family_word,
-    gap_invariant,
     parse_word,
-    path_symmetries,
     validate,
 )
-from cubeloops.paths import is_canonical
+from cubeloops.paths import gap_invariant, is_canonical, path_symmetries
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 

@@ -7,20 +7,15 @@ import pytest
 from cubeloops import (
     FamilySpec,
     NotClosedError,
-    SurfaceNotEmbeddedError,
     build_report,
     decide_embedded,
-    decide_orientable,
-    edge_bound,
-    euler_genus,
-    even_translation_lattice,
     family_word,
     parse_word,
-    per_direction_bound,
-    reflection_closure,
-    reflection_generators,
     validate,
 )
+from cubeloops.lattice import even_translation_lattice
+from cubeloops.reflection import reflection_closure, reflection_generators
+from cubeloops.verdict import edge_bound, per_direction_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
@@ -60,42 +55,40 @@ def test_decide_embedded_matches_closure_order(n4_classes):
 
 def test_decide_orientable_even_dimension(n4_m8_classes):
     for word in n4_m8_classes:
-        flags = decide_orientable(validate(word))
+        flags = build_report(word).orientable
         assert flags.surface and flags.quotient_by_pair_lattice
         assert flags.quotient_by_even_translations
 
 
 def test_decide_orientable_odd_dimension_pins():
-    hexagon = validate(parse_word("123123", 3))
-    flags = decide_orientable(hexagon)
+    flags = build_report("123123", dim=3).orientable
     assert flags.surface is True
     assert flags.quotient_by_pair_lattice is True
     assert flags.quotient_by_even_translations is False
 
-    five = validate(parse_word("145231425232", 5))
-    flags = decide_orientable(five)
+    flags = build_report("145231425232", dim=5).orientable
     assert flags.surface is False
     assert flags.quotient_by_pair_lattice is False
     assert flags.quotient_by_even_translations is False
 
 
 def test_euler_genus_reference_values():
-    assert euler_genus(validate(parse_word("12314234", 4))) == (-16, 9)
-    assert euler_genus(validate(parse_word("1231413214", 4))) == (-24, 13)
-    assert euler_genus(validate(parse_word("123214123214", 4))) == (-32, 17)
-    assert euler_genus(validate(parse_word("123123", 3))) == (-2, None)
-    assert euler_genus(validate(parse_word("121323", 3))) == (-2, None)
-    assert euler_genus(validate(parse_word("12321232", 3))) == (-4, None)
-
-
-def test_euler_genus_requires_embedded():
-    with pytest.raises(SurfaceNotEmbeddedError):
-        euler_genus(validate(parse_word("12341234", 4)))
+    for text, dim, expected in (
+        ("12314234", 4, (-16, 9)),
+        ("1231413214", 4, (-24, 13)),
+        ("123214123214", 4, (-32, 17)),
+        ("123123", 3, (-2, None)),
+        ("121323", 3, (-2, None)),
+        ("12321232", 3, (-4, None)),
+    ):
+        report = build_report(text, dim=dim)
+        assert (report.euler_char, report.genus) == expected
 
 
 def test_euler_genus_consistency(n4_embedded_classes):
     for word in n4_embedded_classes:
-        chi, genus = euler_genus(validate(word))
+        report = build_report(word)
+        chi, genus = report.euler_char, report.genus
         assert chi % 2 == 0
         assert genus is not None
         assert chi == 2 - 2 * genus
