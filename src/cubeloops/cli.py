@@ -198,9 +198,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "limit": query.limit,
             },
             "count": len(reports),
-            "classes": [report.to_json_dict() for report in reports],
+            "classes": [],
         }
-        print(json.dumps(document, indent=2))
+        # the bytes of json.dumps(document, indent=2) with the classes in
+        # place, written one class at a time: "classes" is the last key,
+        # and a class nests two levels deep, so its lines gain four spaces
+        # (JSON strings hold no raw newline)
+        text = json.dumps(document, indent=2)
+        if not reports:
+            print(text)
+            return 0
+        out = sys.stdout
+        out.write(text[: -len("[]\n}")] + "[\n")
+        separator = "    "
+        for report in reports:
+            body = json.dumps(report.to_json_dict(), indent=2)
+            out.write(separator + body.replace("\n", "\n    "))
+            separator = ",\n    "
+        out.write("\n  ]\n}\n")
         return 0
     for report in reports:
         flags = "embedded" if report.embedded else "not embedded"

@@ -241,12 +241,22 @@ def is_canonical(labels: tuple[int, ...]) -> bool:
     or of its reversal has a smaller (profile, relabelled word) pair.
     Every such profile holds the same multiset of cyclic gaps, so only
     rotations starting with the smallest gap can win, and the word itself
-    must start with it.
+    must start with it.  The rotation comparison is
+    :func:`_is_least_rotation`, which the census walk calls directly with
+    the profile it keeps.
     """
     profile = _repeat_profile(labels)
-    gap = profile[0]
-    if min(profile) < gap:
+    if min(profile) < profile[0]:
         return False
+    return _is_least_rotation(labels, profile)
+
+
+def _is_least_rotation(labels: tuple[int, ...], profile: tuple[int, ...]) -> bool:
+    """The rotation comparison of :func:`is_canonical`, given the word's
+    repeat profile, whose first entry must be its smallest: no rotation of
+    the word or of its reversal that starts with that gap has a smaller
+    profile, or an equal profile and a smaller relabelled word."""
+    gap = profile[0]
     reverse = labels[::-1]
     for seq, seq_profile in ((labels, profile), (reverse, _repeat_profile(reverse))):
         for r in range(len(labels)):

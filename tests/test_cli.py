@@ -10,7 +10,13 @@ import time
 import pytest
 
 import cubeloops.reflection as reflection
-from cubeloops import FamilySpec, family_word
+from cubeloops import (
+    EnumerationQuery,
+    FamilySpec,
+    build_report,
+    enumerate_paths,
+    family_word,
+)
 from cubeloops.cli import _build_parser, main
 
 
@@ -103,6 +109,52 @@ def test_enumerate_jobs_agree(capsys):
 def test_enumerate_bad_window(capsys):
     assert main(["enumerate", "--dim", "3", "--length", "7"]) == 2
     assert "invalid request" in capsys.readouterr().err
+
+
+def test_enumerate_rejects_fewer_than_one_job(capsys):
+    assert main(["enumerate", "--dim", "3", "--jobs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid request: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dim", "4"],
+        ["--dim", "4", "--limit", "0"],
+        ["--dim", "6", "--embedded-only"],
+        ["--dim", "3", "--mode", "verify"],
+        ["--dim", "5", "--max-length", "9"],
+    ],
+)
+def test_enumerate_json_is_streamed_byte_for_byte(capsys, argv):
+    # the listing is written one class at a time; it must equal the whole
+    # document rendered at once
+    args = _build_parser().parse_args(["enumerate", *argv])
+    query = EnumerationQuery.create(
+        dim=args.dim,
+        max_length=args.max_length,
+        embedded_only=args.embedded_only,
+        limit=args.limit,
+    )
+    reports = [
+        build_report(word, mode=args.mode) for word in enumerate_paths(query)
+    ]
+    document = {
+        "schema": 1,
+        "dim": args.dim,
+        "query": {
+            "min_length": query.min_length,
+            "max_length": query.max_length,
+            "embedded_only": query.embedded_only,
+            "limit": query.limit,
+        },
+        "count": len(reports),
+        "classes": [report.to_json_dict() for report in reports],
+    }
+    assert main(["enumerate", *argv, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
 
 
 def test_family_text(capsys):

@@ -77,6 +77,28 @@ def test_census_dimension_five_up_to_twelve_edges():
     assert digest == "6c5a37a45175d9e5f7477e02117d91d715e204dedf7ce492329acad5b360927a"
 
 
+def test_census_dimension_five_up_to_fourteen_edges():
+    # the walk's O(n) first-gap rejection and its child-level home-distance
+    # cut both act here; the pin is the sha256 of the compact words joined
+    # by newlines in census order
+    census = enumerate_paths(EnumerationQuery.create(5, max_length=14))
+    assert len(census) == 1494
+    digest = hashlib.sha256("\n".join(w.compact() for w in census).encode()).hexdigest()
+    assert digest == "1f39575020cde6e926c991310b9a32a759799728621af9d742b15cd6c814a013"
+
+
+def test_census_dimension_two():
+    census = enumerate_paths(EnumerationQuery.create(2))
+    assert [w.compact() for w in census] == ["1212"]
+
+
+def test_census_rejects_fewer_than_one_job():
+    query = EnumerationQuery.create(3)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_paths(query, jobs=jobs)
+
+
 def test_census_matches_brute_force_dimension_three(n3_classes):
     found: set[tuple[int, ...]] = set()
     for length in (6, 8):
@@ -158,6 +180,7 @@ def test_census_shards_partition_the_classes(n4_classes):
     windows = [
         (EnumerationQuery.create(4), {w.labels for w in n4_classes}),
         (EnumerationQuery.create(5, max_length=14, embedded_only=True), None),
+        (EnumerationQuery.create(5, max_length=14), None),
     ]
     for query, expected in windows:
         whole = enumeration._search(query)
