@@ -19,7 +19,6 @@ from .errors import (
     BadLabelError,
     BadParametersError,
     BadProjectionError,
-    BadVectorError,
     BudgetExceededError,
     CubeLoopsError,
     DimensionMismatchError,
@@ -32,7 +31,6 @@ from .errors import (
     QuotientDomainError,
     SameEdgeError,
     UnsupportedFormatError,
-    WitnessNotFoundError,
     WordValidationError,
 )
 from .paths import (
@@ -67,7 +65,6 @@ __all__ = [
     "BadLabelError",
     "BadParametersError",
     "BadProjectionError",
-    "BadVectorError",
     "BudgetExceededError",
     "CanonicalWord",
     "CubeLoopsError",
@@ -90,7 +87,6 @@ __all__ = [
     "SurfaceReport",
     "UnsupportedFormatError",
     "VertexIncidence",
-    "WitnessNotFoundError",
     "WordValidationError",
     "build_report",
     "canonicalize",

@@ -14,7 +14,6 @@ reporting.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from typing import Any, Sequence
@@ -28,6 +27,7 @@ from .enumeration import (
 )
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import expand_patches, export_mesh, vertex_incidence
+from .jsontext import dumps
 from .paths import format_word, parse_word, validate
 from .verdict import SurfaceReport, build_report
 
@@ -202,9 +202,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         }
         # the bytes of json.dumps(document, indent=2) with the classes in
         # place, written one class at a time: "classes" is the last key,
-        # and a class nests two levels deep, so its lines gain four spaces
-        # (JSON strings hold no raw newline)
-        text = json.dumps(document, indent=2)
+        # and a class nests two levels deep
+        text = dumps(document, 2)
         if not reports:
             print(text)
             return 0
@@ -212,8 +211,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         out.write(text[: -len("[]\n}")] + "[\n")
         separator = "    "
         for report in reports:
-            body = json.dumps(report.to_json_dict(), indent=2)
-            out.write(separator + body.replace("\n", "\n    "))
+            out.write(separator + dumps(report.to_json_dict(), 2, level=2))
             separator = ",\n    "
         out.write("\n  ]\n}\n")
         return 0
@@ -242,7 +240,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _print_report(args: argparse.Namespace, report: SurfaceReport) -> int:
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(dumps(report.to_json_dict(), 2))
     else:
         print(report.render_text())
     return 0

@@ -78,7 +78,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import count
-from multiprocessing import Pool
 from operator import sub
 from typing import Any
 
@@ -164,6 +163,10 @@ def enumerate_paths(
     if shards <= 1:
         words = _search(query)
     else:
+        # imported only here, so that a serial census and the other
+        # commands do not load multiprocessing
+        from multiprocessing import Pool
+
         with Pool(processes=shards) as pool:
             chunks = pool.starmap(_search, [(query, k, shards) for k in range(shards)])
         words = [word for chunk in chunks for word in chunk]

@@ -58,10 +58,6 @@ class SameEdgeError(CubeLoopsError, ValueError):
     """A pair operation needs two distinct edges."""
 
 
-class BadVectorError(CubeLoopsError, ValueError):
-    """A lattice membership query received a vector with an odd coordinate."""
-
-
 class BadParametersError(CubeLoopsError, ValueError):
     """Family parameters outside their admissible range."""
 
@@ -84,7 +80,3 @@ class InternalInvariantError(CubeLoopsError, RuntimeError):
     This is never a user error: it signals a defect in the package itself
     (the CLI maps it to exit code 1).
     """
-
-
-class WitnessNotFoundError(InternalInvariantError):
-    """No short translation witness exists where theory guarantees one."""

@@ -49,21 +49,31 @@ def double_bit_vector(mask: int, dim: int) -> tuple[int, ...]:
     return tuple(2 if (mask >> k) & 1 else 0 for k in range(dim))
 
 
-def _leading_bit(row: int) -> int:
-    return 1 << (row.bit_length() - 1)
-
-
 def _row_reduce(rows: list[int]) -> tuple[int, ...]:
-    """Fully reduced GF(2) echelon basis, sorted descending (canonical)."""
-    basis: list[int] = []
+    """Fully reduced GF(2) echelon basis, sorted descending (canonical).
+
+    Each row is reduced against a table of pivots keyed by leading bit
+    and, if anything is left, becomes the pivot of its own leading bit.
+    One back-substitution pass, in increasing order of leading bit, then
+    clears every pivot's bit from the higher pivots.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for b in basis:
-            if row & _leading_bit(b):
-                row ^= b
-        if row:
-            basis = [b ^ row if b & _leading_bit(row) else b for b in basis]
-            basis.append(row)
-    return tuple(sorted(basis, reverse=True))
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    basis: list[tuple[int, int]] = []
+    for top in sorted(pivots):
+        row = pivots[top]
+        for bit, lower in basis:
+            if row >> bit & 1:
+                row ^= lower
+        basis.append((top, row))
+    return tuple(row for _, row in reversed(basis))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ the tests can compare the two:
 - the rotations about every edge of the cube, and the witness words that
   compose to a translation by four along one axis;
 - even translation lattices spanned from explicit vectors, the all-pairs
-  lattice from the arc walk, and lattice membership.
+  lattice from the arc walk, and lattice membership;
+- row reduction by inserting each row into a fully reduced basis, the
+  reference for the pivot-table ``cubeloops.lattice._row_reduce``.
 
 No production module imports this one, and ``import cubeloops`` does not
 load it.
@@ -30,21 +32,18 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .errors import (
-    BadVectorError,
+    CubeLoopsError,
     DimensionMismatchError,
+    InternalInvariantError,
     QuotientDomainError,
-    WitnessNotFoundError,
 )
 from .groups import QuotientElement, _pack, in_flip_subgroup
-from .lattice import (
-    TranslationLattice,
-    _leading_bit,
-    _row_reduce,
-    parallel_pair_translation,
-)
+from .lattice import TranslationLattice, parallel_pair_translation
 from .paths import JordanPath
 
 __all__ = [
+    "BadVectorError",
+    "WitnessNotFoundError",
     "AmbientElement",
     "ambient_identity",
     "compose_ambient",
@@ -57,10 +56,19 @@ __all__ = [
     "ambient_generators",
     "four_translation_witness",
     "halve_even_vector",
+    "row_reduce_reference",
     "span_lattice",
     "all_pairs_lattice",
     "lattice_contains",
 ]
+
+
+class BadVectorError(CubeLoopsError, ValueError):
+    """A lattice membership query received a vector with an odd coordinate."""
+
+
+class WitnessNotFoundError(InternalInvariantError):
+    """No short translation witness exists where theory guarantees one."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +266,29 @@ def halve_even_vector(vector: tuple[int, ...]) -> int:
     return mask
 
 
+def _leading_bit(row: int) -> int:
+    return 1 << (row.bit_length() - 1)
+
+
+def row_reduce_reference(rows: list[int]) -> tuple[int, ...]:
+    """Fully reduced GF(2) echelon basis, sorted descending (canonical):
+    each row is reduced by the basis so far and then clears its own
+    leading bit from every basis row."""
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            if row & _leading_bit(b):
+                row ^= b
+        if row:
+            basis = [b ^ row if b & _leading_bit(row) else b for b in basis]
+            basis.append(row)
+    return tuple(sorted(basis, reverse=True))
+
+
 def span_lattice(dim: int, vectors: list[tuple[int, ...]]) -> TranslationLattice:
     """The subgroup generated by the given even mod-4 vectors."""
-    return TranslationLattice(dim, _row_reduce([halve_even_vector(v) for v in vectors]))
+    rows = [halve_even_vector(v) for v in vectors]
+    return TranslationLattice(dim, row_reduce_reference(rows))
 
 
 def all_pairs_lattice(path: JordanPath) -> TranslationLattice:

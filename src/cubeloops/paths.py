@@ -76,7 +76,10 @@ class DirectionWord:
 
 
 class CanonicalWord(DirectionWord):
-    """A direction word that is the fixed point chosen by :func:`canonicalize`."""
+    """A direction word that is the fixed point chosen by :func:`canonicalize`.
+
+    Built only by :func:`canonicalize` and by the census walk once it has
+    proved the word canonical; :func:`canonicalize` trusts the type."""
 
 
 def format_word(labels: Sequence[int]) -> str:
@@ -212,7 +215,15 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
     classes, and the result introduces labels in increasing order.  The
     result's repeat profile starts with the word's smallest cyclic gap,
     since every candidate profile rearranges the same gaps.
+
+    A :class:`CanonicalWord` is returned unchanged, without the search
+    over its 2m rotations: only this function and the census walk
+    (``enumeration._search``, after ``_is_least_rotation`` has proved the
+    word its own canonical form) construct one, so it is already the
+    fixed point.  Pass a plain :class:`DirectionWord` to recompute it.
     """
+    if isinstance(word, CanonicalWord):
+        return word
     labels = word.labels
     m = len(labels)
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -293,6 +304,9 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
 
 def _min_cyclic(vec: tuple[int, ...]) -> tuple[int, ...]:
     k = len(vec)
+    if k == 2:
+        # the two rotations are the two reversals
+        return vec if vec[0] <= vec[1] else vec[::-1]
     candidates = [vec[r:] + vec[:r] for r in range(k)]
     rev = vec[::-1]
     candidates += [rev[r:] + rev[:r] for r in range(k)]

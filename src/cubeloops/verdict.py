@@ -5,8 +5,9 @@ walk's vertex trail determines in O(mn) time: the surface is embedded
 exactly when the even translation lattice has order 4 (even dimension) or
 8 (odd), and the reflection group order follows as flip-subgroup order
 times lattice order.  A whole fast report is polynomial in m and n: the
-rest of it is the canonical form (2m rotations of the word) and the sign
-symmetries (m - 1 candidate sign changes, each checked in O(m)).
+rest of it is the canonical form (2m rotations of the word, skipped for a
+census word, which is canonical already) and the sign symmetries (m - 1
+candidate sign changes, each checked in O(m)).
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -278,7 +279,7 @@ class SurfaceReport:
             "embedded": self.embedded,
             "s_q_order": self.reflection_group_order,
             "lattice_basis": [
-                [entry // 2 for entry in row] for row in self.lattice.basis_vectors()
+                [row >> k & 1 for k in range(self.dim)] for row in self.lattice.rows
             ],
             "lattice_order": self.lattice.order,
             "orientable_sigma": self.orientable.surface,

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cubeloops
 from cubeloops import EnumerationQuery, JordanPath, enumerate_paths, validate
 
 # reference words, used across the suite (length-8 classes in their
@@ -45,6 +50,18 @@ def n4_classes():
 @pytest.fixture(scope="session")
 def n4_embedded_classes():
     return enumerate_paths(EnumerationQuery.create(4, embedded_only=True))
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after the statement."""
+    env = dict(os.environ)
+    source = pathlib.Path(cubeloops.__file__).parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(source), env.get("PYTHONPATH"))))
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return set(done.stdout.split())
 
 
 def random_valid_path(rng: random.Random, dim: int) -> JordanPath:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import multiprocessing
 import os
 
 import pytest
+from conftest import modules_loaded_by
 
 import cubeloops.enumeration as enumeration
 from cubeloops import (
@@ -161,7 +163,7 @@ def serial_pool(monkeypatch):
         def starmap(self, fn, items):
             return [fn(*item) for item in items]
 
-    monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: PINNED_CPU_COUNT)
     return recorded
 
@@ -172,6 +174,13 @@ def test_census_worker_count_is_clamped(serial_pool, n4_classes):
     assert serial_pool == [PINNED_CPU_COUNT]
     assert enumerate_paths(query, jobs=2) == n4_classes
     assert serial_pool == [PINNED_CPU_COUNT, 2]
+
+
+def test_command_line_does_not_load_multiprocessing():
+    # the worker pool is imported only when a census runs sharded
+    loaded = modules_loaded_by("import cubeloops.cli")
+    assert "cubeloops.enumeration" in loaded
+    assert "multiprocessing" not in loaded
 
 
 def test_census_shards_partition_the_classes(n4_classes):
@@ -185,7 +194,12 @@ def test_census_shards_partition_the_classes(n4_classes):
     for query, expected in windows:
         whole = enumeration._search(query)
         labels = [word.labels for word in whole]
-        assert all(canonicalize(word) == word for word in whole)
+        # recomputed from a plain word: canonicalize returns a CanonicalWord
+        # as it is
+        assert all(
+            canonicalize(DirectionWord(word.labels, word.dim)) == word
+            for word in whole
+        )
         assert len(set(labels)) == len(labels)
         assert expected is None or set(labels) == expected
         for shards in range(1, 5):
@@ -253,7 +267,8 @@ def test_embedded_census_equals_the_family_classes():
 def test_census_words_are_canonical_and_valid(n4_classes):
     for word in n4_classes:
         validate(word)
-        assert canonicalize(word) == word
+        assert canonicalize(DirectionWord(word.labels, word.dim)) == word
+        assert canonicalize(word) is word
         assert word.labels[0] == 1
 
 

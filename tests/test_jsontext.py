@@ -1,0 +1,174 @@
+"""The JSON writer against the json module, on every document the command
+line writes and on random values."""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+from test_golden import CASES
+
+from cubeloops import (
+    FAMILY_NAMES,
+    FamilySpec,
+    build_report,
+    expand_patches,
+    family_word,
+    parse_word,
+    validate,
+)
+from cubeloops.cli import main
+from cubeloops.geometry import torus_mesh, vertex_incidence
+from cubeloops.jsontext import dumps
+
+INDENTS = (1, 2)
+
+
+def _assert_same_text(value):
+    for indent in INDENTS:
+        assert dumps(value, indent) == json.dumps(value, indent=indent)
+
+
+def _golden_paths():
+    return {name: validate(parse_word(word, dim)) for name, (word, dim) in CASES.items()}
+
+
+def _one_member_per_family(dim):
+    specs = {
+        "gamma-a": FamilySpec("gamma-a", dim, beta=dim - 1),
+        "gamma-b": FamilySpec("gamma-b", dim, 1, dim - 1),
+        "gamma-c": FamilySpec("gamma-c", dim, 1, dim - 1),
+        "d-series": FamilySpec("d-series", dim),
+        "sharp": FamilySpec("sharp", dim),
+    }
+    assert set(specs) == set(FAMILY_NAMES)
+    return specs.values()
+
+
+def _mesh_document(path):
+    # the document export_mesh writes as JSON
+    patches = expand_patches(path)
+    mesh = torus_mesh(patches)
+    document = {
+        "dim": mesh.dim,
+        "vertices": mesh.vertices,
+        "triangles": mesh.triangles,
+        "patch_of_triangle": mesh.patch_of_triangle,
+    }
+    incidence = vertex_incidence(patches)
+    if not incidence.embedded:
+        document["warning"] = (
+            "surface has self-intersections: "
+            f"{incidence.max_multiplicity} patch boundaries meet at a vertex"
+        )
+    return document
+
+
+def test_golden_reports():
+    for path in _golden_paths().values():
+        _assert_same_text(build_report(path).to_json_dict())
+
+
+def test_n4_class_reports_fast_and_verify(n4_classes):
+    for word in n4_classes:
+        for mode in ("fast", "verify"):
+            _assert_same_text(build_report(word, mode=mode).to_json_dict())
+
+
+def test_family_reports():
+    for dim in range(4, 9):
+        for spec in _one_member_per_family(dim):
+            report = build_report(family_word(spec), family=spec.to_json_dict())
+            _assert_same_text(report.to_json_dict())
+
+
+def test_golden_mesh_documents():
+    documents = [_mesh_document(path) for path in _golden_paths().values()]
+    assert any("warning" in document for document in documents)
+    for document in documents:
+        _assert_same_text(document)
+
+
+_TEXT = ["", "a", "é", "日本", "\U0001f600", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/"]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(4)))
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 7, -(10**6), 2**63, 2**64 + 1, -(2**70), 10**30])
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return None
+    if kind == 3:
+        return _random_text(rng)
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    size = rng.randrange(1, 5)
+    if kind == 5:
+        return [_random_value(rng, depth - 1) for _ in range(size)]
+    if kind == 6:
+        return tuple(_random_value(rng, depth - 1) for _ in range(size))
+    if kind == 7:
+        # int arrays with a bool mixed in now and then
+        return [rng.choice([True, 3, -2, 2**65]) if rng.random() < 0.2 else k for k in range(size)]
+    return {_random_text(rng): _random_value(rng, depth - 1) for _ in range(size)}
+
+
+def test_random_values():
+    rng = random.Random(20261018)
+    values = [_random_value(rng, 4) for _ in range(2000)]
+    values += [[True, False], [1, True], (1, (2, (3, ()))), {"": [], "k": {}}]
+    # arrays of int arrays, some empty or with a bool inside
+    values += [[[1, 2], (3,)], [(1,), [], (2, 3)], [[], ()], [[1, 2], [3, True]], [[1], [None]]]
+    for value in values:
+        _assert_same_text(value)
+
+
+def test_nested_level_indents_every_later_line():
+    rng = random.Random(7)
+    for _ in range(200):
+        value = _random_value(rng, 3)
+        for level in (1, 2, 3):
+            # JSON text holds no raw newline inside a string
+            expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+            assert dumps(value, 2, level=level) == expected
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {1, 2}, {"a": {3}}, {1: "x"}, {"a": {None: 1}}, b"x"])
+def test_unsupported_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dumps(value, 2)
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+def test_check_and_family_json_match_json_dumps(capsys):
+    for name, (word, dim) in CASES.items():
+        assert main(["check", "--dim", str(dim), "--word", word, "--json"]) == 0
+        expected = build_report(word, dim=dim).to_json_dict()
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n", name
+    for spec in _one_member_per_family(6):
+        argv = ["family", "--name", spec.name, "--dim", "6", "--json"]
+        for flag, value in (("--alpha", spec.alpha), ("--beta", spec.beta)):
+            if value is not None:
+                argv += [flag, str(value)]
+        assert main(argv) == 0
+        report = build_report(family_word(spec), family=spec.to_json_dict())
+        assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def test_export_json_matches_the_streamed_encoder(capsys):
+    # the text json.JSONEncoder(indent=1).iterencode streams, with a newline
+    for name, path in _golden_paths().items():
+        argv = ["export", "--dim", str(path.dim), "--word", path.word.compact(), "--format", "json"]
+        assert main(argv) == 0
+        chunks = json.JSONEncoder(indent=1).iterencode(_mesh_document(path))
+        assert capsys.readouterr().out == "".join(chunks) + "\n", name

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_valid_path
 
 from cubeloops import (
-    BadVectorError,
     NotParallelError,
     SameEdgeError,
     parse_word,
@@ -20,6 +19,7 @@ from cubeloops.groups import (
     quotient_identity,
 )
 from cubeloops.lattice import (
+    _row_reduce,
     direction_product_translation,
     double_bit_vector,
     even_translation_lattice,
@@ -27,9 +27,11 @@ from cubeloops.lattice import (
     parallel_pair_translation,
 )
 from cubeloops.oracles import (
+    BadVectorError,
     all_pairs_lattice,
     halve_even_vector,
     lattice_contains,
+    row_reduce_reference,
     span_lattice,
 )
 from cubeloops.reflection import reflection_closure, reflection_generators
@@ -242,3 +244,42 @@ def test_lattice_elements_lie_in_reflection_closure(n3_classes, n4_m8_classes):
         closure = reflection_closure(reflection_generators(path))
         for v in even_translation_lattice(path).basis_vectors():
             assert QuotientElement.from_vector(v) in closure.elements
+
+
+def test_row_reduce_matches_reference_on_random_rows():
+    rng = random.Random(4410)
+    for _ in range(3000):
+        dim = rng.randint(1, 16)
+        rows = [rng.getrandbits(dim) for _ in range(rng.randint(0, 40))]
+        if rows and rng.random() < 0.5:
+            rows += [0, *rng.sample(rows, rng.randint(1, len(rows)))]
+            rng.shuffle(rows)
+        assert _row_reduce(rows) == row_reduce_reference(rows), rows
+
+
+def _pair_and_even_rows(path):
+    # the raw generator rows of pair_translation_lattice and
+    # even_lattice_from_pair, before reduction
+    masks = path.vertex_masks
+    first = {}
+    pair = []
+    for mask, d in zip(masks, path.word.labels):
+        first.setdefault(d, mask)
+        pair.append((mask ^ first[d]) & ~(1 << (d - 1)))
+    product = 0
+    for d, mask in first.items():
+        product ^= mask & ~(1 << (d - 1))
+    return pair, [*row_reduce_reference(pair), product]
+
+
+def test_row_reduce_matches_reference_on_census_lattices(
+    n3_classes, n4_classes, random_n5_paths
+):
+    for path in (*map(validate, (*n3_classes, *n4_classes)), *random_n5_paths):
+        pair_rows, even_rows = _pair_and_even_rows(path)
+        for rows in (pair_rows, even_rows):
+            assert _row_reduce(rows) == row_reduce_reference(rows), path.word
+        assert pair_translation_lattice(path).rows == row_reduce_reference(pair_rows)
+        if path.dim % 2:
+            expected = row_reduce_reference(even_rows)
+            assert even_translation_lattice(path).rows == expected

@@ -20,7 +20,7 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.paths import gap_invariant, is_canonical, path_symmetries
+from cubeloops.paths import _min_cyclic, gap_invariant, is_canonical, path_symmetries
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 
@@ -208,6 +208,15 @@ def test_is_canonical_matches_canonicalize():
 def test_gap_invariant_reference_values():
     assert gap_invariant(parse_word("123123", 3)) == ((3, 3), (3, 3), (3, 3))
     assert gap_invariant(parse_word("121323", 3)) == ((2, 4), (2, 4), (3, 3))
+
+
+def test_min_cyclic_is_the_least_rotation_or_reversal():
+    # two-gap vectors take a shortcut; longer ones compare every candidate
+    for k in (1, 2, 3, 4):
+        for vec in itertools.product(range(1, 5), repeat=k):
+            candidates = [vec[r:] + vec[:r] for r in range(k)]
+            candidates += [c[::-1] for c in candidates]
+            assert _min_cyclic(vec) == min(candidates), vec
 
 
 def test_gap_invariant_is_symmetry_invariant(n4_m8_classes):
