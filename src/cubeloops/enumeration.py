@@ -24,7 +24,7 @@ it is the bound a child would test on entry, tested one level earlier.
 For the full census of dimension 5 up to 14 edges the walk makes 81,353
 calls.
 
-The walk decides canonicity as :func:`is_canonical` does, without
+The walk decides canonicity as ``oracles.is_canonical`` does, without
 building the canonical form.  :func:`canonicalize` compares the repeat
 profiles of all rotations of the word and of its reversal before any
 labels.  Those profiles are rearrangements of one multiset, the cyclic
@@ -38,13 +38,13 @@ direction d the first entry is ``m - last[1]``, and the word is rejected
 in O(n) when the closing edge's gap, the prefix's smallest gap or some
 direction's wrapping gap ``m - last[e] + first[e]`` lies below it.  This
 is exactly the ``min(profile) < profile[0]`` test of
-:func:`is_canonical`, and it rejects 30,256 of the 37,159 closed walks of
-the census above without building a profile.  The other 6,903 get their
+``oracles.is_canonical``, and it rejects 30,256 of the 37,159 closed
+walks of the census above without building a profile.  The other 6,903 get their
 profile from the gap list with the n wrapping entries patched in, and
 are compared only with the rotations that start with the smallest gap,
 profile first and relabelled word on a tie, stopping at the first
 smaller one (``paths._is_least_rotation``, shared with
-:func:`is_canonical`).
+``oracles.is_canonical``).
 
 The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
 & ~bit(d)`` for every edge after its direction's first — as a GF(2)
@@ -84,7 +84,7 @@ from typing import Any
 from .errors import BadParametersError
 from .lattice import pair_translation_lattice
 from .paths import CanonicalWord, DirectionWord, _is_least_rotation, validate
-from .verdict import SurfaceReport, build_report, decide_embedded, embedded_length_cap
+from .verdict import decide_embedded, embedded_length_cap
 
 __all__ = [
     "EnumerationQuery",
@@ -93,7 +93,6 @@ __all__ = [
     "enumerate_paths",
     "family_word",
     "expand_word",
-    "series_check",
 ]
 
 
@@ -449,43 +448,3 @@ def expand_word(word: DirectionWord, new_dim: int, direction: int) -> DirectionW
     expanded = DirectionWord(tuple(labels), new_dim)
     validate(expanded)
     return expanded
-
-
-def series_check(max_n: int) -> list[tuple[str, DirectionWord, SurfaceReport]]:
-    """Reports for every family member with dimension up to ``max_n``,
-    plus the dimension-raised low-lattice seed as an operator check."""
-    if max_n < 4:
-        raise ValueError(f"max_n must be at least 4, not {max_n}")
-    rows: list[tuple[str, DirectionWord, SurfaceReport]] = []
-
-    def add(label: str, spec: FamilySpec) -> None:
-        word = family_word(spec)
-        rows.append((label, word, build_report(word, family=spec.to_json_dict())))
-
-    for n in range(3, max_n + 1):
-        add(f"d-series n={n}", FamilySpec("d-series", n))
-    for n in range(4, max_n + 1):
-        for beta in range(1, n):
-            add(f"gamma-a n={n} beta={beta}", FamilySpec("gamma-a", n, beta=beta))
-        for alpha in range(1, n):
-            for beta in range(alpha + 1, n):
-                add(
-                    f"gamma-b n={n} alpha={alpha} beta={beta}",
-                    FamilySpec("gamma-b", n, alpha, beta),
-                )
-                add(
-                    f"gamma-c n={n} alpha={alpha} beta={beta}",
-                    FamilySpec("gamma-c", n, alpha, beta),
-                )
-        add(f"sharp n={n}", FamilySpec("sharp", n))
-    seed = family_word(FamilySpec("d-series", 3))
-    for n in range(4, max_n + 1):
-        word = expand_word(seed, n, 3)
-        rows.append(
-            (
-                f"raised d-series seed to n={n}",
-                word,
-                build_report(word),
-            )
-        )
-    return rows

@@ -12,9 +12,12 @@ serializes the result as OBJ or JSON.
 Every coordinate is stored doubled, so cube-corner vertices are odd
 integers, centers and anchors even integers, and all predicates are exact
 integer comparisons — no floating point, no tolerances.  The torus is the
-doubled grid modulo 8.  Wrapped (mod 8) coordinates feed the incidence
-count and the JSON mesh; OBJ output keeps each patch placed at its anchor
-inside one fundamental domain so triangles are not torn by wrap-around.
+doubled grid modulo 8.  A patch keeps only its anchor (the element's
+translation vector; the placed apex is twice it) and its placed rim.
+Wrapped (mod 8) coordinates feed the incidence count and the JSON mesh,
+which is written one patch at a time; OBJ output keeps each patch placed
+at its anchor inside one fundamental domain so triangles are not torn by
+wrap-around.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
 from .groups import flip_subgroup_order
@@ -35,13 +39,11 @@ __all__ = [
     "Patch",
     "PatchSet",
     "VertexIncidence",
-    "TorusMesh",
     "PATCH_COORDINATE_BUDGET",
     "closure_within_budget",
     "cone_disk",
     "expand_patches",
     "vertex_incidence",
-    "torus_mesh",
     "export_mesh",
 ]
 
@@ -51,11 +53,6 @@ __all__ = [
 # export (scaled from sharp n=10, Python 3.11).  The unforced verify mode
 # places at most 1.6 million (dimension 6).
 PATCH_COORDINATE_BUDGET = 1 << 22
-
-# Mesh array items a JSON export turns into text at once.  Writing whole
-# arrays raised the tracemalloc peak (Python 3.11) of exporting a 12-edge
-# loop in dimension 5 from 1.18 to 1.40 MB; slices of 64 keep it at 1.16.
-_JSON_SLICE = 64
 
 
 def closure_within_budget(
@@ -108,22 +105,15 @@ def cone_disk(path: JordanPath) -> ConeDisk:
 class Patch:
     """One placed copy of the cone disk.
 
-    ``anchor`` is the closure element's translation vector in {0,1,2,3}^n
-    (the center of the carrying cube); coordinates are doubled and
-    anchor-placed (not wrapped), so they lie in [-1, 7].
+    ``anchor`` is the closure element's translation vector a in {0,1,2,3}^n
+    (the center of the carrying cube): the placed apex is 2a, and the
+    element's flips are the parity pattern of a.  ``rim`` coordinates are
+    doubled and anchor-placed (not wrapped), so they lie in [-1, 7].  A
+    patch's index is its position in :attr:`PatchSet.patches`.
     """
 
-    index: int
     anchor: tuple[int, ...]
-    flips: int
-    apex: tuple[int, ...]
     rim: tuple[tuple[int, ...], ...]
-
-    def rim_wrapped(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(c % 8 for c in v) for v in self.rim)
-
-    def apex_wrapped(self) -> tuple[int, ...]:
-        return tuple(c % 8 for c in self.apex)
 
 
 @dataclass(frozen=True)
@@ -152,22 +142,23 @@ def expand_patches(
     point x at 2a_k + x_k, or at 2a_k - x_k when a_k is odd (the element's
     flips are the parity pattern of a).  So each coordinate of the disk has
     only four placed columns, one per value of a_k; they are built once per
-    loop and every patch is zipped together from n of them.  The identity
-    element reproduces the original disk in the base cube; patch anchors
-    coincide with the filled-cube map.
+    loop from the rim and every patch's rim is zipped together from n of
+    them.  The apex (the origin) lands on 2a.  The identity element
+    reproduces the original disk in the base cube; patch anchors coincide
+    with the filled-cube map.
     """
     disk = cone_disk(path)
     if closure is None:
         closure = closure_within_budget(path)
     placed = [
         [tuple(2 * a - x if a % 2 else 2 * a + x for x in column) for a in range(4)]
-        for column in zip(disk.apex, *disk.rim)
+        for column in zip(*disk.rim)
     ]
     patches = []
-    for index, element in enumerate(closure.elements):
+    for element in closure.elements:
         anchor = element.vector
-        apex, *rim = zip(*(placed[k][a] for k, a in enumerate(anchor)))
-        patches.append(Patch(index, anchor, element.flips, apex, tuple(rim)))
+        rim = tuple(zip(*(placed[k][a] for k, a in enumerate(anchor))))
+        patches.append(Patch(anchor, rim))
     return PatchSet(path.dim, len(disk.rim), tuple(patches))
 
 
@@ -196,36 +187,6 @@ def vertex_incidence(patches: PatchSet) -> VertexIncidence:
         counts[wrapped] = counts.get(wrapped, 0) + count
     worst = max(counts.values(), default=0)
     return VertexIncidence(worst, worst < 8, counts)
-
-
-@dataclass(frozen=True)
-class TorusMesh:
-    """Flat triangle mesh of all patches with wrapped exact coordinates.
-
-    Vertices are doubled integers reduced mod 8 (halve for geometric
-    positions in [0,4)); triangles index into the vertex list; each
-    triangle knows its patch.
-    """
-
-    dim: int
-    vertices: tuple[tuple[int, ...], ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    patch_of_triangle: tuple[int, ...]
-
-
-def torus_mesh(patches: PatchSet) -> TorusMesh:
-    vertices: list[tuple[int, ...]] = []
-    triangles: list[tuple[int, int, int]] = []
-    owners: list[int] = []
-    m = patches.rim_size
-    for patch in patches.patches:
-        base = len(vertices)
-        vertices.append(patch.apex_wrapped())
-        vertices.extend(patch.rim_wrapped())
-        for k in range(m):
-            triangles.append((base, base + 1 + k, base + 1 + (k + 1) % m))
-            owners.append(patch.index)
-    return TorusMesh(patches.dim, tuple(vertices), tuple(triangles), tuple(owners))
 
 
 def _check_projection(
@@ -294,12 +255,14 @@ def _render_obj(
     if warning:
         lines.append(f"# warning: {warning}")
     m = patches.rim_size
-    for patch in patches.patches:
-        lines.append(f"g patch_{patch.index}")
-        for vertex in (patch.apex, *patch.rim):
+    for index, patch in enumerate(patches.patches):
+        lines.append(f"g patch_{index}")
+        # the apex is twice the anchor, a whole number when halved
+        lines.append("v " + " ".join(f"{patch.anchor[k]}.0" for k in kept))
+        for vertex in patch.rim:
             coords = " ".join(_half_str(vertex[k]) for k in kept)
             lines.append(f"v {coords}")
-        base = patch.index * (m + 1) + 1  # OBJ indices are 1-based
+        base = index * (m + 1) + 1  # OBJ indices are 1-based
         for k in range(m):
             lines.append(f"f {base} {base + 1 + k} {base + 1 + (k + 1) % m}")
     lines.append("")
@@ -312,35 +275,40 @@ def _half_str(doubled: int) -> str:
 
 
 def _render_json(patches: PatchSet, warning: str | None) -> bytes:
-    mesh = torus_mesh(patches)
-    # json writes tuples as arrays, so the mesh needs no list copies
-    document = {
-        "dim": mesh.dim,
-        "vertices": mesh.vertices,
-        "triangles": mesh.triangles,
-        "patch_of_triangle": mesh.patch_of_triangle,
-    }
-    if warning:
-        document["warning"] = warning
-    # the text of json.dumps(document, indent=1), written a slice of each
-    # mesh array at a time: the arrays are nearly all of the output, and
-    # the text of a whole array, with its parts and its encoded bytes,
-    # would hold several times its size at once
+    # The text of json.dumps(document, indent=1), with each mesh array
+    # written one patch's items at a time: the arrays are nearly all of
+    # the output, and none of them is ever held whole.
+    m = patches.rim_size
+    spokes = [(1 + k, 1 + (k + 1) % m) for k in range(m)]
+    vertices = (
+        [tuple([2 * a for a in p.anchor]), *(tuple([c % 8 for c in v]) for v in p.rim)]
+        for p in patches.patches
+    )
+    triangles = (
+        [(base, base + j, base + k) for j, k in spokes]
+        for base in range(0, patches.count * (m + 1), m + 1)
+    )
+    owners = ([index] * m for index in range(patches.count))
     out = io.BytesIO()
-    separator = "{\n "
-    for key, value in document.items():
-        out.write(f"{separator}{dumps(key, 1)}: ".encode())
-        separator = ",\n "
-        if not (isinstance(value, tuple) and value):
-            out.write(dumps(value, 1, level=1).encode())
-            continue
-        close = "\n ]"
-        item_separator = "["
-        for start in range(0, len(value), _JSON_SLICE):
-            # a slice's text is "[" + its items + close: splice the items
-            text = dumps(value[start : start + _JSON_SLICE], 1, level=1)
-            out.write(f"{item_separator}{text[1 : -len(close)]}".encode())
-            item_separator = ","
-        out.write(close.encode())
+    out.write(f'{{\n "dim": {patches.dim}'.encode())
+    _write_json_array(out, "vertices", vertices)
+    _write_json_array(out, "triangles", triangles)
+    _write_json_array(out, "patch_of_triangle", owners)
+    if warning:
+        out.write(f',\n "warning": {dumps(warning, 1)}'.encode())
     out.write(b"\n}\n")
     return out.getvalue()
+
+
+def _write_json_array(out: io.BytesIO, key: str, parts: Iterator[list]) -> None:
+    """Write the document member ``key`` (after a first one): an array of
+    the items of every part in turn, each part a nonempty list."""
+    out.write(f',\n "{key}": '.encode())
+    close = "\n ]"
+    separator = "["
+    for items in parts:
+        # a part's text is "[" + its items + close: splice the items
+        text = dumps(items, 1, level=1)
+        out.write(f"{separator}{text[1 : -len(close)]}".encode())
+        separator = ","
+    out.write((close if separator == "," else "[]").encode())

@@ -58,12 +58,12 @@ def in_flip_subgroup(dim: int, flips: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lane_masks(dim: int) -> tuple[int, int]:
-    """(low-bit mask, high-bit mask) for ``dim`` two-bit lanes."""
+def _lane_masks(dim: int) -> int:
+    """Mask of the low bit of each of ``dim`` two-bit lanes."""
     lo = 0
     for i in range(dim):
         lo |= 1 << (2 * i)
-    return lo, lo << 1
+    return lo
 
 
 def _pack(vector: Iterable[int]) -> int:
@@ -109,7 +109,7 @@ class QuotientElement:
     @property
     def flips(self) -> int:
         """Sign-flip mask, recovered as the translation's parity pattern."""
-        lo, _ = _lane_masks(self.dim)
+        lo = _lane_masks(self.dim)
         odd = self.packed & lo
         mask = 0
         i = 0
@@ -128,7 +128,7 @@ def quotient_identity(dim: int) -> QuotientElement:
 def compose_quotient(a: QuotientElement, b: QuotientElement) -> QuotientElement:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    lo, _ = _lane_masks(a.dim)
+    lo = _lane_masks(a.dim)
     return QuotientElement(a.dim, _compose_packed(a.packed, b.packed, lo))
 
 
@@ -142,10 +142,15 @@ def close_under_composition(
     """Subgroup generated by the given quotient elements, in sorted order.
 
     Adds the generators one at a time to a group of packed values, from
-    the identity up, skipping those already in it: the group times the
-    new generator gives new elements, closed breadth first under the
-    generators kept so far.  Exact for any group; each kept generator at
-    least doubles the order, so this is O(order * log2(order)) compositions.
+    the identity up: a generator g outside the group H so far adds the
+    coset H o g, and nothing else.  That is exact for every packed value,
+    admissible or not.  Composing x with itself negates each odd lane of
+    x and adds it to itself, so odd lanes cancel, and even lanes (0 or 2)
+    double to 0 mod 4: every element is an involution.  A group whose
+    elements are all involutions is abelian (ab = (ab)^-1 = b^-1 a^-1 =
+    ba), so every product of elements of H and g is h or h o g for some h
+    in H.  Each generator kept doubles the order, so this takes fewer
+    compositions than the order of the result.
     """
     gens = sorted(set(generators))
     if not gens:
@@ -153,25 +158,10 @@ def close_under_composition(
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise DimensionMismatchError("generators mix dimensions")
-    lo, _ = _lane_masks(dim)
+    lo = _lane_masks(dim)
 
-    seen = {0}  # the identity
-    kept: list[int] = []
+    group = {0}  # the identity
     for g in (g.packed for g in gens):
-        if g in seen:
-            continue
-        kept.append(g)
-        # the coset of a group by an element outside it is disjoint from it
-        frontier = [_compose_packed(x, g, lo) for x in seen]
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for k in kept:
-                    y = _compose_packed(x, k, lo)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-    return tuple(QuotientElement(dim, p) for p in sorted(seen))
-
+        if g not in group:
+            group |= {_compose_packed(x, g, lo) for x in group}
+    return tuple(QuotientElement(dim, p) for p in sorted(group))

@@ -12,7 +12,12 @@ the tests can compare the two:
 - even translation lattices spanned from explicit vectors, the all-pairs
   lattice from the arc walk, and lattice membership;
 - row reduction by inserting each row into a fully reduced basis, the
-  reference for the pivot-table ``cubeloops.lattice._row_reduce``.
+  reference for the pivot-table ``cubeloops.lattice._row_reduce``;
+- the canonicity test on a whole word, the bridge between the census
+  walk's ``cubeloops.paths._is_least_rotation`` and ``canonicalize``;
+- the JSON mesh document built whole from the closure's action on the
+  cone disk, the reference for the patch-by-patch writer of
+  ``cubeloops.geometry.export_mesh``.
 
 No production module imports this one, and ``import cubeloops`` does not
 load it.
@@ -27,6 +32,7 @@ the flip patterns added over Z_2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -37,9 +43,11 @@ from .errors import (
     InternalInvariantError,
     QuotientDomainError,
 )
+from .geometry import cone_disk
 from .groups import QuotientElement, _pack, in_flip_subgroup
 from .lattice import TranslationLattice, parallel_pair_translation
-from .paths import JordanPath
+from .paths import JordanPath, _is_least_rotation, _repeat_profile
+from .reflection import reflection_closure, reflection_generators
 
 __all__ = [
     "BadVectorError",
@@ -60,6 +68,8 @@ __all__ = [
     "span_lattice",
     "all_pairs_lattice",
     "lattice_contains",
+    "is_canonical",
+    "mesh_document",
 ]
 
 
@@ -308,3 +318,65 @@ def lattice_contains(lattice: TranslationLattice, vector: tuple[int, ...]) -> bo
         if residue & _leading_bit(b):
             residue ^= b
     return residue == 0
+
+
+# ---------------------------------------------------------------------------
+# canonical words and meshes, whole
+
+
+def is_canonical(labels: tuple[int, ...]) -> bool:
+    """Whether :func:`cubeloops.paths.canonicalize` fixes the word, without
+    building the canonical form.
+
+    Domain: a closed word (every label count even) in first-occurrence
+    form (labels introduced as 1, 2, 3, ... in order), such as every closed
+    walk of the census.  There it equals
+    ``canonicalize(DirectionWord(labels, n)).labels == labels``: the word
+    is its own relabelling, so it is fixed exactly when no rotation of it
+    or of its reversal has a smaller (profile, relabelled word) pair.
+    Every such profile holds the same multiset of cyclic gaps, so only
+    rotations starting with the smallest gap can win, and the word itself
+    must start with it.  The rotation comparison is
+    ``paths._is_least_rotation``, which the census walk calls directly
+    with the profile it keeps.
+    """
+    profile = _repeat_profile(labels)
+    if min(profile) < profile[0]:
+        return False
+    return _is_least_rotation(labels, profile)
+
+
+def mesh_document(path: JordanPath) -> dict:
+    """The document ``export_mesh(..., format="json")`` writes, built whole.
+
+    Every reflection-closure element is applied to the cone disk's apex
+    and rim on the doubled torus; each copy adds its fan triangles and
+    their owner, the element's position.  The warning appears when some
+    wrapped rim vertex meets eight or more patches.
+    """
+    disk = cone_disk(path)
+    m = disk.triangle_count
+    vertices: list[tuple[int, ...]] = []
+    triangles: list[tuple[int, int, int]] = []
+    owners: list[int] = []
+    rims: Counter[tuple[int, ...]] = Counter()
+    closure = reflection_closure(reflection_generators(path))
+    for index, element in enumerate(closure.elements):
+        base = len(vertices)
+        rim = [apply_doubled(element, vertex) for vertex in disk.rim]
+        rims.update(rim)
+        vertices += [apply_doubled(element, disk.apex), *rim]
+        triangles += [(base, base + 1 + k, base + 1 + (k + 1) % m) for k in range(m)]
+        owners += [index] * m
+    document: dict = {
+        "dim": path.dim,
+        "vertices": vertices,
+        "triangles": triangles,
+        "patch_of_triangle": owners,
+    }
+    worst = max(rims.values())
+    if worst >= 8:
+        document["warning"] = (
+            f"surface has self-intersections: {worst} patch boundaries meet at a vertex"
+        )
+    return document

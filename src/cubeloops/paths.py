@@ -240,30 +240,8 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
     return CanonicalWord(best[1], word.dim)
 
 
-def is_canonical(labels: tuple[int, ...]) -> bool:
-    """Whether :func:`canonicalize` fixes the word, without building the
-    canonical form.
-
-    Domain: a closed word (every label count even) in first-occurrence
-    form (labels introduced as 1, 2, 3, ... in order), such as every closed
-    walk of the census.  There it equals
-    ``canonicalize(DirectionWord(labels, n)).labels == labels``: the word
-    is its own relabelling, so it is fixed exactly when no rotation of it
-    or of its reversal has a smaller (profile, relabelled word) pair.
-    Every such profile holds the same multiset of cyclic gaps, so only
-    rotations starting with the smallest gap can win, and the word itself
-    must start with it.  The rotation comparison is
-    :func:`_is_least_rotation`, which the census walk calls directly with
-    the profile it keeps.
-    """
-    profile = _repeat_profile(labels)
-    if min(profile) < profile[0]:
-        return False
-    return _is_least_rotation(labels, profile)
-
-
 def _is_least_rotation(labels: tuple[int, ...], profile: tuple[int, ...]) -> bool:
-    """The rotation comparison of :func:`is_canonical`, given the word's
+    """The rotation comparison of ``oracles.is_canonical``, given the word's
     repeat profile, whose first entry must be its smallest: no rotation of
     the word or of its reversal that starts with that gap has a smaller
     profile, or an equal profile and a smaller relabelled word."""

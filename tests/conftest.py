@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import random
@@ -11,7 +12,13 @@ import sys
 import pytest
 
 import cubeloops
-from cubeloops import EnumerationQuery, JordanPath, enumerate_paths, validate
+from cubeloops import (
+    EnumerationQuery,
+    FamilySpec,
+    JordanPath,
+    enumerate_paths,
+    validate,
+)
 
 # reference words, used across the suite (length-8 classes in their
 # traditional order, then the two longer embedded classes)
@@ -50,6 +57,15 @@ def n4_classes():
 @pytest.fixture(scope="session")
 def n4_embedded_classes():
     return enumerate_paths(EnumerationQuery.create(4, embedded_only=True))
+
+
+def family_members(dim: int) -> list[FamilySpec]:
+    """Every admissible member of every named family in one dimension >= 4."""
+    members = [FamilySpec("d-series", dim), FamilySpec("sharp", dim)]
+    members += [FamilySpec("gamma-a", dim, beta=beta) for beta in range(1, dim)]
+    for alpha, beta in itertools.combinations(range(1, dim), 2):
+        members += [FamilySpec(name, dim, alpha, beta) for name in ("gamma-b", "gamma-c")]
+    return members
 
 
 def modules_loaded_by(statement: str) -> set[str]:

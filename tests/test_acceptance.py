@@ -13,6 +13,8 @@ import json
 import random
 import time
 
+from conftest import family_members
+
 from cubeloops import (
     DirectionWord,
     EnumerationQuery,
@@ -22,13 +24,13 @@ from cubeloops import (
     decide_embedded,
     enumerate_paths,
     expand_patches,
+    expand_word,
     family_word,
     parse_word,
     validate,
     vertex_incidence,
 )
 from cubeloops.cli import main
-from cubeloops.enumeration import series_check
 from cubeloops.groups import (
     QuotientElement,
     close_under_composition,
@@ -212,8 +214,15 @@ def test_criterion_07_four_translation_witnesses(n3_classes, n4_classes):
 
 def test_criterion_08_families_embedded_and_orientable():
     started = time.monotonic()
-    rows = series_check(8)
-    for label, word, report in rows:
+    specs = [FamilySpec("d-series", 3)]
+    specs += [spec for n in range(4, 9) for spec in family_members(n)]
+    rows = [(spec, family_word(spec)) for spec in specs]
+    # the dimension-raising operator on the low-lattice seed
+    seed = family_word(FamilySpec("d-series", 3))
+    rows += [(f"raised to n={n}", expand_word(seed, n, 3)) for n in range(4, 9)]
+    for label, word in rows:
+        report = build_report(word)
+        assert report.length == len(word), label
         assert report.embedded, label
         assert report.orientable.surface, label
     for n in range(3, 9):

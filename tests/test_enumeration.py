@@ -8,7 +8,7 @@ import multiprocessing
 import os
 
 import pytest
-from conftest import modules_loaded_by
+from conftest import family_members, modules_loaded_by
 
 import cubeloops.enumeration as enumeration
 from cubeloops import (
@@ -27,7 +27,6 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.enumeration import series_check
 from cubeloops.verdict import edge_bound
 
 
@@ -243,20 +242,12 @@ def test_complete_embedded_censuses():
         assert max(len(w) for w in census) == longest, dim
 
 
-def _family_members(dim: int) -> list[FamilySpec]:
-    members = [FamilySpec("d-series", dim), FamilySpec("sharp", dim)]
-    members += [FamilySpec("gamma-a", dim, beta=beta) for beta in range(1, dim)]
-    for alpha, beta in itertools.combinations(range(1, dim), 2):
-        members += [FamilySpec(name, dim, alpha, beta) for name in ("gamma-b", "gamma-c")]
-    return members
-
-
 def test_embedded_census_equals_the_family_classes():
     # two independent witnesses of every embedded class: the search, which
     # never calls canonicalize, and the explicit constructions, which go
     # through it
     for dim, classes in ((4, 5), (5, 8), (6, 12), (8, 21)):
-        members = _family_members(dim)
+        members = family_members(dim)
         assert {spec.name for spec in members} == set(FAMILY_NAMES)
         from_families = {canonicalize(family_word(spec)).labels for spec in members}
         census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
@@ -372,16 +363,3 @@ def test_expand_word_rejects_bad_requests():
     with pytest.raises(BadParametersError):
         expand_word(parse_word("12314243", 4), 5, 1)
 
-
-def test_series_check_small_run():
-    rows = series_check(5)
-    assert all(report.embedded for _, _, report in rows)
-    assert all(report.orientable.surface for _, _, report in rows)
-    labels = [label for label, _, _ in rows]
-    assert any(label.startswith("d-series n=3") for label in labels)
-    assert any(label.startswith("sharp n=5") for label in labels)
-    assert any(label.startswith("raised") for label in labels)
-    for _, word, report in rows:
-        assert report.length == len(word)
-    with pytest.raises(ValueError):
-        series_check(3)

@@ -24,9 +24,8 @@ from cubeloops.geometry import (
     PATCH_COORDINATE_BUDGET,
     closure_within_budget,
     cone_disk,
-    torus_mesh,
 )
-from cubeloops.groups import flip_subgroup_order
+from cubeloops.groups import QuotientElement, flip_subgroup_order
 from cubeloops.oracles import apply_doubled
 from cubeloops.reflection import (
     filled_cubes,
@@ -65,8 +64,6 @@ def test_expand_patches_identity_patch_and_anchors():
     assert patches.triangle_count == 192
     identity_patch = patches.patches[0]
     assert identity_patch.anchor == (0, 0, 0)
-    assert identity_patch.flips == 0
-    assert identity_patch.apex == disk.apex
     assert identity_patch.rim == disk.rim
     assert {p.anchor for p in patches.patches} == set(filled_cubes(closure).anchors)
 
@@ -78,29 +75,31 @@ def oracle_paths(n4_classes, random_n5_paths):
 
 
 def test_expand_patches_match_quotient_action(oracle_paths):
-    # reference: each closure element's doubled action on the cone disk
+    # reference: each closure element's doubled action on the cone disk;
+    # the apex is exported from the anchor alone
     for path in oracle_paths:
         closure = reflection_closure(reflection_generators(path))
         disk = cone_disk(path)
         patches = expand_patches(path, closure)
         assert patches.count == closure.order
-        for patch, element in zip(patches.patches, closure.elements):
+        vertices = json.loads(export_mesh(patches, format="json"))["vertices"]
+        block = patches.rim_size + 1
+        for i, (patch, element) in enumerate(zip(patches.patches, closure.elements)):
             assert patch.anchor == element.vector
-            assert patch.flips == element.flips
-            assert patch.apex_wrapped() == apply_doubled(element, disk.apex)
-            assert patch.rim_wrapped() == tuple(
-                apply_doubled(element, vertex) for vertex in disk.rim
-            )
+            rim = tuple(apply_doubled(element, vertex) for vertex in disk.rim)
+            assert tuple(tuple(c % 8 for c in v) for v in patch.rim) == rim
+            exported = [tuple(v) for v in vertices[i * block : (i + 1) * block]]
+            assert exported[0] == apply_doubled(element, disk.apex)
+            assert tuple(exported[1:]) == rim
 
 
 def test_expand_patches_coordinates_in_window(n4_m8_classes):
     for word in n4_m8_classes:
         patches = expand_patches(validate(word))
         for patch in patches.patches:
-            for vertex in (patch.apex, *patch.rim):
+            assert all(0 <= a <= 3 for a in patch.anchor)
+            for vertex in patch.rim:
                 assert all(-1 <= c <= 7 for c in vertex)
-            for vertex in (patch.apex_wrapped(), *patch.rim_wrapped()):
-                assert all(0 <= c <= 7 for c in vertex)
 
 
 def test_vertex_incidence_embedded_hexagon():
@@ -126,7 +125,9 @@ def test_vertex_incidence_counts_always_multiples_of_four(oracle_paths):
         patches = expand_patches(path)
         incidence = vertex_incidence(patches)
         per_vertex = Counter(
-            vertex for patch in patches.patches for vertex in patch.rim_wrapped()
+            tuple(c % 8 for c in vertex)
+            for patch in patches.patches
+            for vertex in patch.rim
         )
         assert incidence.counts == dict(per_vertex)
         assert all(c % 4 == 0 for c in incidence.counts.values())
@@ -144,13 +145,13 @@ def test_vertex_incidence_agrees_with_lattice(n4_m8_classes):
 def test_torus_mesh_structure():
     path = validate(parse_word("123123", 3))
     patches = expand_patches(path)
-    mesh = torus_mesh(patches)
+    mesh = json.loads(export_mesh(patches, format="json"))
     m = patches.rim_size
-    assert len(mesh.vertices) == patches.count * (m + 1)
-    assert len(mesh.triangles) == patches.count * m
-    assert len(mesh.patch_of_triangle) == len(mesh.triangles)
-    assert all(0 <= c <= 7 for v in mesh.vertices for c in v)
-    for t, owner in zip(mesh.triangles, mesh.patch_of_triangle):
+    assert len(mesh["vertices"]) == patches.count * (m + 1)
+    assert len(mesh["triangles"]) == patches.count * m
+    assert len(mesh["patch_of_triangle"]) == len(mesh["triangles"])
+    assert all(0 <= c <= 7 for v in mesh["vertices"] for c in v)
+    for t, owner in zip(mesh["triangles"], mesh["patch_of_triangle"]):
         lo = owner * (m + 1)
         assert all(lo <= idx < lo + m + 1 for idx in t)
         assert t[0] == lo  # apex leads every fan triangle
@@ -167,6 +168,11 @@ def test_export_obj_hexagon_layout():
     assert not any(l.startswith("# warning") for l in lines)
     assert "v 0.0 0.0 0.0" in lines  # identity apex at the cube center
     assert "v 0.5 0.5 0.5" in lines  # identity rim start
+    # each patch's group opens with its apex, the center of its anchor cube
+    for index, patch in enumerate(patches.patches):
+        apex = apply_doubled(QuotientElement.from_vector(patch.anchor), (0, 0, 0))
+        group = lines.index(f"g patch_{index}")
+        assert lines[group + 1] == "v " + " ".join(f"{c / 2:.1f}" for c in apex)
     # faces use 1-based indices into a contiguous per-patch vertex block
     first_face = next(l for l in lines if l.startswith("f "))
     assert first_face == "f 1 2 3"

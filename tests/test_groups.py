@@ -236,7 +236,7 @@ def _breadth_first_closure(generators):
     element appears."""
     gens = sorted(set(generators))
     dim = gens[0].dim
-    lo, _ = groups._lane_masks(dim)
+    lo = groups._lane_masks(dim)
     seen = {0}
     frontier = [0]
     while frontier:
@@ -272,6 +272,20 @@ def test_closure_matches_breadth_first_reference(n4_classes, random_n5_paths):
                 vector = [rng.randrange(4) for _ in range(n)]
                 if in_flip_subgroup(n, _mask(v % 2 for v in vector)):
                     picks += [QuotientElement.from_vector(vector)] * rng.randint(1, 2)
+            assert close_under_composition(picks) == _breadth_first_closure(picks)
+
+
+def test_closure_matches_breadth_first_on_arbitrary_lanes():
+    # the coset doubling is exact for every packed value, admissible flip
+    # pattern or not: every element is an involution, so the group is abelian
+    rng = random.Random(20261018)
+    for n in range(2, 8):
+        for _ in range(40):
+            picks = [quotient_identity(n)]
+            for _ in range(rng.randint(1, n + 2)):
+                element = QuotientElement(n, rng.getrandbits(2 * n))
+                picks += [element] * rng.randint(1, 2)
+            rng.shuffle(picks)
             assert close_under_composition(picks) == _breadth_first_closure(picks)
 
 

@@ -13,14 +13,13 @@ from cubeloops import (
     FAMILY_NAMES,
     FamilySpec,
     build_report,
-    expand_patches,
     family_word,
     parse_word,
     validate,
 )
 from cubeloops.cli import main
-from cubeloops.geometry import torus_mesh, vertex_incidence
 from cubeloops.jsontext import dumps
+from cubeloops.oracles import mesh_document
 
 INDENTS = (1, 2)
 
@@ -46,25 +45,6 @@ def _one_member_per_family(dim):
     return specs.values()
 
 
-def _mesh_document(path):
-    # the document export_mesh writes as JSON
-    patches = expand_patches(path)
-    mesh = torus_mesh(patches)
-    document = {
-        "dim": mesh.dim,
-        "vertices": mesh.vertices,
-        "triangles": mesh.triangles,
-        "patch_of_triangle": mesh.patch_of_triangle,
-    }
-    incidence = vertex_incidence(patches)
-    if not incidence.embedded:
-        document["warning"] = (
-            "surface has self-intersections: "
-            f"{incidence.max_multiplicity} patch boundaries meet at a vertex"
-        )
-    return document
-
-
 def test_golden_reports():
     for path in _golden_paths().values():
         _assert_same_text(build_report(path).to_json_dict())
@@ -84,7 +64,7 @@ def test_family_reports():
 
 
 def test_golden_mesh_documents():
-    documents = [_mesh_document(path) for path in _golden_paths().values()]
+    documents = [mesh_document(path) for path in _golden_paths().values()]
     assert any("warning" in document for document in documents)
     for document in documents:
         _assert_same_text(document)
@@ -167,8 +147,10 @@ def test_check_and_family_json_match_json_dumps(capsys):
 
 def test_export_json_matches_the_streamed_encoder(capsys):
     # the text json.JSONEncoder(indent=1).iterencode streams, with a newline
-    for name, path in _golden_paths().items():
+    paths = _golden_paths()
+    paths["sharp_n6"] = validate(family_word(FamilySpec("sharp", 6)))
+    for name, path in paths.items():
         argv = ["export", "--dim", str(path.dim), "--word", path.word.compact(), "--format", "json"]
         assert main(argv) == 0
-        chunks = json.JSONEncoder(indent=1).iterencode(_mesh_document(path))
+        chunks = json.JSONEncoder(indent=1).iterencode(mesh_document(path))
         assert capsys.readouterr().out == "".join(chunks) + "\n", name

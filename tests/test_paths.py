@@ -20,7 +20,8 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.paths import _min_cyclic, gap_invariant, is_canonical, path_symmetries
+from cubeloops.oracles import is_canonical
+from cubeloops.paths import _min_cyclic, gap_invariant, path_symmetries
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 
