@@ -264,7 +264,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
             handle.write(data)
         print(f"wrote {args.output}: {summary}")
     else:
-        sys.stdout.write(data.decode())
+        # the bytes as they are, without a decoded copy, when the stream
+        # has a byte layer (a StringIO, for one, has none)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(data.decode())
+        else:
+            sys.stdout.flush()
+            buffer.write(data)
         print(summary, file=sys.stderr)
     return 0
 

@@ -2,17 +2,17 @@
 
 The census walks the cube graph depth-first from a fixed corner, with the
 first edge in direction 1 and new direction labels introduced in
-increasing order.  Every class's canonical word (:func:`canonicalize`
-relabels in first-occurrence order) is such a walk, and the search keeps
-a closed word only when it is its own canonical form, so it emits every
-class exactly once (orderly generation: R. C. Read, Ann. Discrete Math. 2,
-1978; B. D. McKay, J. Algorithms 26, 1998).  Pruning uses exact
-necessities only, met by every prefix of every loop (of every embedded
-loop, for the embedded-only cuts), so no canonical word is cut: the walk
-must be able to get home within budget (each odd-count direction needs
-another edge, each unused direction two), revisits are forbidden, and the
-embedded-only mode adds the dimension-specific length caps and a
-lattice-rank cut.
+increasing order.  It walks one rotation of each class's canonical word
+(:func:`canonicalize` relabels in first-occurrence order) and keeps a
+closed walk only when that rotation, relabelled, is its own canonical
+form, so it emits every class exactly once (orderly generation: R. C.
+Read, Ann. Discrete Math. 2, 1978; B. D. McKay, J. Algorithms 26, 1998).
+Pruning uses exact necessities only, met by every prefix of every such
+rotation (of every embedded one, for the embedded-only cuts), so no class
+is cut: the walk must be able to get home within budget (each odd-count
+direction needs another edge, each unused direction two), revisits are
+forbidden, no gap may fall below the smallest gap, and the embedded-only
+mode adds the dimension-specific length caps and a lattice-rank cut.
 
 Every child is checked before it is entered.  The home-distance bound
 ``need`` is the one above, one edge per odd-count direction plus two per
@@ -21,30 +21,39 @@ for the next new direction and for a used direction whose vertex bit is
 set, and rises by one for a used direction whose bit is clear.  A child
 whose bound exceeds the edges left is never called.  The cut is exact:
 it is the bound a child would test on entry, tested one level earlier.
-For the full census of dimension 5 up to 14 edges the walk makes 81,353
-calls.
 
-The walk decides canonicity as ``oracles.is_canonical`` does, without
-building the canonical form.  :func:`canonicalize` compares the repeat
+The walk is rooted at a smallest gap.  A gap is the cyclic distance from
+an edge back to the previous edge in the same direction, and the repeat
+profile lists the gaps in word order.  :func:`canonicalize` compares the
 profiles of all rotations of the word and of its reversal before any
-labels.  Those profiles are rearrangements of one multiset, the cyclic
-gaps between consecutive same-direction edges, so the winning profile
-starts with the smallest gap, and a closed walk whose own profile has an
-entry below its first is not canonical.  The walk keeps that profile
-with the word: the first and last position of each direction, a gap
-list (the distance back to the same direction, 0 at a first
-occurrence), and the smallest gap of the prefix.  At a closing edge in
-direction d the first entry is ``m - last[1]``, and the word is rejected
-in O(n) when the closing edge's gap, the prefix's smallest gap or some
-direction's wrapping gap ``m - last[e] + first[e]`` lies below it.  This
-is exactly the ``min(profile) < profile[0]`` test of
-``oracles.is_canonical``, and it rejects 30,256 of the 37,159 closed
-walks of the census above without building a profile.  The other 6,903 get their
-profile from the gap list with the n wrapping entries patched in, and
-are compared only with the rotations that start with the smallest gap,
-profile first and relabelled word on a tie, stopping at the first
-smaller one (``paths._is_least_rotation``, shared with
-``oracles.is_canonical``).
+labels.  They rearrange one multiset, so the canonical word C of length m
+starts with its smallest gap g: C[0] = 1, and the direction-1 edge before
+it is C[m - g].  The walk looks for W, the rotation of C that starts at
+position m - g, relabelled in first-occurrence order.  Every gap of W is
+at least g, so its first g edges have distinct directions and the next
+repeats the first: W = 1 2 ... g 1 ....  The walk therefore makes two
+cuts, each a necessity for W:
+
+- until direction 1 recurs, every edge introduces a new direction, since
+  a repeat would make a gap below the g still to come;
+- direction 1 recurs at depth g and fixes g; from then on, a child whose
+  gap ``depth - last[d]`` lies below g is never entered.
+
+At a closing edge in direction d, W is kept only when the closing gap and
+every direction's wrapping gap ``m - last[e] + first[e]`` are at least g.
+A direction e > g first occurs after position g, so only e <= g, with
+``first[e] = e - 1``, can wrap below g.  These tests say that the profile of C, which
+is W's profile rotated by g, starts with its smallest entry.  That is the
+precondition of ``paths._is_least_rotation`` (shared with
+``oracles.is_canonical``), which then compares C, the first-occurrence
+relabelling of ``W[g:] + W[:g]``, with the rotations of C and of its
+reversal that start with gap g: profile first and relabelled word on a
+tie, stopping at the first smaller one.  The result is exact both ways.
+A canonical C yields a W that passes every cut, because each cut is a
+necessity for it.  A kept W yields a canonical C, and C fixes g and hence
+W, so each class is emitted once.  For the full census of dimension 5 up
+to 14 edges the walk makes 18,496 calls, and 6,903 closed walks reach
+``_is_least_rotation``.
 
 The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
 & ~bit(d)`` for every edge after its direction's first — as a GF(2)
@@ -56,14 +65,16 @@ inside it, so its rank is at most 2 or 3; a branch or closing edge that
 would pass that rank has no embedded completion, canonical or not, and is
 cut.  It also bounds each direction's edges: two direction-d edges with
 equal pair rows are the same cube edge, so a direction has at most 4
-edges (even dimension) or 8 (odd).  The embedded verdict on each class
-kept stays the final filter.
+edges (even dimension) or 8 (odd).  The pair lattice does not depend
+on where the word starts, and relabelling keeps its rank, so the cut
+holds for W as for C.  The embedded verdict on each class kept stays the
+final filter.
 
 Shard k of K walks the levels above depth n + 1, where subtrees far
 outnumber workers, and descends only into the subtrees k, k + K, ... at
 that depth.  No loop is shorter than 2n, so each closed word lies in
 exactly one subtree and the shards' outputs are disjoint.  Only the
-subtrees the walk enters are numbered; which children the bound skips
+subtrees the walk enters are numbered; which children the cuts skip
 depends on the prefix alone, so every shard numbers them alike.
 
 The named families reproduce the known infinite series of embedded
@@ -78,12 +89,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import count
-from operator import sub
 from typing import Any
 
 from .errors import BadParametersError
 from .lattice import pair_translation_lattice
-from .paths import CanonicalWord, DirectionWord, _is_least_rotation, validate
+from .paths import (
+    CanonicalWord,
+    DirectionWord,
+    _is_least_rotation,
+    _relabel_first_occurrence,
+    validate,
+)
 from .verdict import decide_embedded, embedded_length_cap
 
 __all__ = [
@@ -227,12 +243,12 @@ def _search(
     last = [0] * (n + 1)
 
     def extend(
-        depth: int, vertex: int, visited: int, used: int, gmin: int, need: int
+        depth: int, vertex: int, visited: int, used: int, g: int, need: int
     ) -> None:
         """Grow the prefix of ``depth`` edges ending at ``vertex``: the
         ``visited`` vertex set includes it, directions 1..``used`` occur,
-        ``gmin`` is the smallest non-wrapping gap and ``need`` the edges
-        still needed to get home."""
+        ``g`` is the smallest gap (0 until direction 1 recurs) and ``need``
+        the edges still needed to get home."""
         nonlocal rank
         if depth == split_depth and next(subtrees) % shards != shard:
             return
@@ -240,33 +256,32 @@ def _search(
             # one edge home, every direction used: the closing edge leaves
             # in direction d != 1 (the walk never comes back to vertex 1)
             d = vertex.bit_length()
-            if rank_cap is None or rank < rank_cap or not residue(d, vertex):
-                m = depth + 1
-                prior = last[d]
-                last[d] = depth
-                # the closed word's first profile entry, against its other
-                # entries: the closing gap, the prefix's gaps and every
-                # direction's wrapping gap m - last[e] + first[e] (index 0
-                # of first and last adds m, never below head)
-                head = m - last[1]
-                if not (
-                    depth - prior < head
-                    or gmin < head
-                    or m + min(map(sub, first, last)) < head
-                ):
-                    profile = gaps[:depth]
-                    profile.append(depth - prior)
-                    for e in range(1, n + 1):
-                        profile[first[e]] = m - last[e] + first[e]
-                    closed = (*word[:depth], d)
-                    if _is_least_rotation(closed, tuple(profile)):
-                        canonical = CanonicalWord(closed, n)
-                        if (
-                            rank_cap is None
-                            or decide_embedded(validate(canonical)).embedded
-                        ):
-                            out.append(canonical)
-                last[d] = prior
+            m = depth + 1
+            prior = last[d]
+            last[d] = depth
+            # the closing gap and every wrapping gap m - last[e] + first[e]
+            # are at least g (module docstring); only e <= g, with
+            # first[e] = e - 1, can wrap below g
+            if (
+                depth - prior >= g
+                and all(last[e] - e < m - g for e in range(1, g + 1))
+                and (rank_cap is None or rank < rank_cap or not residue(d, vertex))
+            ):
+                profile = gaps[:depth]
+                profile.append(depth - prior)
+                for e in range(1, n + 1):
+                    profile[first[e]] = m - last[e] + first[e]
+                # the canonical candidate starts at the second direction-1
+                # edge, where W's smallest gap g stands
+                closed = _relabel_first_occurrence((*word[g:depth], d, *word[:g]))
+                if _is_least_rotation(closed, (*profile[g:], *profile[:g])):
+                    canonical = CanonicalWord(closed, n)
+                    if (
+                        rank_cap is None
+                        or decide_embedded(validate(canonical)).embedded
+                    ):
+                        out.append(canonical)
+            last[d] = prior
         # edges left after the child's; the closing edge is handled above,
         # and vertex 0 is in visited
         left = max_len - depth - 1
@@ -283,31 +298,30 @@ def _search(
                 first_vertex[d] = vertex
                 first[d] = last[d] = depth
                 gaps[depth] = 0
-                extend(depth + 1, target, visited | 1 << target, d, gmin, child_need)
+                extend(depth + 1, target, visited | 1 << target, d, g, child_need)
+                continue
+            prior = last[d]
+            gap = depth - prior
+            # no gap below g; before g is fixed only direction 1 may recur,
+            # and its gap fixes g
+            if gap < g or not g and d > 1:
                 continue
             row = 0
             if rank_cap is not None:
                 row = admit(d, vertex)
                 if row is None:
                     continue
-            prior = last[d]
             last[d] = depth
-            gap = gaps[depth] = depth - prior
+            gaps[depth] = gap
             extend(
-                depth + 1,
-                target,
-                visited | 1 << target,
-                used,
-                gap if gap < gmin else gmin,
-                child_need,
+                depth + 1, target, visited | 1 << target, used, g or gap, child_need
             )
             last[d] = prior
             if row:
                 pivots[row.bit_length() - 1] = 0
                 rank -= 1
 
-    # no gap is below max_len, so the initial gmin rejects nothing
-    extend(1, 1, 0b11, 1, max_len, 1 + 2 * (n - 1))
+    extend(1, 1, 0b11, 1, 0, 1 + 2 * (n - 1))
     return out
 
 

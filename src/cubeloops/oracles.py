@@ -337,8 +337,9 @@ def is_canonical(labels: tuple[int, ...]) -> bool:
     Every such profile holds the same multiset of cyclic gaps, so only
     rotations starting with the smallest gap can win, and the word itself
     must start with it.  The rotation comparison is
-    ``paths._is_least_rotation``, which the census walk calls directly
-    with the profile it keeps.
+    ``paths._is_least_rotation``.  The census walk calls it directly, on
+    each closed walk rotated to start at its smallest gap and relabelled,
+    with the profile it keeps rotated alike.
     """
     profile = _repeat_profile(labels)
     if min(profile) < profile[0]:

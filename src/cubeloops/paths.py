@@ -218,9 +218,11 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
 
     A :class:`CanonicalWord` is returned unchanged, without the search
     over its 2m rotations: only this function and the census walk
-    (``enumeration._search``, after ``_is_least_rotation`` has proved the
-    word its own canonical form) construct one, so it is already the
-    fixed point.  Pass a plain :class:`DirectionWord` to recompute it.
+    construct one, so it is already the fixed point.  The walk
+    (``enumeration._search``) rotates each closed walk to start at its
+    smallest gap, relabels it, and builds the word only after
+    ``_is_least_rotation`` has proved it its own canonical form.  Pass a
+    plain :class:`DirectionWord` to recompute it.
     """
     if isinstance(word, CanonicalWord):
         return word

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import runpy
 import sys
@@ -200,6 +201,29 @@ def test_export_json_stdout(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["dim"] == 3
     assert len(doc["triangles"]) == 192
+
+
+def test_export_stdout_bytes_equal_the_file_bytes(tmp_path, capsysbinary):
+    # standard output gets the mesh bytes themselves, through its byte layer
+    for fmt in ("json", "obj"):
+        target = tmp_path / f"mesh.{fmt}"
+        word = ["export", "--dim", "4", "--word", "12314234", "--format", fmt]
+        assert main([*word, "-o", str(target)]) == 0
+        capsysbinary.readouterr()
+        assert main(word) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == target.read_bytes(), fmt
+        assert b"patches" in captured.err
+
+
+def test_export_stdout_without_a_byte_layer(tmp_path, monkeypatch, capsys):
+    # a text stream with no buffer, such as a StringIO, gets the decoded text
+    target = tmp_path / "mesh.obj"
+    assert main(["export", "--dim", "3", "--word", "123123", "-o", str(target)]) == 0
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["export", "--dim", "3", "--word", "123123"]) == 0
+    assert stream.getvalue() == target.read_text()
 
 
 def test_export_default_projection_dimension_four(capsys):

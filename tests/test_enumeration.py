@@ -79,13 +79,72 @@ def test_census_dimension_five_up_to_twelve_edges():
 
 
 def test_census_dimension_five_up_to_fourteen_edges():
-    # the walk's O(n) first-gap rejection and its child-level home-distance
-    # cut both act here; the pin is the sha256 of the compact words joined
-    # by newlines in census order
+    # the walk's smallest-gap cuts and its child-level home-distance cut
+    # all act here; the pin is the sha256 of the compact words joined by
+    # newlines in census order
     census = enumerate_paths(EnumerationQuery.create(5, max_length=14))
     assert len(census) == 1494
     digest = hashlib.sha256("\n".join(w.compact() for w in census).encode()).hexdigest()
     assert digest == "1f39575020cde6e926c991310b9a32a759799728621af9d742b15cd6c814a013"
+
+
+def _closed_walks(dim: int, max_length: int) -> list[tuple[int, ...]]:
+    """Every closed simple walk from vertex 0 with at most ``max_length``
+    edges that uses every direction, labelled in first-occurrence order: a
+    plain depth-first walk with no canonicity test, cut only where the edges
+    left cannot reach vertex 0 and every unused direction twice."""
+    walks = []
+    word: list[int] = []
+
+    def walk(vertex: int, visited: int, used: int) -> None:
+        left = max_length - len(word) - 1
+        for d in range(1, min(used + 1, dim) + 1):
+            target = vertex ^ (1 << (d - 1))
+            new_used = max(used, d)
+            if target == 0 and new_used == dim:
+                walks.append((*word, d))
+            elif (
+                not (visited >> target) & 1
+                and target.bit_count() + 2 * (dim - new_used) <= left
+            ):
+                word.append(d)
+                walk(target, visited | 1 << target, new_used)
+                word.pop()
+
+    walk(0, 1, 0)
+    return walks
+
+
+def test_census_equals_the_classes_of_all_closed_walks():
+    # an independent witness: every closed walk, canonicalized one by one
+    for dim, classes in ((5, 193), (6, 165)):
+        walks = _closed_walks(dim, 12)
+        found = {canonicalize(DirectionWord(w, dim)).labels for w in walks}
+        census = enumerate_paths(EnumerationQuery.create(dim, max_length=12))
+        assert len(census) == classes, dim
+        assert found == {w.labels for w in census}, dim
+
+
+def test_census_canonicity_calls_are_pinned(monkeypatch):
+    # the walk's deterministic work: every closed walk that passes the
+    # smallest-gap tests reaches one rotation comparison, so a lost cut
+    # raises the count
+    calls = 0
+    compare = enumeration._is_least_rotation
+
+    def counting(labels, profile):
+        nonlocal calls
+        calls += 1
+        return compare(labels, profile)
+
+    monkeypatch.setattr(enumeration, "_is_least_rotation", counting)
+    for query, classes, expected_calls in (
+        (EnumerationQuery.create(4), 69, 258),
+        (EnumerationQuery.create(5, max_length=14), 1494, 6903),
+    ):
+        calls = 0
+        assert len(enumerate_paths(query)) == classes
+        assert calls == expected_calls, query
 
 
 def test_census_dimension_two():
@@ -234,23 +293,37 @@ def test_embedded_census_shards_agree(serial_pool):
     assert serial_pool == [2]
 
 
-def test_complete_embedded_censuses():
-    # n=7 (16 classes, longest m=24) is left out for its run time
-    for dim, classes, longest in ((5, 8, 16), (6, 12, 20), (8, 21, 28)):
-        census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
+@pytest.fixture(scope="module")
+def embedded_censuses():
+    """The complete embedded census of each dimension 4..9."""
+    return {
+        dim: enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
+        for dim in range(4, 10)
+    }
+
+
+def test_complete_embedded_censuses(embedded_censuses):
+    for dim, classes, longest in (
+        (5, 8, 16),
+        (6, 12, 20),
+        (7, 16, 24),
+        (8, 21, 28),
+        (9, 27, 32),
+    ):
+        census = embedded_censuses[dim]
         assert len(census) == classes, dim
         assert max(len(w) for w in census) == longest, dim
 
 
-def test_embedded_census_equals_the_family_classes():
+def test_embedded_census_equals_the_family_classes(embedded_censuses):
     # two independent witnesses of every embedded class: the search, which
     # never calls canonicalize, and the explicit constructions, which go
     # through it
-    for dim, classes in ((4, 5), (5, 8), (6, 12), (8, 21)):
+    for dim, classes in ((4, 5), (5, 8), (6, 12), (7, 16), (8, 21), (9, 27)):
         members = family_members(dim)
         assert {spec.name for spec in members} == set(FAMILY_NAMES)
         from_families = {canonicalize(family_word(spec)).labels for spec in members}
-        census = enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
+        census = embedded_censuses[dim]
         assert len(census) == classes, dim
         assert {w.labels for w in census} == from_families, dim
 
