@@ -156,12 +156,8 @@ def _add_mode_args(parser: argparse.ArgumentParser) -> None:
         choices=("fast", "verify"),
         default="fast",
         help="fast: lattice criterion only; verify: cross-check with group "
-        "closure and exact geometry (bounded by dimension unless --force)",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="run verify-mode oracles even above their default dimension caps",
+        "closure and exact geometry whenever the patches fit the coordinate "
+        "budget (over it the oracle checks are null and a note says why)",
     )
 
 
@@ -171,7 +167,7 @@ def _parse_cli_word(args: argparse.Namespace):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     word = _parse_cli_word(args)
-    return _print_report(args, build_report(word, mode=args.mode, force=args.force))
+    return _print_report(args, build_report(word, mode=args.mode))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -184,9 +180,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         limit=args.limit,
     )
     classes = enumerate_paths(query, jobs=args.jobs)
-    reports = [
-        build_report(word, mode=args.mode, force=args.force) for word in classes
-    ]
+    reports = [build_report(word, mode=args.mode) for word in classes]
     if args.json:
         document: dict[str, Any] = {
             "schema": 1,
@@ -232,9 +226,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     spec = FamilySpec(args.name, args.dim, alpha=args.alpha, beta=args.beta)
     word = family_word(spec)
-    report = build_report(
-        word, mode=args.mode, force=args.force, family=spec.to_json_dict()
-    )
+    report = build_report(word, mode=args.mode, family=spec.to_json_dict())
     return _print_report(args, report)
 
 

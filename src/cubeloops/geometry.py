@@ -50,8 +50,8 @@ __all__ = [
 
 # Most doubled coordinates the patches of one surface may place: about
 # 150 MB peak RSS for patches and incidence counts, 500 MB for a JSON
-# export (scaled from sharp n=10, Python 3.11).  The unforced verify mode
-# places at most 1.6 million (dimension 6).
+# export (scaled from sharp n=10, Python 3.11).  Verify mode runs its
+# oracles only within it; every closure of dimension 6 or less fits.
 PATCH_COORDINATE_BUDGET = 1 << 22
 
 

@@ -53,13 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class DirectionWord:
-    """A raw edge word.  Only the label range is checked at construction;
-    the Jordan-path requirements are certified by :func:`validate`."""
+    """A raw edge word.  Only the dimension (at least 2) and the label range
+    are checked at construction; the Jordan-path requirements are certified
+    by :func:`validate`."""
 
     labels: tuple[int, ...]
     dim: int
 
     def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ValueError(f"dimension must be at least 2, not {self.dim}")
         for lab in self.labels:
             if not 1 <= lab <= self.dim:
                 raise BadLabelError(
@@ -134,10 +137,10 @@ def validate(
 ) -> JordanPath:
     """Check the Jordan-path requirements and return the certified walk.
 
-    Raises, in order of precedence: BadLabelError (label out of range),
-    OddLengthError, NotClosedError (some label count odd),
-    MissingDirectionError (a direction never used), NotEmbeddedError
-    (the walk revisits a vertex).
+    Raises, in order of precedence: ValueError (dimension below 2),
+    BadLabelError (label out of range), OddLengthError, NotClosedError
+    (some label count odd), MissingDirectionError (a direction never
+    used), NotEmbeddedError (the walk revisits a vertex).
     """
     if not isinstance(word, DirectionWord):
         if dim is None:

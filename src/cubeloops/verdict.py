@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .errors import InternalInvariantError
+from .errors import BudgetExceededError, InternalInvariantError
 from .geometry import closure_within_budget, expand_patches, vertex_incidence
 from .groups import flip_subgroup_order
 from .lattice import (
@@ -65,12 +65,7 @@ __all__ = [
     "embedded_length_cap",
     "per_direction_bound",
     "build_report",
-    "CLOSURE_ORACLE_MAX_DIM",
-    "GEOMETRY_ORACLE_MAX_DIM",
 ]
-
-CLOSURE_ORACLE_MAX_DIM = 6
-GEOMETRY_ORACLE_MAX_DIM = 5
 
 RULED_OUT = "ruled-out"
 MAYBE_EMBEDDED = "maybe-embedded"
@@ -360,17 +355,18 @@ def build_report(
     word: DirectionWord | JordanPath | Sequence[int] | str,
     dim: int | None = None,
     mode: str = "fast",
-    force: bool = False,
     family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
     """Assemble the full report for a loop, in fast or verifying mode.
 
     Fast mode derives everything from the translation lattice.  Verifying
-    mode additionally runs the brute-force group closure (dimension <=
-    CLOSURE_ORACLE_MAX_DIM unless forced) and the exact geometric
-    self-intersection test (dimension <= GEOMETRY_ORACLE_MAX_DIM unless
-    forced), and raises InternalInvariantError if any method disagrees —
-    that would falsify the underlying classification, not the input.
+    mode additionally runs the brute-force group closure and the exact
+    geometric self-intersection test, and raises InternalInvariantError if
+    any method disagrees — that would falsify the underlying
+    classification, not the input.  Both oracles run whenever the closure's
+    patches fit PATCH_COORDINATE_BUDGET, which is known before any work;
+    over it neither runs, every ``oracle_checks`` value is None, and a note
+    gives the patch and coordinate counts against the budget.
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
@@ -389,7 +385,8 @@ def build_report(
     notes = _report_notes(path, decision.embedded, symmetries)
     oracle_checks = None
     if mode == "verify":
-        oracle_checks = _run_oracles(path, lattice, decision, force)
+        oracle_checks, refusal = _run_oracles(path, lattice, decision)
+        notes += refusal
     return SurfaceReport(
         dim=n,
         word=path.word,
@@ -454,50 +451,51 @@ def _run_oracles(
     path: JordanPath,
     lattice: TranslationLattice,
     decision: EmbeddedDecision,
-    force: bool,
-) -> dict[str, Any]:
+) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """The oracle checks, and a note when the patch budget refuses them."""
     n = path.dim
-    checks: dict[str, Any] = {
-        "closure_order": None,
-        "closure_agrees": None,
-        "filled_cube_counts_equal": None,
-        "geometric_max_multiplicity": None,
-        "geometric_embedded": None,
-        "geometric_agrees": None,
-    }
-    closure = None
-    if n <= CLOSURE_ORACLE_MAX_DIM or force:
-        closure = closure_within_budget(path, lattice)
-        checks["closure_order"] = closure.order
-        product = flip_subgroup_order(n) * lattice.order
-        closure_embedded = closure.order == 1 << (n + 2)
-        agree = closure.order == product and closure_embedded == decision.embedded
-        checks["closure_agrees"] = agree
-        cubes = filled_cubes(closure)
-        counts = set(cubes.large_cube_counts.values())
-        checks["filled_cube_counts_equal"] = (
-            len(counts) == 1 and closure.order == (1 << n) * counts.pop()
+    checks: dict[str, Any] = dict.fromkeys(
+        (
+            "closure_order",
+            "closure_agrees",
+            "filled_cube_counts_equal",
+            "geometric_max_multiplicity",
+            "geometric_embedded",
+            "geometric_agrees",
         )
-        if not agree:
-            raise InternalInvariantError(
-                f"group closure order {closure.order} disagrees with the "
-                f"lattice-derived order {product} "
-                f"(lattice order {lattice.order})"
-            )
-        if not checks["filled_cube_counts_equal"]:
-            raise InternalInvariantError(
-                "filled-cube counts are not balanced across the large cubes"
-            )
-    if n <= GEOMETRY_ORACLE_MAX_DIM or force:
-        incidence = vertex_incidence(expand_patches(path, closure))
-        checks["geometric_max_multiplicity"] = incidence.max_multiplicity
-        checks["geometric_embedded"] = incidence.embedded
-        checks["geometric_agrees"] = incidence.embedded == decision.embedded
-        if not checks["geometric_agrees"]:
-            raise InternalInvariantError(
-                f"geometric verdict (max multiplicity "
-                f"{incidence.max_multiplicity}) disagrees with the lattice "
-                f"criterion (embedded={decision.embedded})"
-            )
-    return checks
-
+    )
+    try:
+        closure = closure_within_budget(path, lattice)
+    except BudgetExceededError as exc:
+        return checks, (f"verify-mode oracles not run: {exc}",)
+    checks["closure_order"] = closure.order
+    product = flip_subgroup_order(n) * lattice.order
+    closure_embedded = closure.order == 1 << (n + 2)
+    agree = closure.order == product and closure_embedded == decision.embedded
+    checks["closure_agrees"] = agree
+    cubes = filled_cubes(closure)
+    counts = set(cubes.large_cube_counts.values())
+    checks["filled_cube_counts_equal"] = (
+        len(counts) == 1 and closure.order == (1 << n) * counts.pop()
+    )
+    if not agree:
+        raise InternalInvariantError(
+            f"group closure order {closure.order} disagrees with the "
+            f"lattice-derived order {product} "
+            f"(lattice order {lattice.order})"
+        )
+    if not checks["filled_cube_counts_equal"]:
+        raise InternalInvariantError(
+            "filled-cube counts are not balanced across the large cubes"
+        )
+    incidence = vertex_incidence(expand_patches(path, closure))
+    checks["geometric_max_multiplicity"] = incidence.max_multiplicity
+    checks["geometric_embedded"] = incidence.embedded
+    checks["geometric_agrees"] = incidence.embedded == decision.embedded
+    if not checks["geometric_agrees"]:
+        raise InternalInvariantError(
+            f"geometric verdict (max multiplicity "
+            f"{incidence.max_multiplicity}) disagrees with the lattice "
+            f"criterion (embedded={decision.embedded})"
+        )
+    return checks, ()

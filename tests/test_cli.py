@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import pathlib
+import re
 import runpy
 import sys
 import time
@@ -57,6 +60,10 @@ def test_check_invalid_word_exit_code(capsys):
 def test_check_bad_label_exit_code(capsys):
     assert main(["check", "--dim", "3", "--word", "129123"]) == 2
     assert capsys.readouterr().err.startswith("BadLabel:")
+    # a dimension below 2 is named before any label is checked
+    assert main(["check", "--dim", "0", "--word", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: dimension must be at least 2, not 0")
 
 
 def test_check_separated_word_above_nine_directions(capsys):
@@ -262,17 +269,56 @@ def test_oversized_closure_is_refused_before_any_work(monkeypatch, capsys):
 
     monkeypatch.setattr(reflection, "close_under_composition", no_closure)
     word = [str(lab) for lab in family_word(FamilySpec("sharp", 20)).labels]
+    # verify mode still reports, with every oracle check null and a note
+    # that names the budget
     for argv in (
-        ["check", "--dim", "20", "--word", *word, "--mode", "verify", "--force"],
-        ["family", "--name", "sharp", "--dim", "20", "--mode", "verify", "--force"],
-        ["export", "--dim", "20", "--word", *word, "--format", "json"],
+        ["check", "--dim", "20", "--word", *word, "--mode", "verify", "--json"],
+        ["family", "--name", "sharp", "--dim", "20", "--mode", "verify", "--json"],
     ):
         start = time.perf_counter()
-        assert main(argv) == 2, argv[0]
+        assert main(argv) == 0, argv[0]
         assert time.perf_counter() - start < 1, argv[0]
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("BudgetExceeded:"), argv[0]
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert set(doc["oracle_checks"].values()) == {None}, argv[0]
+        coordinates = (1 << 22) * (len(word) + 1) * 20
+        assert doc["notes"][-1] == (
+            f"verify-mode oracles not run: {1 << 22} patches would place "
+            f"{coordinates} coordinates, over the budget of {1 << 22}"
+        ), argv[0]
+    # export has nothing to report without the patches
+    start = time.perf_counter()
+    assert main(["export", "--dim", "20", "--word", *word, "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("BudgetExceeded:")
+    # no option overrides the budget
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--dim", "20", "--word", *word, "--mode", "verify", "--force"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_readme_options_exist():
+    # every --option the README shows belongs to some subcommand
+    known = {
+        option
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+        for option in sub._option_string_actions
+    }
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    shown = {
+        option
+        for line in readme.read_text().splitlines()
+        if "pip install" not in line
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)
+    }
+    assert shown
+    assert shown <= known, sorted(shown - known)
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -32,7 +32,6 @@ from cubeloops.reflection import (
     reflection_closure,
     reflection_generators,
 )
-from cubeloops.verdict import CLOSURE_ORACLE_MAX_DIM
 
 
 def test_cone_disk_hexagon():
@@ -231,10 +230,10 @@ def test_export_unknown_format():
         export_mesh(patches, format="stl")
 
 
-def test_patch_budget_spares_unforced_verify():
+def test_every_closure_up_to_dimension_six_fits_the_patch_budget():
     # an even lattice has order at most 2^n and a loop at most 2^n edges,
-    # so no closure the unforced verify mode builds reaches the budget
-    for n in range(2, CLOSURE_ORACLE_MAX_DIM + 1):
+    # so verify mode runs both oracles on every loop with n <= 6
+    for n in range(2, 7):
         most = flip_subgroup_order(n) * (1 << n) * ((1 << n) + 1) * n
         assert most <= PATCH_COORDINATE_BUDGET, n
     path = validate(parse_word("123123", 3))

@@ -46,6 +46,19 @@ def test_parse_word_rejects_garbage():
         parse_word("125123", 4)  # 5 out of range for dim 4
 
 
+@pytest.mark.parametrize("dim", [1, 0, -3])
+def test_words_need_dimension_two(dim):
+    # a one-dimensional "loop" runs along one edge and back, which is no
+    # Jordan curve; the dimension is named before any label is checked
+    message = f"dimension must be at least 2, not {dim}"
+    with pytest.raises(ValueError, match=message):
+        parse_word("11", dim)
+    with pytest.raises(ValueError, match=message):
+        validate((1, 1), dim)
+    with pytest.raises(ValueError, match=message):
+        validate(DirectionWord((1, 1), dim))
+
+
 def test_validate_error_precedence():
     # non-closed figure-1 example: labels 1 and 2 occur three times each
     with pytest.raises(NotClosedError):
@@ -182,7 +195,7 @@ def _closed_first_occurrence_words(length: int):
 
 
 def _canonicity_oracle(labels: tuple[int, ...]) -> bool:
-    return canonicalize(DirectionWord(labels, max(labels))).labels == labels
+    return canonicalize(DirectionWord(labels, max(2, *labels))).labels == labels
 
 
 def test_is_canonical_matches_canonicalize():

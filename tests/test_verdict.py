@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from cubeloops import (
+    EnumerationQuery,
     FamilySpec,
     NotClosedError,
     build_report,
     decide_embedded,
+    enumerate_paths,
     family_word,
     parse_word,
     validate,
@@ -196,6 +198,28 @@ def test_build_report_verify_mode_runs_oracles():
     assert checks["geometric_max_multiplicity"] == 4
     assert checks["geometric_embedded"] is True
     assert checks["geometric_agrees"] is True
+
+
+def test_verify_mode_runs_both_oracles_above_dimension_five():
+    # the patch budget alone gates the oracles: every embedded n=6 class of
+    # 12 edges and every 8th of the others, and the sharp and d-series
+    # members of dimensions 7 and 8
+    classes = enumerate_paths(EnumerationQuery.create(6, length=12))
+    embedded = [w for w in classes if decide_embedded(validate(w)).embedded]
+    others = [w for w in classes if w not in embedded]
+    assert len(embedded) == 6
+    words = embedded + others[::8]
+    words += [
+        family_word(FamilySpec(name, n)) for name in ("sharp", "d-series") for n in (7, 8)
+    ]
+    for word in words:
+        report = build_report(word, mode="verify")
+        checks = report.oracle_checks
+        assert checks["closure_agrees"] is True, word
+        assert checks["filled_cube_counts_equal"] is True, word
+        assert checks["geometric_agrees"] is True, word
+        assert checks["geometric_embedded"] is report.embedded, word
+        assert (checks["geometric_max_multiplicity"] <= 4) is report.embedded, word
 
 
 def test_build_report_fast_mode_skips_oracles():
