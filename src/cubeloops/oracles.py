@@ -14,7 +14,8 @@ the tests can compare the two:
 - row reduction by inserting each row into a fully reduced basis, the
   reference for the pivot-table ``cubeloops.lattice._row_reduce``;
 - the canonicity test on a whole word, the bridge between the census
-  walk's ``cubeloops.paths._is_least_rotation`` and ``canonicalize``;
+  walk's profile comparison ``cubeloops.paths._is_least_rotation`` and
+  ``canonicalize``;
 - the JSON mesh document built whole from the closure's action on the
   cone disk, the reference for the patch-by-patch writer of
   ``cubeloops.geometry.export_mesh``.
@@ -333,18 +334,19 @@ def is_canonical(labels: tuple[int, ...]) -> bool:
     walk of the census.  There it equals
     ``canonicalize(DirectionWord(labels, n)).labels == labels``: the word
     is its own relabelling, so it is fixed exactly when no rotation of it
-    or of its reversal has a smaller (profile, relabelled word) pair.
-    Every such profile holds the same multiset of cyclic gaps, so only
-    rotations starting with the smallest gap can win, and the word itself
-    must start with it.  The rotation comparison is
-    ``paths._is_least_rotation``.  The census walk calls it directly, on
-    each closed walk rotated to start at its smallest gap and relabelled,
-    with the profile it keeps rotated alike.
+    or of its reversal has a smaller repeat profile: a profile fixes its
+    relabelled word (``cubeloops.paths`` module docstring).  Every such
+    profile holds the same multiset of cyclic gaps, so only rotations
+    starting with the smallest gap can win, and the word itself must start
+    with it.  The rotation comparison is ``paths._is_least_rotation``.
+    The census walk calls it directly, on the profile it keeps, rotated to
+    start at the closed walk's smallest gap, and builds the relabelled
+    word only for a walk that passes.
     """
     profile = _repeat_profile(labels)
     if min(profile) < profile[0]:
         return False
-    return _is_least_rotation(labels, profile)
+    return _is_least_rotation(profile)
 
 
 def mesh_document(path: JordanPath) -> dict:

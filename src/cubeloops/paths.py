@@ -16,12 +16,16 @@ choice, which the report layer records as a normalization note.
 Two words describe the same unoriented loop up to cube symmetry when one
 arises from the other by cyclic shifts, order reversal, and relabeling of
 directions.  ``canonicalize`` picks one representative per equivalence
-class: among all rotations of the word and of its reversal it minimizes,
-first, the cyclic repeat-distance profile (for each position, the distance
-back to the previous edge in the same direction), and then the word itself
-after relabeling directions in first-occurrence order.  Comparing the
-repeat profile before the labels makes the choice depend on the loop's
-parallelism structure first and on naming only as a tie-break.
+class: among all rotations of the word and of its reversal it minimizes
+the cyclic repeat-distance profile (for each position, the distance back
+to the previous edge in the same direction) and relabels the winner's
+directions in first-occurrence order.  The profile decides and the word
+follows: position i's previous same-direction edge is i - p[i] (mod m), so
+the cycles of that map are the direction classes, and the first-occurrence
+relabelling depends only on those classes.  Rotations with equal profiles
+thus have equal relabelled words, and a tie-break on labels would never
+decide.  The profile makes the choice depend on the loop's parallelism
+structure alone.
 """
 
 from __future__ import annotations
@@ -216,14 +220,17 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
     Requires a closed word (every label count even); embeddedness and
     coverage are not needed.  Idempotent and constant on equivalence
     classes, and the result introduces labels in increasing order.  The
-    result's repeat profile starts with the word's smallest cyclic gap,
-    since every candidate profile rearranges the same gaps.
+    least repeat profile over the 2m rotations of the word and of its
+    reversal decides, and the word follows: only the winning rotation is
+    relabelled, since a profile fixes its relabelled word (module
+    docstring).  The result's profile starts with the word's smallest
+    cyclic gap, since every candidate profile rearranges the same gaps.
 
     A :class:`CanonicalWord` is returned unchanged, without the search
     over its 2m rotations: only this function and the census walk
     construct one, so it is already the fixed point.  The walk
-    (``enumeration._search``) rotates each closed walk to start at its
-    smallest gap, relabels it, and builds the word only after
+    (``enumeration._search``) rotates each closed walk's profile to start
+    at its smallest gap and builds the word only after
     ``_is_least_rotation`` has proved it its own canonical form.  Pass a
     plain :class:`DirectionWord` to recompute it.
     """
@@ -236,30 +243,31 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
         profile = _repeat_profile(seq)
         for r in range(m):
             rotated_profile = profile[r:] + profile[:r]
-            if best is not None and rotated_profile > best[0]:
-                continue
-            candidate = (rotated_profile, _relabel_first_occurrence(seq[r:] + seq[:r]))
-            if best is None or candidate < best:
-                best = candidate
+            if best is None or rotated_profile < best[0]:
+                best = rotated_profile, seq[r:] + seq[:r]
     assert best is not None
-    return CanonicalWord(best[1], word.dim)
+    return CanonicalWord(_relabel_first_occurrence(best[1]), word.dim)
 
 
-def _is_least_rotation(labels: tuple[int, ...], profile: tuple[int, ...]) -> bool:
-    """The rotation comparison of ``oracles.is_canonical``, given the word's
-    repeat profile, whose first entry must be its smallest: no rotation of
-    the word or of its reversal that starts with that gap has a smaller
-    profile, or an equal profile and a smaller relabelled word."""
+def _is_least_rotation(profile: tuple[int, ...]) -> bool:
+    """The rotation comparison of ``oracles.is_canonical``, given a closed
+    word's repeat profile, whose first entry must be its smallest: no
+    rotation of the word or of its reversal that starts with that gap has
+    a smaller profile.  An equal profile is the same relabelled word
+    (module docstring), so no labels are compared.  The forward rotations
+    start at r = 1, since r = 0 is the profile itself; the reversed ones
+    at r = 0.  The reversed word's profile is the forward one read at the
+    next same-direction edge, so it is built without the word."""
+    m = len(profile)
     gap = profile[0]
-    reverse = labels[::-1]
-    for seq, seq_profile in ((labels, profile), (reverse, _repeat_profile(reverse))):
-        for r in range(len(labels)):
-            if seq_profile[r] != gap:
-                continue
-            rotated = seq_profile[r:] + seq_profile[:r]
-            if rotated < profile:
-                return False
-            if rotated == profile and _relabel_first_occurrence(seq[r:] + seq[:r]) < labels:
+    following = [0] * m
+    for k, p in enumerate(profile):
+        following[k - p] = p  # k - p, mod m, is the previous same-direction edge
+    reverse = tuple(following[::-1])
+    for seq, start in ((profile, 1), (reverse, 0)):
+        doubled = seq + seq
+        for r in range(start, m):
+            if seq[r] == gap and doubled[r : r + m] < profile:
                 return False
     return True
 

@@ -132,15 +132,16 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
     calls = 0
     compare = enumeration._is_least_rotation
 
-    def counting(labels, profile):
+    def counting(profile):
         nonlocal calls
         calls += 1
-        return compare(labels, profile)
+        return compare(profile)
 
     monkeypatch.setattr(enumeration, "_is_least_rotation", counting)
     for query, classes, expected_calls in (
         (EnumerationQuery.create(4), 69, 258),
         (EnumerationQuery.create(5, max_length=14), 1494, 6903),
+        (EnumerationQuery.create(6, max_length=14), 3516, 13490),
     ):
         calls = 0
         assert len(enumerate_paths(query)) == classes

@@ -194,15 +194,43 @@ def _closed_first_occurrence_words(length: int):
             yield word
 
 
+def _profile(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Cyclic distance from each position back to the previous edge in the
+    same direction, read off the word written twice."""
+    m = len(labels)
+    last: dict[int, int] = {}
+    out = []
+    for i, lab in enumerate(labels * 2):
+        if i >= m:
+            out.append(i - last[lab])
+        last[lab] = i
+    return tuple(out)
+
+
+def _rotations(labels: tuple[int, ...]):
+    """The 2m rotations of the word and of its reversal."""
+    for seq in (labels, labels[::-1]):
+        for r in range(len(seq)):
+            yield seq[r:] + seq[:r]
+
+
+def _reference_canonical_form(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form by definition: the least (profile, relabelled
+    word) pair over all 2m rotations, labels breaking profile ties."""
+    return min((_profile(w), _first_occurrence_form(w)) for w in _rotations(labels))[1]
+
+
 def _canonicity_oracle(labels: tuple[int, ...]) -> bool:
-    return canonicalize(DirectionWord(labels, max(2, *labels))).labels == labels
+    return _reference_canonical_form(labels) == labels
 
 
 def test_is_canonical_matches_canonicalize():
     # the documented domain: closed words in first-occurrence form.  Every
     # such word up to length 8, every closed walk for n=3 (up to 8 edges),
     # n=4 (16) and n=5 (12), and seeded symmetry images of their classes,
-    # which are mostly not canonical
+    # which are mostly not canonical.  Both the production form and the
+    # whole-word test agree with the definition, which breaks profile ties
+    # by labels; neither compares labels
     words = {w for m in (2, 4, 6, 8) for w in _closed_first_occurrence_words(m)}
     rng = random.Random(161803)
     for dim, max_len in ((3, 8), (4, 16), (5, 12)):
@@ -212,11 +240,42 @@ def test_is_canonical_matches_canonicalize():
             for _ in range(10):
                 image = _random_symmetry_image(rng, word, dim)
                 words.add(_first_occurrence_form(image))
+    forms = {word: _reference_canonical_form(word) for word in words}
+    assert {
+        word: canonicalize(DirectionWord(word, max(2, *word))).labels for word in words
+    } == forms
     verdicts = {word: is_canonical(word) for word in words}
-    assert verdicts == {word: _canonicity_oracle(word) for word in words}
+    assert verdicts == {word: forms[word] == word for word in words}
     # both answers occur often, and rejections outnumber acceptances
     accepted = sum(verdicts.values())
     assert 0 < accepted < len(words) - accepted
+
+
+def test_repeat_profile_fixes_the_relabelled_word():
+    # the lemma behind canonicity without labels: position i's previous
+    # same-direction edge is i - p[i], so the profile fixes the direction
+    # classes and with them the first-occurrence relabelling.  Over every
+    # rotation and reversal of random closed words, and of periodic ones
+    # (a short word repeated an even number of times) for their many
+    # profile ties, equal profiles give equal relabelled words, and
+    # canonicalize picks the definition's form
+    rng = random.Random(57721)
+    ties = 0
+    for _ in range(400):
+        dim = rng.randint(2, 7)
+        closed = [rng.randint(1, dim) for _ in range(rng.randint(1, 8))] * 2
+        rng.shuffle(closed)
+        period = tuple(rng.randint(1, dim) for _ in range(rng.randint(1, 4)))
+        periodic = period * (2 * rng.randint(1, 16 // (2 * len(period))))
+        for labels in (tuple(closed), periodic):
+            word_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for w in _rotations(labels):
+                relabelled = _first_occurrence_form(w)
+                assert word_of.setdefault(_profile(w), relabelled) == relabelled, w
+            ties += 2 * len(labels) - len(word_of)
+            form = canonicalize(DirectionWord(labels, dim)).labels
+            assert form == _reference_canonical_form(labels), labels
+    assert ties > 1000
 
 
 def test_gap_invariant_reference_values():
