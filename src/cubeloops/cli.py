@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Sequence
 
 from .enumeration import (
     FAMILY_NAMES,
@@ -27,9 +27,9 @@ from .enumeration import (
 )
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import expand_patches, export_mesh, vertex_incidence
-from .jsontext import dumps
-from .paths import format_word, parse_word, validate
-from .verdict import SurfaceReport, build_report
+from .jsontext import dumps, stream
+from .paths import parse_word, validate
+from .verdict import SurfaceReport, _word_str, build_report
 
 __all__ = ["main"]
 
@@ -43,7 +43,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 1
     except CubeLoopsError as exc:
-        print(f"{_condition_label(exc)}: {exc}", file=sys.stderr)
+        condition = type(exc).__name__.removesuffix("Error")
+        print(f"{condition}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
@@ -51,14 +52,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-def _condition_label(exc: CubeLoopsError) -> str:
-    label = getattr(exc, "condition", None)
-    if label:
-        return label
-    name = type(exc).__name__
-    return name[: -len("Error")] if name.endswith("Error") else name
 
 
 @lru_cache(maxsize=1)
@@ -182,7 +175,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     classes = enumerate_paths(query, jobs=args.jobs)
     reports = [build_report(word, mode=args.mode) for word in classes]
     if args.json:
-        document: dict[str, Any] = {
+        document = {
             "schema": 1,
             "dim": args.dim,
             "query": {
@@ -192,32 +185,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "limit": query.limit,
             },
             "count": len(reports),
-            "classes": [],
+            "classes": ([report.to_json_dict()] for report in reports),
         }
-        # the bytes of json.dumps(document, indent=2) with the classes in
-        # place, written one class at a time: "classes" is the last key,
-        # and a class nests two levels deep
-        text = dumps(document, 2)
-        if not reports:
-            print(text)
-            return 0
-        out = sys.stdout
-        out.write(text[: -len("[]\n}")] + "[\n")
-        separator = "    "
-        for report in reports:
-            out.write(separator + dumps(report.to_json_dict(), 2, level=2))
-            separator = ",\n    "
-        out.write("\n  ]\n}\n")
+        sys.stdout.writelines(stream(document, 2))
+        print()
         return 0
     for report in reports:
         flags = "embedded" if report.embedded else "not embedded"
         genus = f"  genus={report.genus}" if report.genus is not None else ""
-        word = (
-            report.canonical.compact()
-            if args.dim <= 9
-            else format_word(report.canonical.labels)
-        )
-        print(f"m={report.length:>3}  {word}  {flags}{genus}")
+        print(f"m={report.length:>3}  {_word_str(report.canonical)}  {flags}{genus}")
     plural = "es" if len(reports) != 1 else ""
     print(f"{len(reports)} class{plural}")
     return 0

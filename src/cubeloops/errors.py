@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all cubeloops modules.
 
-Word-validation failures carry a ``condition`` label naming the violated
-requirement; the CLI surfaces that label verbatim so scripted callers can
-match on it.
+Each class names the condition that failed; the CLI prints that name
+without its ``Error`` suffix (``NotClosed``, ``BadLabel``, ...) ahead of
+the message, so scripted callers can match on it.
 """
 
 from __future__ import annotations
@@ -15,27 +15,25 @@ class CubeLoopsError(Exception):
 class WordValidationError(CubeLoopsError, ValueError):
     """An edge word failed one of the Jordan-path requirements."""
 
-    condition = "Invalid"
-
 
 class BadLabelError(WordValidationError):
-    condition = "BadLabel"
+    """An empty word, a label outside 1..dim, or text that is not a label."""
 
 
 class OddLengthError(WordValidationError):
-    condition = "OddLength"
+    """The word has odd length, so the walk cannot close."""
 
 
 class NotClosedError(WordValidationError):
-    condition = "NotClosed"
+    """Some direction is used an odd number of times."""
 
 
 class MissingDirectionError(WordValidationError):
-    condition = "MissingDirection"
+    """Some direction of the cube is never used."""
 
 
 class NotEmbeddedError(WordValidationError):
-    condition = "NotEmbedded"
+    """The walk revisits a vertex, so the loop is not simple."""
 
 
 class DimensionMismatchError(CubeLoopsError, ValueError):

@@ -25,11 +25,10 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
 from .groups import flip_subgroup_order
-from .jsontext import dumps
+from .jsontext import stream
 from .lattice import TranslationLattice, even_translation_lattice
 from .paths import JordanPath
 from .reflection import ReflectionClosure, reflection_closure, reflection_generators
@@ -280,35 +279,22 @@ def _render_json(patches: PatchSet, warning: str | None) -> bytes:
     # the output, and none of them is ever held whole.
     m = patches.rim_size
     spokes = [(1 + k, 1 + (k + 1) % m) for k in range(m)]
-    vertices = (
-        [tuple([2 * a for a in p.anchor]), *(tuple([c % 8 for c in v]) for v in p.rim)]
-        for p in patches.patches
-    )
-    triangles = (
-        [(base, base + j, base + k) for j, k in spokes]
-        for base in range(0, patches.count * (m + 1), m + 1)
-    )
-    owners = ([index] * m for index in range(patches.count))
-    out = io.BytesIO()
-    out.write(f'{{\n "dim": {patches.dim}'.encode())
-    _write_json_array(out, "vertices", vertices)
-    _write_json_array(out, "triangles", triangles)
-    _write_json_array(out, "patch_of_triangle", owners)
+    document = {
+        "dim": patches.dim,
+        "vertices": (
+            [tuple([2 * a for a in p.anchor]), *(tuple([c % 8 for c in v]) for v in p.rim)]
+            for p in patches.patches
+        ),
+        "triangles": (
+            [(base, base + j, base + k) for j, k in spokes]
+            for base in range(0, patches.count * (m + 1), m + 1)
+        ),
+        "patch_of_triangle": ([index] * m for index in range(patches.count)),
+    }
     if warning:
-        out.write(f',\n "warning": {dumps(warning, 1)}'.encode())
-    out.write(b"\n}\n")
+        document["warning"] = warning
+    out = io.BytesIO()
+    for piece in stream(document, 1):
+        out.write(piece.encode())
+    out.write(b"\n")
     return out.getvalue()
-
-
-def _write_json_array(out: io.BytesIO, key: str, parts: Iterator[list]) -> None:
-    """Write the document member ``key`` (after a first one): an array of
-    the items of every part in turn, each part a nonempty list."""
-    out.write(f',\n "{key}": '.encode())
-    close = "\n ]"
-    separator = "["
-    for items in parts:
-        # a part's text is "[" + its items + close: splice the items
-        text = dumps(items, 1, level=1)
-        out.write(f"{separator}{text[1 : -len(close)]}".encode())
-        separator = ","
-    out.write((close if separator == "," else "[]").encode())

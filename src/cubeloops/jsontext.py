@@ -9,25 +9,55 @@ those.  Strings go through the C quoting function that ``json`` uses for
 ``ensure_ascii``.  An array whose items all have one scalar type (all
 ints, say) is joined in one call, and so is each row of an array of int
 arrays, such as a mesh or a lattice basis.
+
+``dumps`` returns the whole text; ``stream`` yields a document's text in
+pieces, writing a member given as an iterator of lists one list at a time,
+so a long array (the census classes, a mesh) is never held whole.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 
-def dumps(value: Any, indent: int, level: int = 0) -> str:
-    """``json.dumps(value, indent=indent)``, as if nested ``level`` deep.
+def dumps(value: Any, indent: int) -> str:
+    """Exactly the text of ``json.dumps(value, indent=indent)``.
 
-    At ``level`` 0 the result is exactly the text of ``json.dumps``; at a
-    deeper level every line after the first is indented by ``level``
-    further steps, so the text can be spliced into an enclosing document
-    at that depth.  Raises TypeError for a float, a dict key that is not
-    a str, or any type outside the ones the module docstring lists.
+    Raises TypeError for a float, a dict key that is not a str, or any
+    type outside the ones the module docstring lists.
     """
-    return _encode(value, "\n" + " " * (indent * level), " " * indent)
+    return _encode(value, "\n", " " * indent)
+
+
+def stream(document: dict[str, Any], indent: int) -> Iterator[str]:
+    """The text of ``json.dumps(document, indent=indent)``, in pieces.
+
+    A member whose value is an iterator of lists is written as one array
+    of all their items, one list at a time; an iterator that yields no
+    items gives ``[]``.  Every other member is written as :func:`dumps`
+    would write it.
+    """
+    step = " " * indent
+    inner = "\n" + step
+    close = inner + "]"
+    opening = "{" + inner
+    for key, value in document.items():
+        head = f"{opening}{_quote(key)}: "
+        opening = "," + inner
+        if not isinstance(value, Iterator):
+            yield head + _encode(value, inner, step)
+            continue
+        pending = head + "["
+        for part in value:
+            if part:
+                # a part's text is "[" + its items + close: keep the items
+                yield pending + _encode(part, inner, step)[1 : -len(close)]
+                pending = ","
+        yield close if pending == "," else pending + "]"
+    yield "\n}" if opening == "," + inner else "{}"
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}

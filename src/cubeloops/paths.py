@@ -321,10 +321,6 @@ class SignSymmetry:
     flips: tuple[int, ...]
     orientation_preserving: bool | None
 
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i, f in enumerate(self.flips) if f)
-
 
 def path_symmetries(path: JordanPath) -> tuple[SignSymmetry, ...]:
     """All nontrivial sign changes preserving the loop's edge set.

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import cubeloops.errors as errors
 import cubeloops.reflection as reflection
 from cubeloops import (
     EnumerationQuery,
@@ -20,6 +21,8 @@ from cubeloops import (
     build_report,
     enumerate_paths,
     family_word,
+    parse_word,
+    validate,
 )
 from cubeloops.cli import _build_parser, main
 
@@ -64,6 +67,26 @@ def test_check_bad_label_exit_code(capsys):
     assert main(["check", "--dim", "0", "--word", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid request: dimension must be at least 2, not 0")
+
+
+@pytest.mark.parametrize(
+    ("condition", "word"),
+    [
+        ("BadLabel", "1241"),
+        ("OddLength", "123"),
+        ("NotClosed", "1213"),
+        ("MissingDirection", "1212"),
+        ("NotEmbedded", "121233"),
+    ],
+)
+def test_each_word_error_is_named_on_stderr(capsys, condition, word):
+    # the label is the name of the error class without its Error suffix
+    with pytest.raises(getattr(errors, condition + "Error")):
+        validate(parse_word(word, 3))
+    assert main(["check", "--dim", "3", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(condition + ": ")
+    assert captured.out == ""
 
 
 def test_check_separated_word_above_nine_directions(capsys):

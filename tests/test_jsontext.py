@@ -18,7 +18,7 @@ from cubeloops import (
     validate,
 )
 from cubeloops.cli import main
-from cubeloops.jsontext import dumps
+from cubeloops.jsontext import dumps, stream
 from cubeloops.oracles import mesh_document
 
 INDENTS = (1, 2)
@@ -110,14 +110,48 @@ def test_random_values():
         _assert_same_text(value)
 
 
-def test_nested_level_indents_every_later_line():
+def _assert_streams_as_dumps(members):
+    # members are (key, value, streamed); a streamed value is a list of
+    # parts, handed to stream as a generator and to json.dumps joined
+    whole = {
+        key: [item for part in value for item in part] if streamed else value
+        for key, value, streamed in members
+    }
+    for indent in INDENTS:
+        document = {
+            key: (part for part in value) if streamed else value
+            for key, value, streamed in members
+        }
+        assert "".join(stream(document, indent)) == json.dumps(whole, indent=indent)
+
+
+def test_stream_matches_dumps_of_the_joined_document():
     rng = random.Random(7)
+
+    def parts():
+        # zero parts now and then: the member is then an empty array
+        return [
+            [_random_value(rng, 3) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randrange(4))
+        ]
+
+    def plain():
+        return _random_value(rng, 3)
+
     for _ in range(200):
-        value = _random_value(rng, 3)
-        for level in (1, 2, 3):
-            # JSON text holds no raw newline inside a string
-            expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-            assert dumps(value, 2, level=level) == expected
+        _assert_streams_as_dumps([("a", parts(), True)])
+        # first, with a plain member after it as the mesh warning is
+        _assert_streams_as_dumps([("a", parts(), True), ("b", plain(), False)])
+        _assert_streams_as_dumps(
+            [("a", plain(), False), ("b", parts(), True), ("c", plain(), False)]
+        )
+        _assert_streams_as_dumps([("a", plain(), False), ("\u00e9\n", parts(), True)])
+        _assert_streams_as_dumps(
+            [("a", parts(), True), ("b", parts(), True), ("c", _random_text(rng), False)]
+        )
+    _assert_streams_as_dumps([("empty", [], True)])
+    _assert_streams_as_dumps([("a", [[], [1, 2], [], [(3, 4)], []], True)])
+    _assert_streams_as_dumps([])
 
 
 @pytest.mark.parametrize("value", [1.5, [0.0], {1, 2}, {"a": {3}}, {1: "x"}, {"a": {None: 1}}, b"x"])
