@@ -59,7 +59,7 @@ from .enumeration import (
     family_word,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "BadLabelError",

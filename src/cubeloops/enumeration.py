@@ -12,7 +12,7 @@ rotation (of every embedded one, for the embedded-only cuts), so no class
 is cut: the walk must be able to get home within budget (each odd-count
 direction needs another edge, each unused direction two), revisits are
 forbidden, no gap may fall below the smallest gap, and the embedded-only
-mode adds the dimension-specific length caps and a lattice-rank cut.
+mode adds a lattice-rank cut whose closing test is the embedded verdict.
 
 Every child is checked before it is entered.  The home-distance bound
 ``need`` is the one above, one edge per odd-count direction plus two per
@@ -59,22 +59,44 @@ every cut, because each cut is a necessity for it.  A kept W yields a
 canonical C, and C fixes g and hence W, so each class is emitted once.
 For the full census of dimension 5 up to 14 edges the walk makes 18,496
 calls, 6,903 closed walks reach ``_is_least_rotation`` and 1,494 are kept
-(dimension 6 up to 14 edges: 13,490 comparisons, 3,516 kept).
+(dimension 6 up to 14 edges: 13,490 comparisons, 3,516 kept).  The
+complete embedded censuses of dimensions 5, 7 and 9 make 9, 18 and 31
+comparisons and keep 8, 16 and 27 classes.
 
-The rank cut keeps the prefix's pair-lattice rows — ``(v_i ^ v_first(d))
-& ~bit(d)`` for every edge after its direction's first — as a GF(2)
-echelon basis pushed and popped with the walk.  Each row is fixed by the
-prefix, so the prefix's lattice is a subgroup of the finished loop's and
-its rank never falls as the word grows.  An embedded surface has an even
-lattice of order 4 (even dimension) or 8 (odd), and the pair lattice lies
-inside it, so its rank is at most 2 or 3; a branch or closing edge that
-would pass that rank has no embedded completion, canonical or not, and is
-cut.  It also bounds each direction's edges: two direction-d edges with
-equal pair rows are the same cube edge, so a direction has at most 4
-edges (even dimension) or 8 (odd).  The pair lattice does not depend
-on where the word starts, and relabelling keeps its rank, so the cut
-holds for W as for C.  The embedded verdict on each class kept stays the
-final filter.
+The embedded-only walk keeps the prefix's even-lattice rows as a GF(2)
+echelon basis, pushed and popped with the walk: the pair row
+``(v_i ^ v_first(d)) & ~bit(d)`` of every edge after its direction's
+first and, in odd dimension, the direction-product row
+``XOR_e v_first(e) & ~bit(e)`` (``lattice.even_lattice_from_pair``).  A
+pair row depends only on its edge and its direction's first edge, and the
+product row only on each direction's first edge; directions first occur
+in increasing order, so the product row is fixed, and joins the basis,
+when direction n first occurs.  The basis therefore spans a subgroup of
+the finished loop's even lattice, and its rank never falls as the word
+grows.  The surface is embedded exactly when that
+lattice has order 4 (even dimension) or 8 (odd), that is rank 2 or 3, so
+a branch that would pass that rank has no embedded completion, canonical
+or not, and is cut.  At a closing edge the basis holds every row but the
+closing edge's pair row, and the walk is kept only when the rank plus
+that row's contribution (0 or 1) reaches the cap.
+
+That test is ``verdict.decide_embedded``'s verdict on C, so no class kept
+is decided again.  The even lattice does not depend on where the word
+starts.  The pair rows of direction d span ``(v_i ^ v_j) & ~bit(d)`` for
+any two of its edges i and j, the sum of their rows, and no translation
+of the vertices changes that row.  Taking another edge as a direction's
+first changes the product row by a pair row.  Translating every vertex
+by t changes the product row by ``t & ~bit(e)`` summed over all n
+directions e, where each bit of t occurs n - 1 times, an even number in
+odd dimension.  Relabelling permutes the coordinates of every row and
+keeps the rank.  So W and C, which differ by a rotation and a
+relabelling, have even lattices of one rank.
+
+The rank cap also bounds each direction's edges: two direction-d edges
+with equal pair rows are the same cube edge, so a direction has at most 4
+edges (even dimension) or 8 (odd).  An embedded loop of odd dimension n
+therefore has at most 8n edges, the proven end of the odd embedded census
+window; the even window ends at the 4(n - 1) of ``verdict.edge_bound``.
 
 Shard k of K walks the levels above depth n + 1, where subtrees far
 outnumber workers, and descends only into the subtrees k, k + K, ... at
@@ -106,9 +128,9 @@ from .paths import (
     _relabel_first_occurrence,
     validate,
 )
-from .verdict import decide_embedded, embedded_length_cap
 
 __all__ = [
+    "MAX_CENSUS_LENGTH",
     "EnumerationQuery",
     "FamilySpec",
     "FAMILY_NAMES",
@@ -116,6 +138,13 @@ __all__ = [
     "family_word",
     "expand_word",
 ]
+
+# The walk recurses once per edge, so a window must end well under
+# CPython's default recursion limit of 1000.  512 = 2^9 admits every window
+# up to dimension 9 and every window the tests and the benchmark use; an
+# open window in dimension 10 or more is refused before any work instead of
+# failing deep in the walk.
+MAX_CENSUS_LENGTH = 512
 
 
 @dataclass(frozen=True)
@@ -139,8 +168,10 @@ class EnumerationQuery:
         limit: int | None = None,
     ) -> "EnumerationQuery":
         """Normalize a request: exact length wins over a range; open range
-        ends clamp to the feasible window [2*dim, 2**dim] (tightened by the
-        embedded-length caps when filtering to embedded classes)."""
+        ends clamp to the feasible window [2*dim, 2**dim].  Filtering to
+        embedded classes tightens the end to the proven embedded lengths:
+        4*(dim-1) in even dimension, and 8*dim, eight edges per direction,
+        in odd (module docstring)."""
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, not {dim}")
         lo = 2 * dim
@@ -160,7 +191,8 @@ class EnumerationQuery:
             if max_length is not None:
                 hi = min(hi, max_length - (max_length % 2))
         if embedded_only:
-            hi = min(hi, embedded_length_cap(dim))  # lo > hi: no embedded class
+            # lo > hi: no embedded class
+            hi = min(hi, 4 * (dim - 1) if dim % 2 == 0 else 8 * dim)
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
         return cls(dim, lo, hi, embedded_only, limit)
@@ -174,12 +206,18 @@ def enumerate_paths(
     Deterministic output sorted by (length, word), independent of the
     worker count: the search emits each class once, so ``jobs`` shards
     (at most the CPU count) split its subtrees and the parent merges them.
-    Raises ValueError when ``jobs`` is below 1.
+    Raises ValueError when ``jobs`` is below 1, or when a nonempty window
+    ends above ``MAX_CENSUS_LENGTH`` edges.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if query.min_length > query.max_length:
         return ()
+    if query.max_length > MAX_CENSUS_LENGTH:
+        raise ValueError(
+            f"a census window up to {query.max_length} edges exceeds the walk's "
+            f"limit of {MAX_CENSUS_LENGTH}; give a smaller --max-length"
+        )
     shards = min(jobs, os.cpu_count() or 1)
     if shards <= 1:
         words = _search(query)
@@ -209,17 +247,18 @@ def _search(
     subtrees = count()
     out: list[CanonicalWord] = []
 
-    # embedded-only rank cut (module docstring): the prefix's pair-lattice
-    # echelon basis, pivots[k] holding the row whose leading bit is k
+    # embedded-only cut (module docstring): the prefix's even-lattice
+    # echelon basis, pivots[k] holding the row whose leading bit is k; in
+    # odd dimension the direction-product row joins it when direction n
+    # first occurs
     rank_cap = (2 if n % 2 == 0 else 3) if query.embedded_only else None
+    product_at = n if rank_cap == 3 else 0
     first_vertex = [0] * (n + 1)
     pivots = [0] * n
     rank = 0
 
-    def residue(d: int, vertex: int) -> int:
-        """The pair row of an edge in direction d leaving the vertex,
-        reduced modulo the basis (0 when it is already spanned)."""
-        row = (vertex ^ first_vertex[d]) & ~(1 << (d - 1))
+    def residue(row: int) -> int:
+        """The row reduced modulo the basis (0 when it is already spanned)."""
         while row:
             pivot = pivots[row.bit_length() - 1]
             if not pivot:
@@ -227,12 +266,11 @@ def _search(
             row ^= pivot
         return row
 
-    def admit(d: int, vertex: int) -> int | None:
-        """Record the pair row of a repeated direction-d edge leaving the
-        vertex; the pivot row added (0 if none), or None when the rank
-        would pass the cap."""
+    def admit(row: int) -> int | None:
+        """Add the row to the basis: the pivot row added (0 if the row is
+        already spanned), or None when the rank would pass the cap."""
         nonlocal rank
-        row = residue(d, vertex)
+        row = residue(row)
         if row:
             if rank == rank_cap:
                 return None
@@ -267,11 +305,16 @@ def _search(
             last[d] = depth
             # the closing gap and every wrapping gap m - last[e] + first[e]
             # are at least g (module docstring); only e <= g, with
-            # first[e] = e - 1, can wrap below g
+            # first[e] = e - 1, can wrap below g; an embedded-only walk
+            # closes with its even lattice at full rank (vertex is bit d, so
+            # the closing pair row is first_vertex[d] & ~vertex)
             if (
                 depth - prior >= g
                 and all(last[e] - e < m - g for e in range(1, g + 1))
-                and (rank_cap is None or rank < rank_cap or not residue(d, vertex))
+                and (
+                    rank_cap is None
+                    or rank + bool(residue(first_vertex[d] & ~vertex)) == rank_cap
+                )
             ):
                 profile = gaps[:depth]
                 profile.append(depth - prior)
@@ -281,14 +324,8 @@ def _search(
                 # edge, where W's smallest gap g stands; its word is built
                 # only once its profile has won
                 if _is_least_rotation((*profile[g:], *profile[:g])):
-                    canonical = CanonicalWord(
-                        _relabel_first_occurrence((*word[g:depth], d, *word[:g])), n
-                    )
-                    if (
-                        rank_cap is None
-                        or decide_embedded(validate(canonical)).embedded
-                    ):
-                        out.append(canonical)
+                    labels = _relabel_first_occurrence((*word[g:depth], d, *word[:g]))
+                    out.append(CanonicalWord(labels, n))
             last[d] = prior
         # edges left after the child's; the closing edge is handled above,
         # and vertex 0 is in visited
@@ -302,22 +339,27 @@ def _search(
             if child_need > left:
                 continue
             word[depth] = d
-            if d > used:
-                first_vertex[d] = vertex
-                first[d] = last[d] = depth
-                gaps[depth] = 0
-                extend(depth + 1, target, visited | 1 << target, d, g, child_need)
-                continue
             prior = last[d]
-            gap = depth - prior
-            # no gap below g; before g is fixed only direction 1 may recur,
-            # and its gap fixes g
-            if gap < g or not g and d > 1:
-                continue
-            row = 0
+            if d > used:
+                # the last child: it introduces direction d = used + 1
+                first_vertex[d] = vertex
+                first[d] = depth
+                used = d
+                gap = row = 0
+                if d == product_at:
+                    for e in range(1, n + 1):
+                        row ^= first_vertex[e] & ~(1 << e - 1)
+            else:
+                gap = depth - prior
+                # no gap below g; before g is fixed only direction 1 may
+                # recur, and its gap fixes g
+                if gap < g or not g and d > 1:
+                    continue
+                row = (vertex ^ first_vertex[d]) & ~bit
+            pivot = 0
             if rank_cap is not None:
-                row = admit(d, vertex)
-                if row is None:
+                pivot = admit(row)
+                if pivot is None:
                     continue
             last[d] = depth
             gaps[depth] = gap
@@ -325,8 +367,8 @@ def _search(
                 depth + 1, target, visited | 1 << target, used, g or gap, child_need
             )
             last[d] = prior
-            if row:
-                pivots[row.bit_length() - 1] = 0
+            if pivot:
+                pivots[pivot.bit_length() - 1] = 0
                 rank -= 1
 
     extend(1, 1, 0b11, 1, 0, 1 + 2 * (n - 1))

@@ -62,7 +62,6 @@ __all__ = [
     "SurfaceReport",
     "decide_embedded",
     "edge_bound",
-    "embedded_length_cap",
     "per_direction_bound",
     "build_report",
 ]
@@ -140,11 +139,6 @@ class BoundDiagnostic:
         }
 
 
-def embedded_length_cap(dim: int) -> int:
-    """Most edges a loop with an embedded surface has (see :func:`edge_bound`)."""
-    return 4 * (dim - 1) if dim % 2 == 0 else 8 * (dim - 3) + 18
-
-
 def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     """Necessary length conditions: cycle capacity and the dimension bounds.
 
@@ -152,10 +146,12 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     dimension an embedded surface forces at most 4(dim-1) edges; in odd
     dimension the working bound 8(dim-3)+18 is applied and flagged as
     heuristic (it rests on the even-dimensional argument applied
-    coordinate-wise, not on a full proof).  For dim 5, 7 and 9, 4(dim-1)
-    holds by exhaustive search: the complete embedded censuses, searched
-    up to the 2^dim cycle capacity, reach at most 16, 24 and 32 edges
-    (8, 16 and 27 classes), against working bounds of 34, 50 and 66.
+    coordinate-wise, not on a full proof).  For dim 5, 7, 9 and 11,
+    4(dim-1) holds by exhaustive search: the complete embedded censuses,
+    searched up to the proven 8*dim edges (eight per direction; see
+    :mod:`cubeloops.enumeration`), reach at most 16, 24, 32 and 40 edges
+    (8, 16, 27 and 40 classes), against working bounds of 34, 50, 66 and
+    82.
     """
     capacity = 1 << dim
     if length > capacity:
@@ -165,7 +161,7 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
             f"{dim}-cube",
             capacity,
         )
-    limit = embedded_length_cap(dim)
+    limit = 4 * (dim - 1) if dim % 2 == 0 else 8 * (dim - 3) + 18
     if dim % 2 == 0:
         if length > limit:
             return BoundDiagnostic(

@@ -142,6 +142,20 @@ def test_enumerate_bad_window(capsys):
     assert "invalid request" in capsys.readouterr().err
 
 
+def test_enumerate_refuses_windows_the_walk_cannot_finish(capsys):
+    # open windows end at 2^dim edges, past the walk's recursion limit
+    for dim in ("10", "64"):
+        start = time.perf_counter()
+        assert main(["enumerate", "--dim", dim]) == 2, dim
+        assert time.perf_counter() - start < 0.5, dim
+        captured = capsys.readouterr()
+        assert captured.out == "", dim
+        assert captured.err == (
+            f"invalid request: a census window up to {1 << int(dim)} edges "
+            "exceeds the walk's limit of 512; give a smaller --max-length\n"
+        ), dim
+
+
 def test_enumerate_rejects_fewer_than_one_job(capsys):
     assert main(["enumerate", "--dim", "3", "--jobs", "-3"]) == 2
     captured = capsys.readouterr()

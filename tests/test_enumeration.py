@@ -127,8 +127,8 @@ def test_census_equals_the_classes_of_all_closed_walks():
 
 def test_census_canonicity_calls_are_pinned(monkeypatch):
     # the walk's deterministic work: every closed walk that passes the
-    # smallest-gap tests reaches one rotation comparison, so a lost cut
-    # raises the count
+    # smallest-gap tests (and, embedded-only, closes at full even-lattice
+    # rank) reaches one rotation comparison, so a lost cut raises the count
     calls = 0
     compare = enumeration._is_least_rotation
 
@@ -142,6 +142,8 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
         (EnumerationQuery.create(4), 69, 258),
         (EnumerationQuery.create(5, max_length=14), 1494, 6903),
         (EnumerationQuery.create(6, max_length=14), 3516, 13490),
+        (EnumerationQuery.create(5, embedded_only=True), 8, 9),
+        (EnumerationQuery.create(7, embedded_only=True), 16, 18),
     ):
         calls = 0
         assert len(enumerate_paths(query)) == classes
@@ -273,8 +275,9 @@ def test_census_shards_partition_the_classes(n4_classes):
 
 def test_embedded_census_equals_filtered_full_census(n3_classes, n4_classes):
     # the rank-pruned search against the unpruned census filtered afterwards
+    # by the embedded verdict; m <= 16 holds every class of dimension 5
     windows = [(3, None, n3_classes), (4, None, n4_classes)]
-    for dim, max_length in ((5, 12), (6, 12)):
+    for dim, max_length in ((5, 12), (5, 16), (6, 12)):
         full = enumerate_paths(EnumerationQuery.create(dim, max_length=max_length))
         windows.append((dim, max_length, full))
     for dim, max_length, full in windows:
@@ -296,10 +299,10 @@ def test_embedded_census_shards_agree(serial_pool):
 
 @pytest.fixture(scope="module")
 def embedded_censuses():
-    """The complete embedded census of each dimension 4..9."""
+    """The complete embedded census of each dimension 4..10."""
     return {
         dim: enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
-        for dim in range(4, 10)
+        for dim in range(4, 11)
     }
 
 
@@ -310,6 +313,7 @@ def test_complete_embedded_censuses(embedded_censuses):
         (7, 16, 24),
         (8, 21, 28),
         (9, 27, 32),
+        (10, 33, 36),
     ):
         census = embedded_censuses[dim]
         assert len(census) == classes, dim
@@ -320,7 +324,7 @@ def test_embedded_census_equals_the_family_classes(embedded_censuses):
     # two independent witnesses of every embedded class: the search, which
     # never calls canonicalize, and the explicit constructions, which go
     # through it
-    for dim, classes in ((4, 5), (5, 8), (6, 12), (7, 16), (8, 21), (9, 27)):
+    for dim, classes in ((4, 5), (5, 8), (6, 12), (7, 16), (8, 21), (9, 27), (10, 33)):
         members = family_members(dim)
         assert {spec.name for spec in members} == set(FAMILY_NAMES)
         from_families = {canonicalize(family_word(spec)).labels for spec in members}
@@ -346,9 +350,10 @@ def test_query_window_normalization():
     assert (q.min_length, q.max_length) == (10, 10)
     q = EnumerationQuery.create(4, embedded_only=True)
     assert q.max_length == 12
-    # the embedded window ends at the same cap the edge bound reports
+    # the embedded window ends at a proven cap: in even dimension the
+    # 4(n-1) the edge bound reports, in odd dimension 8 edges per direction
     for dim in range(3, 10):
-        cap = edge_bound(dim, 2 * dim).limit
+        cap = edge_bound(dim, 2 * dim).limit if dim % 2 == 0 else 8 * dim
         q = EnumerationQuery.create(dim, embedded_only=True)
         assert q.max_length == min(1 << dim, cap)
     # beyond the embedded cap the window collapses and the census is empty

@@ -16,19 +16,20 @@ from cubeloops.reflection import reflection_generators
 PACKAGE = pathlib.Path(cubeloops.__file__).parent
 
 
-def _imports_oracles(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, name: str) -> bool:
+    """Whether the tree imports anything from the module cubeloops.<name>."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "cubeloops.oracles" for alias in node.names):
+            if any(alias.name == f"cubeloops.{name}" for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if node.level == 0 and module == "cubeloops.oracles":
+            if node.level == 0 and module == f"cubeloops.{name}":
                 return True
-            if node.level == 1 and module == "oracles":
+            if node.level == 1 and module == name:
                 return True
             if module in ("", "cubeloops") and any(
-                alias.name == "oracles" for alias in node.names
+                alias.name == name for alias in node.names
             ):
                 return True
     return False
@@ -46,7 +47,7 @@ def test_no_production_module_imports_the_oracles():
     for source in sources:
         if source.name != "oracles.py":
             tree = ast.parse(source.read_text(), filename=str(source))
-            assert not _imports_oracles(tree), source.name
+            assert not _imports(tree, "oracles"), source.name
     # the check itself sees each import form
     for line in (
         "from .oracles import span_lattice",
@@ -55,7 +56,14 @@ def test_no_production_module_imports_the_oracles():
         "from cubeloops import oracles",
         "from cubeloops.oracles import span_lattice",
     ):
-        assert _imports_oracles(ast.parse(line)), line
+        assert _imports(ast.parse(line), "oracles"), line
+
+
+def test_the_census_does_not_import_the_verdicts():
+    # the walk decides embeddedness by its own even-lattice rank, so no
+    # class it keeps is decided again
+    source = PACKAGE / "enumeration.py"
+    assert not _imports(ast.parse(source.read_text(), filename=str(source)), "verdict")
 
 
 def test_every_exported_name_resolves():
