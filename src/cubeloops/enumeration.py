@@ -252,7 +252,6 @@ def _search(
     # odd dimension the direction-product row joins it when direction n
     # first occurs
     rank_cap = (2 if n % 2 == 0 else 3) if query.embedded_only else None
-    product_at = n if rank_cap == 3 else 0
     first_vertex = [0] * (n + 1)
     pivots = [0] * n
     rank = 0
@@ -346,7 +345,7 @@ def _search(
                 first[d] = depth
                 used = d
                 gap = row = 0
-                if d == product_at:
+                if d == n and rank_cap == 3:
                     for e in range(1, n + 1):
                         row ^= first_vertex[e] & ~(1 << e - 1)
             else:
