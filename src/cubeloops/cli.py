@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Sequence
+from operator import attrgetter
+from typing import Any, Sequence
 
 from .enumeration import (
     FAMILY_NAMES,
@@ -27,9 +29,15 @@ from .enumeration import (
 )
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import expand_patches, export_mesh, vertex_incidence
-from .jsontext import dumps, stream
-from .paths import parse_word, validate
-from .verdict import SurfaceReport, _word_str, build_report
+from .jsontext import Encoded, dumps, stream
+from .paths import CanonicalWord, parse_word, validate
+from .verdict import (
+    SurfaceReport,
+    _euler_genus,
+    _word_str,
+    build_report,
+    decide_embedded,
+)
 
 __all__ = ["main"]
 
@@ -173,8 +181,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         limit=args.limit,
     )
     classes = enumerate_paths(query, jobs=args.jobs)
-    reports = [build_report(word, mode=args.mode) for word in classes]
     if args.json:
+        reports = [build_report(word, mode=args.mode) for word in classes]
         document = {
             "schema": 1,
             "dim": args.dim,
@@ -185,18 +193,65 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "limit": query.limit,
             },
             "count": len(reports),
-            "classes": ([report.to_json_dict()] for report in reports),
+            "classes": _class_documents(reports),
         }
         sys.stdout.writelines(stream(document, 2))
         print()
         return 0
-    for report in reports:
-        flags = "embedded" if report.embedded else "not embedded"
-        genus = f"  genus={report.genus}" if report.genus is not None else ""
-        print(f"m={report.length:>3}  {_word_str(report.canonical)}  {flags}{genus}")
-    plural = "es" if len(reports) != 1 else ""
-    print(f"{len(reports)} class{plural}")
+    verdicts = [_listed_verdict(word, args.mode) for word in classes]
+    for word, (embedded, genus) in zip(classes, verdicts):
+        flags = "embedded" if embedded else "not embedded"
+        genus_text = f"  genus={genus}" if genus is not None else ""
+        print(f"m={len(word):>3}  {_word_str(word)}  {flags}{genus_text}")
+    plural = "es" if len(classes) != 1 else ""
+    print(f"{len(classes)} class{plural}")
     return 0
+
+
+def _listed_verdict(word: CanonicalWord, mode: str) -> tuple[bool, int | None]:
+    """The embedded verdict and genus that the text listing prints for a
+    class: from its lattice and length alone in fast mode, and from the full
+    report in verify mode, whose oracles must agree with the lattice."""
+    if mode == "verify":
+        report = build_report(word, mode=mode)
+        return report.embedded, report.genus
+    embedded = decide_embedded(validate(word)).embedded
+    return embedded, _euler_genus(word.dim, len(word))[1] if embedded else None
+
+
+# The report members that repeat from class to class in a census listing,
+# each with the report fields its value is a function of.
+_REPEATED_MEMBERS = (
+    ("lattice_basis", attrgetter("lattice")),
+    ("symmetries", attrgetter("symmetries")),
+    ("bounds", attrgetter("edge_bound", "direction_load")),
+    ("notes", attrgetter("notes")),
+)
+# a class's members sit three levels deep: document, classes, class
+_MEMBER_NEWLINE = "\n" + " " * 6
+
+
+def _class_documents(
+    reports: list[SurfaceReport],
+) -> Iterator[list[dict[str, Any]]]:
+    """The listing's classes for :func:`stream`, one report at a time, with
+    each repeated member encoded once per listing and reused after that.
+
+    A member is keyed by the frozen fields it is computed from, not by its
+    JSON value: ``True == 1`` and both hash alike, so ``[true]`` and ``[1]``
+    would share an entry.
+    """
+    memo: dict[tuple[str, Any], Encoded] = {}
+    for report in reports:
+        document = report.to_json_dict()
+        for member, fields in _REPEATED_MEMBERS:
+            key = member, fields(report)
+            text = memo.get(key)
+            if text is None:
+                text = dumps(document[member], 2).replace("\n", _MEMBER_NEWLINE)
+                text = memo[key] = Encoded(text)
+            document[member] = text
+        yield [document]
 
 
 def _cmd_family(args: argparse.Namespace) -> int:

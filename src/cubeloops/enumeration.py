@@ -175,27 +175,35 @@ class EnumerationQuery:
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, not {dim}")
         lo = 2 * dim
-        hi = 1 << dim
+        end = None  # the requested end; None for the open end 2**dim
         if length is not None:
             if min_length is not None or max_length is not None:
                 raise ValueError("give either an exact length or a range, not both")
-            if length % 2 or not lo <= length <= hi:
+            if length % 2 or length < lo or not _fits_the_cube(length, dim):
                 raise ValueError(
-                    f"length must be even and within [{lo}, {hi}] "
+                    f"length must be even and within [{lo}, 2**{dim}] "
                     f"for dimension {dim}, not {length}"
                 )
-            lo = hi = length
+            lo = end = length
         else:
             if min_length is not None:
                 lo = max(lo, min_length + (min_length % 2))
             if max_length is not None:
-                hi = min(hi, max_length - (max_length % 2))
+                end = max_length - (max_length % 2)
         if embedded_only:
             # lo > hi: no embedded class
-            hi = min(hi, 4 * (dim - 1) if dim % 2 == 0 else 8 * dim)
+            cap = 4 * (dim - 1) if dim % 2 == 0 else 8 * dim
+            end = cap if end is None else min(end, cap)
+        hi = end if end is not None and _fits_the_cube(end, dim) else 1 << dim
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
         return cls(dim, lo, hi, embedded_only, limit)
+
+
+def _fits_the_cube(edges: int, dim: int) -> bool:
+    """Whether ``edges <= 2**dim``, the cube's vertex count, decided without
+    building that power, which has ``dim`` bits."""
+    return edges < 1 or (edges - 1).bit_length() <= dim
 
 
 def enumerate_paths(
@@ -285,13 +293,15 @@ def _search(
     first = [0] * (n + 1)
     last = [0] * (n + 1)
 
-    def extend(
-        depth: int, vertex: int, visited: int, used: int, g: int, need: int
-    ) -> None:
-        """Grow the prefix of ``depth`` edges ending at ``vertex``: the
-        ``visited`` vertex set includes it, directions 1..``used`` occur,
-        ``g`` is the smallest gap (0 until direction 1 recurs) and ``need``
-        the edges still needed to get home."""
+    # the prefix's vertices, the base and the first edge's end included;
+    # a child's vertex is added before its call and discarded after it
+    visited = {0, 1}
+
+    def extend(depth: int, vertex: int, used: int, g: int, need: int) -> None:
+        """Grow the prefix of ``depth`` edges ending at ``vertex``, which is
+        in ``visited``: directions 1..``used`` occur, ``g`` is the smallest
+        gap (0 until direction 1 recurs) and ``need`` the edges still needed
+        to get home."""
         nonlocal rank
         if depth == split_depth and next(subtrees) % shards != shard:
             return
@@ -332,7 +342,7 @@ def _search(
         for d in range(1, min(used + 1, n) + 1):
             bit = 1 << (d - 1)
             target = vertex ^ bit
-            if (visited >> target) & 1:
+            if target in visited:
                 continue
             child_need = need - 1 if vertex & bit or d > used else need + 1
             if child_need > left:
@@ -362,15 +372,15 @@ def _search(
                     continue
             last[d] = depth
             gaps[depth] = gap
-            extend(
-                depth + 1, target, visited | 1 << target, used, g or gap, child_need
-            )
+            visited.add(target)
+            extend(depth + 1, target, used, g or gap, child_need)
+            visited.discard(target)
             last[d] = prior
             if pivot:
                 pivots[pivot.bit_length() - 1] = 0
                 rank -= 1
 
-    extend(1, 1, 0b11, 1, 0, 1 + 2 * (n - 1))
+    extend(1, 1, 1, 0, 1 + 2 * (n - 1))
     return out
 
 

@@ -12,7 +12,9 @@ arrays, such as a mesh or a lattice basis.
 
 ``dumps`` returns the whole text; ``stream`` yields a document's text in
 pieces, writing a member given as an iterator of lists one list at a time,
-so a long array (the census classes, a mesh) is never held whole.
+so a long array (the census classes, a mesh) is never held whole.  A value
+given as :class:`Encoded` text is written as it is, so a caller that writes
+one value many times encodes it once.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def stream(document: dict[str, Any], indent: int) -> Iterator[str]:
     yield "\n}" if opening == "," + inner else "{}"
 
 
+class Encoded(str):
+    """A value's JSON text, indented for the place where it is written:
+    each line after the first starts with that place's indentation."""
+
+
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 # keyed by exact type: a bool is an int, but prints as true or false
@@ -68,6 +75,7 @@ _SCALARS = {
     int: int.__repr__,
     bool: _LITERALS.__getitem__,
     type(None): _LITERALS.__getitem__,
+    Encoded: str.__str__,
 }
 _ARRAYS = (list, tuple)
 _INT = {int}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from .errors import (
@@ -134,6 +135,10 @@ class JordanPath:
         return len(self.word.labels)
 
 
+# the most unused directions a MissingDirectionError message names
+_LISTED = 10
+
+
 def validate(
     word: DirectionWord | Sequence[int],
     dim: int | None = None,
@@ -156,18 +161,23 @@ def validate(
         raise OddLengthError(
             f"word has odd length {len(labels)}; closed walks have even length"
         )
-    counts = [0] * (n + 1)
+    # read off the word, which a high dimension can far outnumber
+    odd: set[int] = set()
     for lab in labels:
-        counts[lab] += 1
-    odd = [d for d in range(1, n + 1) if counts[d] % 2]
+        odd ^= {lab}
     if odd:
         raise NotClosedError(
-            f"direction(s) {odd} used an odd number of times; the walk cannot close"
+            f"direction(s) {sorted(odd)} used an odd number of times; the walk "
+            "cannot close"
         )
-    missing = [d for d in range(1, n + 1) if counts[d] == 0]
-    if missing:
+    used = set(labels)
+    unused = n - len(used)
+    if unused:
+        listed = [*islice((d for d in range(1, n + 1) if d not in used), _LISTED)]
+        more = f" and {unused - len(listed)} more" if unused > len(listed) else ""
         raise MissingDirectionError(
-            f"direction(s) {missing} never used; the loop must span all {n} directions"
+            f"direction(s) {listed}{more} never used; the loop must span all "
+            f"{n} directions"
         )
     trail = []
     vertex = base_mask
@@ -325,38 +335,35 @@ class SignSymmetry:
 def path_symmetries(path: JordanPath) -> tuple[SignSymmetry, ...]:
     """All nontrivial sign changes preserving the loop's edge set.
 
-    A sign change acts on vertex masks by XOR, so the check is purely
-    combinatorial.  Every loop vertex lies on a loop edge, so a sign change
-    that maps the edge set onto itself maps the vertex set onto itself and
-    in particular sends ``vertex_masks[0]`` to some loop vertex v.  The
-    sign change is then ``vertex_masks[0] ^ v``: the m - 1 masks built from
-    the other loop vertices are the only candidates, which makes the search
-    O(m^2) instead of O(2^n m).  Each candidate must map the vertex set
-    onto itself, then the edge set.  The result does not depend on the base
-    vertex: moving the base translates every edge by the same XOR, which
-    commutes with the symmetry action.
+    A sign change acts on vertex masks by XOR and keeps every edge's
+    direction, so it carries the loop to the walk of the same word from
+    the image of the base vertex.  That image must be a loop vertex v_j
+    (``vertex_masks[j]``), so the sign change is ``v_0 ^ v_j`` for some
+    0 < j < m.  The image walk leaves v_j along a loop edge, and a simple
+    cycle is fixed by a start and a first edge: it is the loop exactly when
+    the word equals the loop read forward from edge j (the labels rotated
+    by j) or backward from edge j - 1 (the reversed word read from there).
+    Either reading starts with ``labels[0]``, so only positions j with
+    ``labels[j]`` or ``labels[j - 1]`` equal to it are compared, each in
+    O(m).  The result does not depend on the base vertex: moving the base
+    translates every vertex by the same XOR, which commutes with the
+    symmetry action.
     """
     n = path.dim
     masks = path.vertex_masks
-    vertices = set(masks)
-    edges = _edge_set(path)
+    labels = path.word.labels
+    m = len(labels)
+    first = labels[0]
+    doubled = labels + labels
+    backward = doubled[::-1]  # backward[m - j:] starts with labels[j - 1]
     out = []
-    for v in masks[1:]:
-        mask = masks[0] ^ v
-        if all(a ^ mask in vertices for a in masks) and all(
-            _edge(a ^ mask, b ^ mask) in edges for a, b in edges
+    for j in range(1, m):
+        if (labels[j] == first and doubled[j : j + m] == labels) or (
+            labels[j - 1] == first and backward[m - j : 2 * m - j] == labels
         ):
+            mask = masks[0] ^ masks[j]
             preserving = (mask.bit_count() % 2 == 0) if n % 2 == 0 else None
             out.append(
                 SignSymmetry(tuple((mask >> i) & 1 for i in range(n)), preserving)
             )
     return tuple(sorted(out))
-
-
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _edge_set(path: JordanPath) -> set[tuple[int, int]]:
-    masks = path.vertex_masks
-    return {_edge(a, b) for a, b in zip(masks, masks[1:] + masks[:1])}

@@ -6,8 +6,9 @@ exactly when the even translation lattice has order 4 (even dimension) or
 8 (odd), and the reflection group order follows as flip-subgroup order
 times lattice order.  A whole fast report is polynomial in m and n: the
 rest of it is the canonical form (2m rotations of the word, skipped for a
-census word, which is canonical already) and the sign symmetries (m - 1
-candidate sign changes, each checked in O(m)).
+census word, which is canonical already) and the sign symmetries (the
+word against its rotations and reversals that start with its first label,
+each compared in O(m)).
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.

@@ -5,14 +5,18 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import pathlib
 import re
+import resource
 import runpy
+import subprocess
 import sys
 import time
 
 import pytest
 
+import cubeloops
 import cubeloops.errors as errors
 import cubeloops.reflection as reflection
 from cubeloops import (
@@ -89,6 +93,20 @@ def test_each_word_error_is_named_on_stderr(capsys, condition, word):
     assert captured.out == ""
 
 
+def test_check_refuses_a_short_word_in_a_high_dimension_quickly(capsys):
+    # counts are taken over the word, and the message names ten directions
+    start = time.perf_counter()
+    assert main(["check", "--dim", "10000000", "--word", "1", "1"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err == (
+        "MissingDirection: direction(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and "
+        "9999989 more never used; the loop must span all 10000000 directions\n"
+    )
+
+
 def test_check_separated_word_above_nine_directions(capsys):
     word = "1 2 3 4 5 6 7 8 9 10 1 2 10 9 8 7 6 5 4 3"
     assert main(["check", "--dim", "10", "--word", *word.split()]) == 0
@@ -139,7 +157,10 @@ def test_enumerate_jobs_agree(capsys):
 
 def test_enumerate_bad_window(capsys):
     assert main(["enumerate", "--dim", "3", "--length", "7"]) == 2
-    assert "invalid request" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid request: length must be even and within [6, 2**3] "
+        "for dimension 3, not 7\n"
+    )
 
 
 def test_enumerate_refuses_windows_the_walk_cannot_finish(capsys):
@@ -154,6 +175,46 @@ def test_enumerate_refuses_windows_the_walk_cannot_finish(capsys):
             f"invalid request: a census window up to {1 << int(dim)} edges "
             "exceeds the walk's limit of 512; give a smaller --max-length\n"
         ), dim
+
+
+def test_enumerate_window_end_is_clamped_without_the_power_of_two():
+    # 2**dim has 10^10 bits, 1.25 GB: under a 512 MB address-space cap, a
+    # clamp that built it would end in a MemoryError instead of an OOM kill
+    source = pathlib.Path(cubeloops.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(source)}
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "cubeloops", "enumerate"]
+        + ["--dim", "10000000000", "--max-length", "20"],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 classes\n"
+
+
+def test_enumerate_text_listing_matches_the_reports(capsys):
+    # the listing reads each class's verdict and genus off its lattice; the
+    # full report must agree, in both dimension parities
+    for dim, max_length in ((4, 16), (5, 12), (6, 12)):
+        argv = ["enumerate", "--dim", str(dim), "--max-length", str(max_length)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        query = EnumerationQuery.create(dim, max_length=max_length)
+        expected = []
+        for word in enumerate_paths(query):
+            report = build_report(word)
+            flags = "embedded" if report.embedded else "not embedded"
+            genus = f"  genus={report.genus}" if report.genus is not None else ""
+            expected.append(f"m={report.length:>3}  {word.compact()}  {flags}{genus}")
+        assert lines == [*expected, f"{len(expected)} classes"], dim
 
 
 def test_enumerate_rejects_fewer_than_one_job(capsys):
@@ -171,6 +232,8 @@ def test_enumerate_rejects_fewer_than_one_job(capsys):
         ["--dim", "6", "--embedded-only"],
         ["--dim", "3", "--mode", "verify"],
         ["--dim", "5", "--max-length", "9"],
+        # odd dimension, with many classes that share repeated members
+        ["--dim", "5", "--max-length", "12"],
     ],
 )
 def test_enumerate_json_is_streamed_byte_for_byte(capsys, argv):

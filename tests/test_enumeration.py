@@ -299,10 +299,10 @@ def test_embedded_census_shards_agree(serial_pool):
 
 @pytest.fixture(scope="module")
 def embedded_censuses():
-    """The complete embedded census of each dimension 4..10."""
+    """The complete embedded census of each dimension 4..10, 12, 14 and 16."""
     return {
         dim: enumerate_paths(EnumerationQuery.create(dim, embedded_only=True))
-        for dim in range(4, 11)
+        for dim in (*range(4, 11), 12, 14, 16)
     }
 
 
@@ -324,7 +324,18 @@ def test_embedded_census_equals_the_family_classes(embedded_censuses):
     # two independent witnesses of every embedded class: the search, which
     # never calls canonicalize, and the explicit constructions, which go
     # through it
-    for dim, classes in ((4, 5), (5, 8), (6, 12), (7, 16), (8, 21), (9, 27), (10, 33)):
+    for dim, classes in (
+        (4, 5),
+        (5, 8),
+        (6, 12),
+        (7, 16),
+        (8, 21),
+        (9, 27),
+        (10, 33),
+        (12, 48),
+        (14, 65),
+        (16, 85),
+    ):
         members = family_members(dim)
         assert {spec.name for spec in members} == set(FAMILY_NAMES)
         from_families = {canonicalize(family_word(spec)).labels for spec in members}

@@ -18,7 +18,7 @@ from cubeloops import (
     validate,
 )
 from cubeloops.cli import main
-from cubeloops.jsontext import dumps, stream
+from cubeloops.jsontext import Encoded, dumps, stream
 from cubeloops.oracles import mesh_document
 
 INDENTS = (1, 2)
@@ -152,6 +152,20 @@ def test_stream_matches_dumps_of_the_joined_document():
     _assert_streams_as_dumps([("empty", [], True)])
     _assert_streams_as_dumps([("a", [[], [1, 2], [], [(3, 4)], []], True)])
     _assert_streams_as_dumps([])
+
+
+def test_encoded_text_is_written_as_it_is():
+    # a value's text, indented for its place three levels down, stands in for
+    # the value, as a member of a document and as an item of a streamed part
+    rng = random.Random(11)
+    for _ in range(100):
+        value = _random_value(rng, 3)
+        for indent in INDENTS:
+            text = dumps(value, indent).replace("\n", "\n" + " " * 3 * indent)
+            expected = json.dumps({"a": [{"b": value}]}, indent=indent)
+            assert dumps({"a": [{"b": Encoded(text)}]}, indent) == expected
+            streamed = stream({"a": iter([[{"b": Encoded(text)}]])}, indent)
+            assert "".join(streamed) == expected
 
 
 @pytest.mark.parametrize("value", [1.5, [0.0], {1, 2}, {"a": {3}}, {1: "x"}, {"a": {None: 1}}, b"x"])
