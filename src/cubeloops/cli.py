@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterator
+from dataclasses import fields
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 from typing import Any, Sequence
 
@@ -219,39 +221,75 @@ def _listed_verdict(word: CanonicalWord, mode: str) -> tuple[bool, int | None]:
     return embedded, _euler_genus(word.dim, len(word))[1] if embedded else None
 
 
-# The report members that repeat from class to class in a census listing,
-# each with the report fields its value is a function of.
-_REPEATED_MEMBERS = (
-    ("lattice_basis", attrgetter("lattice")),
-    ("symmetries", attrgetter("symmetries")),
-    ("bounds", attrgetter("edge_bound", "direction_load")),
-    ("notes", attrgetter("notes")),
+# The report fields that change from class to class in a census listing;
+# every other field is part of the report's shape, which many classes
+# share.  The shape's dict fields are keyed by their items.
+_PER_CLASS = ("word", "canonical", "gaps")
+_DICTS = ("family", "oracle_checks")
+_SHAPE = attrgetter(
+    *(f.name for f in fields(SurfaceReport) if f.name not in _PER_CLASS + _DICTS)
 )
-# a class's members sit three levels deep: document, classes, class
-_MEMBER_NEWLINE = "\n" + " " * 6
+# stands for each per-class value while a shape's text is encoded
+_SLOT = "\0"
+# a class sits two levels deep (document, classes); a gap vector four
+_CLASS_NEWLINE = "\n" + " " * 4
+_VECTOR_NEWLINE = "\n" + " " * 8
 
 
-def _class_documents(
-    reports: list[SurfaceReport],
-) -> Iterator[list[dict[str, Any]]]:
-    """The listing's classes for :func:`stream`, one report at a time, with
-    each repeated member encoded once per listing and reused after that.
+def _shape_key(report: SurfaceReport) -> tuple[Any, ...]:
+    """The report's shape fields, with its dicts frozen as item tuples.
 
-    A member is keyed by the frozen fields it is computed from, not by its
-    JSON value: ``True == 1`` and both hash alike, so ``[true]`` and ``[1]``
-    would share an entry.
+    A shape is keyed by these fields, not by their JSON text: ``True == 1``
+    and both hash alike, but each field holds one type.
     """
-    memo: dict[tuple[str, Any], Encoded] = {}
+    family, checks = report.family, report.oracle_checks
+    return (
+        _SHAPE(report),
+        None if family is None else tuple(family.items()),
+        None if checks is None else tuple(checks.items()),
+    )
+
+
+def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
+    """The listing's classes for :func:`stream`, one encoded report at a
+    time, each report shape encoded once per listing.
+
+    On a shape's first class its :meth:`SurfaceReport.to_json_dict` is
+    encoded with slots for the word, the canonical word and each of the
+    ``dim`` gap vectors (one per direction, all used), and the text is
+    split at the slots.  Each class of that shape joins its own values
+    into those parts; a gap vector's text is also encoded once.
+    """
+    slot = dumps(_SLOT, 2)
+    templates: dict[tuple[Any, ...], tuple[list[str], str]] = {}
+    vectors: dict[tuple[int, ...], str] = {}
+
+    def vector_text(vector: tuple[int, ...]) -> str:
+        text = vectors.get(vector)
+        if text is None:
+            text = vectors[vector] = dumps(vector, 2).replace("\n", _VECTOR_NEWLINE)
+        return text
+
     for report in reports:
-        document = report.to_json_dict()
-        for member, fields in _REPEATED_MEMBERS:
-            key = member, fields(report)
-            text = memo.get(key)
-            if text is None:
-                text = dumps(document[member], 2).replace("\n", _MEMBER_NEWLINE)
-                text = memo[key] = Encoded(text)
-            document[member] = text
-        yield [document]
+        key = _shape_key(report)
+        template = templates.get(key)
+        if template is None:
+            document = report.to_json_dict()
+            document["word"] = document["canonical"] = _SLOT
+            document["gap_invariant"] = [_SLOT] * report.dim
+            text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
+            *parts, tail = text.split(slot)
+            template = templates[key] = parts, tail
+        word = dumps(_word_str(report.word), 2)
+        canonical = (
+            word  # a census class is its own canonical word
+            if report.canonical is report.word
+            else dumps(_word_str(report.canonical), 2)
+        )
+        parts, tail = template
+        values = (word, canonical, *map(vector_text, report.gaps))
+        text = "".join(chain.from_iterable(zip(parts, values, strict=True)))
+        yield [Encoded(text + tail)]
 
 
 def _cmd_family(args: argparse.Namespace) -> int:

@@ -171,7 +171,9 @@ class EnumerationQuery:
         ends clamp to the feasible window [2*dim, 2**dim].  Filtering to
         embedded classes tightens the end to the proven embedded lengths:
         4*(dim-1) in even dimension, and 8*dim, eight edges per direction,
-        in odd (module docstring)."""
+        in odd (module docstring).  Raises ValueError for a nonempty window
+        whose end is the open 2**dim when that passes
+        ``MAX_CENSUS_LENGTH``."""
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, not {dim}")
         lo = 2 * dim
@@ -194,7 +196,17 @@ class EnumerationQuery:
             # lo > hi: no embedded class
             cap = 4 * (dim - 1) if dim % 2 == 0 else 8 * dim
             end = cap if end is None else min(end, cap)
-        hi = end if end is not None and _fits_the_cube(end, dim) else 1 << dim
+        if end is not None and _fits_the_cube(end, dim):
+            hi = end
+        elif _fits_the_cube(MAX_CENSUS_LENGTH + 1, dim) and _fits_the_cube(lo, dim):
+            # a nonempty window up to 2**dim, past the walk's limit: refused
+            # without building that power, which has dim bits
+            raise ValueError(
+                f"a census window up to 2**{dim} edges exceeds the walk's "
+                f"limit of {MAX_CENSUS_LENGTH}; give a smaller --max-length"
+            )
+        else:
+            hi = 1 << dim  # at most MAX_CENSUS_LENGTH, or below lo
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
         return cls(dim, lo, hi, embedded_only, limit)

@@ -142,22 +142,19 @@ def parallel_pair_translation(
     )
 
 
-def _base_edges(path: JordanPath) -> dict[int, int]:
-    """The first edge index of every direction in the word."""
-    base: dict[int, int] = {}
-    for i, d in enumerate(path.word.labels):
-        base.setdefault(d, i)
-    return base
-
-
 def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
-    """Subgroup generated by pairing every edge with its direction's first edge."""
-    base = _base_edges(path)
-    masks = path.vertex_masks
-    rows = [
-        (masks[i] ^ masks[base[d]]) & ~(1 << (d - 1))
-        for i, d in enumerate(path.word.labels)
-    ]
+    """Subgroup generated by pairing every edge with its direction's first edge.
+
+    One pass over the trail: a direction's first edge records its vertex
+    (its own row would be zero) and every later edge adds its row."""
+    first: dict[int, int] = {}
+    rows = []
+    for d, vertex in zip(path.word.labels, path.vertex_masks):
+        base = first.get(d)
+        if base is None:
+            first[d] = vertex
+        else:
+            rows.append((vertex ^ base) & ~(1 << (d - 1)))
     return TranslationLattice(path.dim, _row_reduce(rows))
 
 
@@ -173,7 +170,9 @@ def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     entries; it is returned for inspection but is not an even translation.
     """
     gens = reflection_generators(path)
-    base = _base_edges(path)
+    base: dict[int, int] = {}
+    for i, d in enumerate(path.word.labels):
+        base.setdefault(d, i)
     element = quotient_identity(path.dim)
     for d in sorted(base):
         element = compose_quotient(element, gens[base[d]])
@@ -191,10 +190,13 @@ def even_lattice_from_pair(
     """
     if path.dim % 2 == 0:
         return pair
-    masks = path.vertex_masks
-    product = 0
-    for d, i in _base_edges(path).items():
-        product ^= masks[i] & ~(1 << (d - 1))
+    # one pass: a direction's bit joins ``seen`` at its first edge
+    seen = product = 0
+    for d, vertex in zip(path.word.labels, path.vertex_masks):
+        bit = 1 << (d - 1)
+        if not seen & bit:
+            seen |= bit
+            product ^= vertex & ~bit
     return TranslationLattice(path.dim, _row_reduce([*pair.rows, product]))
 
 

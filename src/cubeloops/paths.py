@@ -289,18 +289,24 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     consecutive occurrences; each gap vector is taken up to rotation and
     reversal.  The multiset is unchanged by all four word symmetries, so
     distinct invariants certify distinct classes (the converse can fail).
+
+    One pass over the word collects each direction's gaps in order; the
+    gap that wraps from its last occurrence to its first closes the
+    vector, and is what the others leave of the word's length.
     """
-    m = len(word.labels)
-    positions: dict[int, list[int]] = {}
+    gaps: dict[int, list[int]] = {}
+    last: dict[int, int] = {}
     for i, lab in enumerate(word.labels):
-        positions.setdefault(lab, []).append(i)
-    vectors = []
-    for pos in positions.values():
-        gaps = tuple(
-            (pos[(k + 1) % len(pos)] - pos[k]) % m for k in range(len(pos))
-        )
-        vectors.append(_min_cyclic(gaps))
-    return tuple(sorted(vectors))
+        prev = last.get(lab)
+        if prev is None:
+            gaps[lab] = []
+        else:
+            gaps[lab].append(i - prev)
+        last[lab] = i
+    m = len(word.labels)
+    return tuple(
+        sorted(_min_cyclic((*vec, m - sum(vec))) for vec in gaps.values())
+    )
 
 
 def _min_cyclic(vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -18,8 +18,10 @@ are orientable.  In odd dimension the surface (and its quotient by the
 pair lattice) is orientable exactly when the direction-product translation
 falls outside the pair lattice — that is, when the even lattice has higher
 rank than the pair lattice — while the quotient by all even translations
-is never orientable.  A report builds the pair lattice once and derives
-every decision from it.
+is never orientable.  A report reads the pair lattice off the trail in
+one pass, each edge against its direction's first vertex, and derives
+every decision from it; in odd dimension a second pass reads the
+direction-product row.
 
 The Euler characteristic of the compact quotient by twice-integer
 translations counts cells of the patch complex: each patch contributes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -28,7 +29,8 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.cli import _build_parser, main
+from cubeloops.cli import _build_parser, _class_documents, _shape_key, main
+from cubeloops.verdict import SurfaceReport
 
 
 def test_check_text_report(capsys):
@@ -164,22 +166,33 @@ def test_enumerate_bad_window(capsys):
 
 
 def test_enumerate_refuses_windows_the_walk_cannot_finish(capsys):
-    # open windows end at 2^dim edges, past the walk's recursion limit
-    for dim in ("10", "64"):
+    # open windows end at 2^dim edges, past the walk's recursion limit;
+    # 2**15000 has more digits than int-to-str conversion allows
+    for dim in ("10", "64", "15000"):
         start = time.perf_counter()
         assert main(["enumerate", "--dim", dim]) == 2, dim
         assert time.perf_counter() - start < 0.5, dim
         captured = capsys.readouterr()
         assert captured.out == "", dim
         assert captured.err == (
-            f"invalid request: a census window up to {1 << int(dim)} edges "
+            f"invalid request: a census window up to 2**{dim} edges "
             "exceeds the walk's limit of 512; give a smaller --max-length\n"
         ), dim
 
 
-def test_enumerate_window_end_is_clamped_without_the_power_of_two():
-    # 2**dim has 10^10 bits, 1.25 GB: under a 512 MB address-space cap, a
-    # clamp that built it would end in a MemoryError instead of an OOM kill
+def test_enumerate_max_length_names_the_window_it_refuses(capsys):
+    # a window given by --max-length is refused with its own end
+    assert main(["enumerate", "--dim", "10", "--max-length", "600"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid request: a census window up to 600 edges exceeds the walk's "
+        "limit of 512; give a smaller --max-length\n"
+    )
+
+
+def _enumerate_under_512_mb(*argv: str) -> subprocess.CompletedProcess:
+    # 2**dim for dim = 10^10 has 10^10 bits, 1.25 GB: under a 512 MB
+    # address-space cap, code that built it would end in a MemoryError
+    # instead of an OOM kill
     source = pathlib.Path(cubeloops.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(source)}
     limit = 512 << 20
@@ -187,17 +200,31 @@ def test_enumerate_window_end_is_clamped_without_the_power_of_two():
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "cubeloops", "enumerate"]
-        + ["--dim", "10000000000", "--max-length", "20"],
+    return subprocess.run(
+        [sys.executable, "-m", "cubeloops", "enumerate", *argv],
         env=env,
         capture_output=True,
         text=True,
         preexec_fn=cap_address_space,
         timeout=60,
     )
+
+
+def test_enumerate_window_end_is_clamped_without_the_power_of_two():
+    done = _enumerate_under_512_mb("--dim", "10000000000", "--max-length", "20")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "0 classes\n"
+
+
+def test_enumerate_open_window_is_refused_without_the_power_of_two():
+    start = time.perf_counter()
+    done = _enumerate_under_512_mb("--dim", "10000000000")
+    assert time.perf_counter() - start < 0.5
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "invalid request: a census window up to 2**10000000000 edges exceeds "
+        "the walk's limit of 512; give a smaller --max-length\n"
+    )
 
 
 def test_enumerate_text_listing_matches_the_reports(capsys):
@@ -232,8 +259,12 @@ def test_enumerate_rejects_fewer_than_one_job(capsys):
         ["--dim", "6", "--embedded-only"],
         ["--dim", "3", "--mode", "verify"],
         ["--dim", "5", "--max-length", "9"],
-        # odd dimension, with many classes that share repeated members
+        # odd dimension, with many classes that share a report shape
         ["--dim", "5", "--max-length", "12"],
+        # labels above 9: words are space-separated
+        ["--dim", "10", "--embedded-only", "--max-length", "20"],
+        # oracle_checks are part of the shape
+        ["--dim", "5", "--max-length", "12", "--mode", "verify"],
     ],
 )
 def test_enumerate_json_is_streamed_byte_for_byte(capsys, argv):
@@ -263,6 +294,63 @@ def test_enumerate_json_is_streamed_byte_for_byte(capsys, argv):
     }
     assert main(["enumerate", *argv, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "dim, max_length, mode",
+    [(4, None, "fast"), (5, 12, "fast"), (5, 12, "verify")],
+)
+def test_class_documents_match_the_plain_encoding(dim, max_length, mode):
+    # each class is joined into its shape's template; it must read as the
+    # report encoded on its own, indented for its place in the listing
+    query = EnumerationQuery.create(dim, max_length=max_length)
+    reports = [build_report(word, mode=mode) for word in enumerate_paths(query)]
+    texts = [item for items in _class_documents(reports) for item in items]
+    assert texts == [
+        json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")
+        for report in reports
+    ]
+
+
+def test_class_shape_covers_every_field_but_the_per_class_ones():
+    # a report field outside the key would be shared between classes by
+    # mistake: each shape field must move the key, and only those fields
+    per_class = {"word", "canonical", "gaps"}
+    names = [field.name for field in dataclasses.fields(SurfaceReport)]
+    assert per_class <= {*names}
+    spec = FamilySpec("gamma-b", 4, alpha=1, beta=3)
+    word = family_word(spec)
+    report = build_report(word, mode="verify", family=spec.to_json_dict())
+    key = _shape_key(report)
+    hash(key)  # the dict fields are frozen
+    copy = build_report(word, mode="verify", family=spec.to_json_dict())
+    assert _shape_key(copy) == key
+    for name in names:
+        fresh = object()
+        if isinstance(getattr(report, name), dict):
+            fresh = {"fresh": fresh}
+        moved = _shape_key(dataclasses.replace(report, **{name: fresh}))
+        assert (moved == key) == (name in per_class), name
+
+
+@pytest.mark.parametrize(
+    "argv, shapes",
+    [(["--dim", "4"], 32), (["--dim", "5", "--max-length", "14"], 93)],
+)
+def test_enumerate_json_encodes_each_report_shape_once(
+    capsys, monkeypatch, argv, shapes
+):
+    calls = []
+    to_json_dict = SurfaceReport.to_json_dict
+
+    def counted(report):
+        calls.append(report)
+        return to_json_dict(report)
+
+    monkeypatch.setattr(SurfaceReport, "to_json_dict", counted)
+    assert main(["enumerate", *argv, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == shapes
 
 
 def test_family_text(capsys):

@@ -155,6 +155,18 @@ def test_census_dimension_two():
     assert [w.compact() for w in census] == ["1212"]
 
 
+def test_open_window_ends_at_the_cube_vertex_count():
+    # up to dimension 9 the open end is 2**dim, the value --json prints;
+    # from 10 on that end passes the walk's limit and the query is refused,
+    # unless the window is empty or a smaller end is given
+    for dim in range(2, 10):
+        assert EnumerationQuery.create(dim).max_length == 2**dim, dim
+    with pytest.raises(ValueError, match=r"up to 2\*\*10 edges"):
+        EnumerationQuery.create(10)
+    assert EnumerationQuery.create(10, min_length=2000).max_length == 2**10
+    assert EnumerationQuery.create(10, max_length=600).max_length == 600
+
+
 def test_census_rejects_fewer_than_one_job():
     query = EnumerationQuery.create(3)
     for jobs in (0, -3):

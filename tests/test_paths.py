@@ -301,6 +301,61 @@ def test_gap_invariant_is_symmetry_invariant(n4_m8_classes):
             assert gap_invariant(DirectionWord(image, word.dim)) == expected
 
 
+def _reference_gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
+    """Reference: each direction's gaps between its listed positions, mod m."""
+    m = len(word.labels)
+    positions: dict[int, list[int]] = {}
+    for i, lab in enumerate(word.labels):
+        positions.setdefault(lab, []).append(i)
+    vectors = []
+    for pos in positions.values():
+        gaps = tuple(
+            (pos[(k + 1) % len(pos)] - pos[k]) % m for k in range(len(pos))
+        )
+        vectors.append(_min_cyclic(gaps))
+    return tuple(sorted(vectors))
+
+
+def _detoured(rng: random.Random, word: DirectionWord, tries: int) -> DirectionWord:
+    """The loop with random detours: an edge u-v in direction d becomes
+    u, u^e, v^e, v when both new vertices are off the loop, so direction e
+    gains two edges and the loop stays simple."""
+    labels = list(word.labels)
+    for _ in range(tries):
+        masks = validate(labels, word.dim).vertex_masks
+        i = rng.randrange(len(labels))
+        e = rng.randrange(1, word.dim + 1)
+        flip = 1 << (e - 1)
+        u, v = masks[i], masks[(i + 1) % len(labels)]
+        if e != labels[i] and not {u ^ flip, v ^ flip} & {*masks}:
+            labels[i : i + 1] = [e, labels[i], e]
+    return validate(labels, word.dim).word
+
+
+def test_gap_invariant_matches_the_modular_reference():
+    # labels above 9, directions with three or more edges, and every
+    # rotation of each word and of its reversal
+    rng = random.Random(1729)
+    checked = 0
+    for dim in range(2, 13):
+        cap = min(3 * dim, 1 << dim)
+        for _ in range(40):
+            while True:
+                word = _detoured(rng, _random_short_loop(rng, dim, cap), 6)
+                labels = word.labels
+                # the square is the only loop in dimension 2
+                if dim == 2 or max(map(labels.count, labels)) >= 4:
+                    break
+            expected = _reference_gap_invariant(word)
+            for seq in (labels, labels[::-1]):
+                for r in range(len(seq)):
+                    image = DirectionWord(seq[r:] + seq[:r], dim)
+                    assert gap_invariant(image) == expected, image
+                    assert _reference_gap_invariant(image) == expected, image
+            checked += 1
+    assert checked >= 400
+
+
 def test_gap_invariant_separates_small_censuses(n3_classes, n4_m8_classes):
     for classes in (n3_classes, n4_m8_classes):
         invariants = [gap_invariant(word) for word in classes]
