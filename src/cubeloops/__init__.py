@@ -26,10 +26,8 @@ from .errors import (
     MissingDirectionError,
     NotClosedError,
     NotEmbeddedError,
-    NotParallelError,
     OddLengthError,
     QuotientDomainError,
-    SameEdgeError,
     UnsupportedFormatError,
     WordValidationError,
 )
@@ -59,7 +57,7 @@ from .enumeration import (
     family_word,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "BadLabelError",
@@ -78,11 +76,9 @@ __all__ = [
     "MissingDirectionError",
     "NotClosedError",
     "NotEmbeddedError",
-    "NotParallelError",
     "OddLengthError",
     "PatchSet",
     "QuotientDomainError",
-    "SameEdgeError",
     "SignSymmetry",
     "SurfaceReport",
     "UnsupportedFormatError",

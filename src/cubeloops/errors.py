@@ -48,14 +48,6 @@ class QuotientDomainError(CubeLoopsError, ValueError):
     """
 
 
-class NotParallelError(CubeLoopsError, ValueError):
-    """The two edges handed to a pair operation point in different directions."""
-
-
-class SameEdgeError(CubeLoopsError, ValueError):
-    """A pair operation needs two distinct edges."""
-
-
 class BadParametersError(CubeLoopsError, ValueError):
     """Family parameters outside their admissible range."""
 

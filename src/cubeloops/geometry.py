@@ -143,8 +143,8 @@ def expand_patches(
     only four placed columns, one per value of a_k; they are built once per
     loop from the rim and every patch's rim is zipped together from n of
     them.  The apex (the origin) lands on 2a.  The identity element
-    reproduces the original disk in the base cube; patch anchors coincide
-    with the filled-cube map.
+    reproduces the original disk in the base cube; each patch's anchor is
+    its element's vector.
     """
     disk = cone_disk(path)
     if closure is None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotParallelError, SameEdgeError
 from .groups import compose_quotient, quotient_identity
 from .paths import JordanPath
 from .reflection import reflection_generators
@@ -111,15 +110,16 @@ def parallel_pair_translation(
     when an odd number of edges in that direction lie strictly between
     the two (counted along the forward arc from i to j — the parities of
     the two arcs agree because every direction is used an even number of
-    times overall).
+    times overall).  Raises ValueError for an edge paired with itself or
+    for two edges in different directions.
     """
     labels = path.word.labels
     m = len(labels)
     if i == j:
-        raise SameEdgeError(f"edge {i} paired with itself")
+        raise ValueError(f"edge {i} paired with itself")
     beta = labels[i]
     if labels[j] != beta:
-        raise NotParallelError(
+        raise ValueError(
             f"edges {i} (direction {labels[i]}) and {j} (direction {labels[j]}) "
             "are not parallel"
         )
@@ -186,7 +186,12 @@ def even_lattice_from_pair(
 
     Equals the pair lattice for even dimension; for odd dimension the
     direction-product row is adjoined (it may or may not already lie in
-    the pair lattice — that dichotomy is the orientability test).
+    the pair lattice — that dichotomy is the orientability test).  The
+    pair rows are fully reduced, so each pivot bit lies in one row only:
+    XOR-ing in every row whose leading bit the product holds reduces the
+    product in one pass.  A zero remainder lies in the pair lattice, which
+    is returned as it is; otherwise the remainder's leading bit is cleared
+    from the rows that hold it, and it joins them in descending order.
     """
     if path.dim % 2 == 0:
         return pair
@@ -197,7 +202,14 @@ def even_lattice_from_pair(
         if not seen & bit:
             seen |= bit
             product ^= vertex & ~bit
-    return TranslationLattice(path.dim, _row_reduce([*pair.rows, product]))
+    for row in pair.rows:
+        if product >> (row.bit_length() - 1) & 1:
+            product ^= row
+    if not product:
+        return pair
+    top = product.bit_length() - 1
+    rows = [row ^ product if row >> top & 1 else row for row in pair.rows]
+    return TranslationLattice(path.dim, tuple(sorted([*rows, product], reverse=True)))
 
 
 def even_translation_lattice(path: JordanPath) -> TranslationLattice:

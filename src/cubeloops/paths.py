@@ -58,9 +58,10 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class DirectionWord:
-    """A raw edge word.  Only the dimension (at least 2) and the label range
-    are checked at construction; the Jordan-path requirements are certified
-    by :func:`validate`."""
+    """A raw edge word.  Only the dimension and the label range are checked
+    at construction, raising in that order ValueError (dimension below 2)
+    and BadLabelError (label outside 1..dim); the Jordan-path requirements
+    are certified by :func:`validate`."""
 
     labels: tuple[int, ...]
     dim: int
@@ -119,11 +120,11 @@ class JordanPath:
     """A validated closed embedded covering walk, with its vertex trail.
 
     ``vertex_masks[i]`` is the vertex the walk occupies *before* edge i+1;
-    the trail starts at ``base_mask`` and the final edge returns there.
+    :func:`validate` starts the trail at mask 0, and the final edge
+    returns there.
     """
 
     word: DirectionWord
-    base_mask: int
     vertex_masks: tuple[int, ...] = field(repr=False)
 
     @property
@@ -139,22 +140,14 @@ class JordanPath:
 _LISTED = 10
 
 
-def validate(
-    word: DirectionWord | Sequence[int],
-    dim: int | None = None,
-    base_mask: int = 0,
-) -> JordanPath:
-    """Check the Jordan-path requirements and return the certified walk.
+def validate(word: DirectionWord) -> JordanPath:
+    """Check the Jordan-path requirements and return the walk based at mask 0.
 
-    Raises, in order of precedence: ValueError (dimension below 2),
-    BadLabelError (label out of range), OddLengthError, NotClosedError
-    (some label count odd), MissingDirectionError (a direction never
-    used), NotEmbeddedError (the walk revisits a vertex).
+    Raises, in order of precedence: OddLengthError, NotClosedError (some
+    label count odd), MissingDirectionError (a direction never used),
+    NotEmbeddedError (the walk revisits a vertex).  The dimension and the
+    labels were checked when the :class:`DirectionWord` was built.
     """
-    if not isinstance(word, DirectionWord):
-        if dim is None:
-            raise ValueError("dim is required when passing a bare label sequence")
-        word = DirectionWord(tuple(word), dim)
     labels = word.labels
     n = word.dim
     if len(labels) % 2:
@@ -180,7 +173,7 @@ def validate(
             f"{n} directions"
         )
     trail = []
-    vertex = base_mask
+    vertex = 0
     seen: set[int] = set()
     for lab in labels:
         if vertex in seen:
@@ -192,8 +185,8 @@ def validate(
         trail.append(vertex)
         vertex ^= 1 << (lab - 1)
     # even counts force the walk back to its base
-    assert vertex == base_mask
-    return JordanPath(word, base_mask, tuple(trail))
+    assert vertex == 0
+    return JordanPath(word, tuple(trail))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Rotating space half a turn about the line through one edge of the loop maps
 the loop's spanning disk to a congruent copy in a neighboring cube; doing
 this repeatedly tiles space with copies ("patches").  This module builds
 those edge rotations exactly in the finite quotient group, computes the
-finite group they generate, and derives which cubes of the 4-periodic
-torus carry a patch.
+finite group they generate, and counts the patches in each block of the
+4-periodic torus.
 
 Each edge rotation fixes the edge's axis and reverses all other
 coordinates; its translation part is twice the edge midpoint.  In the
@@ -23,7 +23,6 @@ from .paths import JordanPath
 
 __all__ = [
     "ReflectionClosure",
-    "FilledCubeMap",
     "reflection_generators",
     "reflection_closure",
     "filled_cubes",
@@ -73,35 +72,16 @@ def reflection_closure(
     return ReflectionClosure(elements[0].dim, elements)
 
 
-@dataclass(frozen=True)
-class FilledCubeMap:
-    """Which unit cubes of the 4-periodic torus carry a surface patch.
+def filled_cubes(closure: ReflectionClosure) -> dict[tuple[int, ...], int]:
+    """How many surface patches each 2x...x2 block of the 4-periodic torus holds.
 
-    A cube is named by its anchor vector in {0,1,2,3}^n.  ``anchors`` is
-    the sorted set of filled-cube anchors (one per closure element — each
-    cube holds at most one patch).  ``large_cube_counts`` groups the
-    anchors into the 2^n translated 2x...x2 blocks with even anchor ``a``
-    (cube v belongs to block a when v - a has all entries in {0,1});
-    these counts are all equal for walks based at a cube vertex.
+    A patch sits in the unit cube named by its closure element's vector
+    in {0,1,2,3}^n; cube v belongs to the block with even anchor ``a``
+    when v - a has all entries in {0,1}.  Every one of the 2^n blocks is
+    a key, an empty one with count 0; the counts are all equal for walks
+    based at a cube vertex.
     """
-
-    dim: int
-    anchors: tuple[tuple[int, ...], ...]
-    large_cube_counts: dict[tuple[int, ...], int]
-
-    @property
-    def count(self) -> int:
-        return len(self.anchors)
-
-
-def filled_cubes(closure: ReflectionClosure) -> FilledCubeMap:
-    n = closure.dim
-    anchors = tuple(sorted(element.vector for element in closure.elements))
-    counts: dict[tuple[int, ...], int] = {
-        block: 0 for block in product((0, 2), repeat=n)
-    }
-    for v in anchors:
-        block = tuple(coord & 2 for coord in v)
-        counts[block] += 1
-    return FilledCubeMap(n, anchors, counts)
-
+    counts = dict.fromkeys(product((0, 2), repeat=closure.dim), 0)
+    for element in closure.elements:
+        counts[tuple(coord & 2 for coord in element.vector)] += 1
+    return counts

@@ -33,7 +33,7 @@ is reported only where that quotient is orientable (even dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from .errors import BudgetExceededError, InternalInvariantError
 from .geometry import closure_within_budget, expand_patches, vertex_incidence
@@ -51,7 +51,6 @@ from .paths import (
     canonicalize,
     format_word,
     gap_invariant,
-    parse_word,
     path_symmetries,
     validate,
 )
@@ -351,12 +350,14 @@ def _yn(flag: bool) -> str:
 
 
 def build_report(
-    word: DirectionWord | JordanPath | Sequence[int] | str,
-    dim: int | None = None,
+    word: DirectionWord | JordanPath,
     mode: str = "fast",
     family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
     """Assemble the full report for a loop, in fast or verifying mode.
+
+    A :class:`DirectionWord` (from ``parse_word`` or built directly) is
+    validated first; a :class:`JordanPath` is used as it is.
 
     Fast mode derives everything from the translation lattice.  Verifying
     mode additionally runs the brute-force group closure and the exact
@@ -369,7 +370,7 @@ def build_report(
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
-    path = _coerce_path(word, dim)
+    path = word if isinstance(word, JordanPath) else validate(word)
     n = path.dim
     m = path.length
     pair = pair_translation_lattice(path)
@@ -405,22 +406,6 @@ def build_report(
         oracle_checks=oracle_checks,
         notes=notes,
     )
-
-
-def _coerce_path(
-    word: DirectionWord | JordanPath | Sequence[int] | str, dim: int | None
-) -> JordanPath:
-    if isinstance(word, JordanPath):
-        return word
-    if isinstance(word, str):
-        if dim is None:
-            raise ValueError("dim is required when passing a word string")
-        return validate(parse_word(word, dim))
-    if isinstance(word, DirectionWord):
-        return validate(word)
-    if dim is None:
-        raise ValueError("dim is required when passing a bare label sequence")
-    return validate(word, dim)
 
 
 def _report_notes(
@@ -472,8 +457,7 @@ def _run_oracles(
     closure_embedded = closure.order == 1 << (n + 2)
     agree = closure.order == product and closure_embedded == decision.embedded
     checks["closure_agrees"] = agree
-    cubes = filled_cubes(closure)
-    counts = set(cubes.large_cube_counts.values())
+    counts = set(filled_cubes(closure).values())
     checks["filled_cube_counts_equal"] = (
         len(counts) == 1 and closure.order == (1 << n) * counts.pop()
     )

@@ -13,6 +13,7 @@ import pytest
 
 import cubeloops
 from cubeloops import (
+    DirectionWord,
     EnumerationQuery,
     FamilySpec,
     JordanPath,
@@ -99,7 +100,7 @@ def random_valid_path(rng: random.Random, dim: int) -> JordanPath:
             d, closing = options[rng.randrange(len(options))]
             word.append(d)
             if closing:
-                return validate(word, dim)
+                return validate(DirectionWord(tuple(word), dim))
             visited |= 1 << vertex
             vertex ^= 1 << (d - 1)
             used |= 1 << d

@@ -163,8 +163,7 @@ def test_criterion_05_tri_oracle_agreement(n3_classes, n4_classes, random_n5_pat
         closure_verdict = closure.order == 1 << (n + 2)
         assert decision.embedded == closure_verdict == geometric.embedded
         assert closure.order == flip_subgroup_order(n) * decision.lattice_order
-        cubes = filled_cubes(closure)
-        counts = set(cubes.large_cube_counts.values())
+        counts = set(filled_cubes(closure).values())
         assert len(counts) == 1
         assert closure.order == (1 << n) * counts.pop()
     elapsed = time.monotonic() - started

@@ -509,6 +509,14 @@ def test_readme_options_exist():
     assert shown <= known, sorted(shown - known)
 
 
+def test_readme_library_snippet_runs():
+    # the documented library calls, run as the README shows them
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    snippet = re.search(r"## Library\n+```python\n(.*?)```", readme.read_text(), re.S)
+    assert snippet is not None
+    exec(compile(snippet.group(1), "README.md", "exec"), {})
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

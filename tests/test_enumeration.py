@@ -178,12 +178,12 @@ def test_census_matches_brute_force_dimension_three(n3_classes):
     found: set[tuple[int, ...]] = set()
     for length in (6, 8):
         for tail in itertools.product((1, 2, 3), repeat=length - 1):
-            word = (1, *tail)
+            word = DirectionWord((1, *tail), 3)
             try:
-                validate(word, dim=3)
+                validate(word)
             except WordValidationError:
                 continue
-            found.add(canonicalize(DirectionWord(word, 3)).labels)
+            found.add(canonicalize(word).labels)
     assert found == {w.labels for w in n3_classes}
 
 
@@ -191,12 +191,12 @@ def test_census_matches_brute_force_dimension_four_short():
     for length, expected_count in ((8, 6), (10, 10)):
         found: set[tuple[int, ...]] = set()
         for tail in itertools.product((1, 2, 3, 4), repeat=length - 1):
-            word = (1, *tail)
+            word = DirectionWord((1, *tail), 4)
             try:
-                validate(word, dim=4)
+                validate(word)
             except WordValidationError:
                 continue
-            found.add(canonicalize(DirectionWord(word, 4)).labels)
+            found.add(canonicalize(word).labels)
         census = enumerate_paths(EnumerationQuery.create(4, length=length))
         assert len(census) == expected_count
         assert found == {w.labels for w in census}

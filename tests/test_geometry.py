@@ -27,11 +27,7 @@ from cubeloops.geometry import (
 )
 from cubeloops.groups import QuotientElement, flip_subgroup_order
 from cubeloops.oracles import apply_doubled
-from cubeloops.reflection import (
-    filled_cubes,
-    reflection_closure,
-    reflection_generators,
-)
+from cubeloops.reflection import reflection_closure, reflection_generators
 
 
 def test_cone_disk_hexagon():
@@ -64,7 +60,7 @@ def test_expand_patches_identity_patch_and_anchors():
     identity_patch = patches.patches[0]
     assert identity_patch.anchor == (0, 0, 0)
     assert identity_patch.rim == disk.rim
-    assert {p.anchor for p in patches.patches} == set(filled_cubes(closure).anchors)
+    assert {p.anchor for p in patches.patches} == {e.vector for e in closure.elements}
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from cubeloops import build_report
+from cubeloops import build_report, parse_word
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -36,4 +36,4 @@ CASES = {
 def test_report_matches_golden(name):
     word, dim = CASES[name]
     expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    assert build_report(word, dim=dim).to_json_dict() == expected
+    assert build_report(parse_word(word, dim)).to_json_dict() == expected

@@ -181,7 +181,7 @@ def test_unsupported_values_raise_type_error(value):
 def test_check_and_family_json_match_json_dumps(capsys):
     for name, (word, dim) in CASES.items():
         assert main(["check", "--dim", str(dim), "--word", word, "--json"]) == 0
-        expected = build_report(word, dim=dim).to_json_dict()
+        expected = build_report(parse_word(word, dim)).to_json_dict()
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n", name
     for spec in _one_member_per_family(6):
         argv = ["family", "--name", spec.name, "--dim", "6", "--json"]

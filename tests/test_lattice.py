@@ -8,8 +8,8 @@ import pytest
 from conftest import random_valid_path
 
 from cubeloops import (
-    NotParallelError,
-    SameEdgeError,
+    EnumerationQuery,
+    enumerate_paths,
     parse_word,
     validate,
 )
@@ -22,6 +22,7 @@ from cubeloops.lattice import (
     _row_reduce,
     direction_product_translation,
     double_bit_vector,
+    even_lattice_from_pair,
     even_translation_lattice,
     pair_translation_lattice,
     parallel_pair_translation,
@@ -58,9 +59,9 @@ def test_pair_translation_reference_pairs():
 
 def test_pair_translation_rejects_bad_pairs():
     path = validate(parse_word("12314243", 4))
-    with pytest.raises(SameEdgeError):
+    with pytest.raises(ValueError, match="edge 2 paired with itself"):
         parallel_pair_translation(path, 2, 2)
-    with pytest.raises(NotParallelError):
+    with pytest.raises(ValueError, match="are not parallel"):
         parallel_pair_translation(path, 0, 1)
 
 
@@ -134,13 +135,27 @@ def test_prefix_pair_rank_never_falls():
 
 def test_even_lattice_matches_composed_direction_product(n3_classes, random_n5_paths):
     # oracle: the vertex-mask direction-product row against the composed
-    # edge rotations, adjoined to the arc-walk pair lattice
-    for path in (*map(validate, n3_classes), *random_n5_paths):
-        expected = span_lattice(
-            path.dim,
-            [*all_pairs_lattice(path).basis_vectors(), direction_product_translation(path)],
-        )
-        assert even_translation_lattice(path) == expected
+    # edge rotations, adjoined to the arc-walk pair lattice; the pair
+    # lattice itself comes back exactly when it already holds that row
+    rng = random.Random(70917)
+    census = enumerate_paths(EnumerationQuery.create(5, max_length=14))
+    paths = [
+        *map(validate, (*n3_classes, *census)),
+        *random_n5_paths,
+        *(random_valid_path(rng, dim) for dim in (7, 9) for _ in range(10)),
+    ]
+    inside_seen = set()
+    for path in paths:
+        arcs = all_pairs_lattice(path)
+        product = direction_product_translation(path)
+        expected = span_lattice(path.dim, [*arcs.basis_vectors(), product])
+        pair = pair_translation_lattice(path)
+        even = even_lattice_from_pair(path, pair)
+        assert even == expected == even_translation_lattice(path), path.word
+        inside = lattice_contains(arcs, product)
+        assert (even is pair) == inside, path.word
+        inside_seen.add(inside)
+    assert inside_seen == {False, True}
 
 
 def test_direction_product_is_composition_order_independent():

@@ -94,28 +94,29 @@ def test_closure_order_dichotomy(n3_classes, n4_classes):
 
 def test_filled_cubes_hexagonal_loop():
     closure = reflection_closure(reflection_generators(validate(parse_word("123123", 3))))
-    cubes = filled_cubes(closure)
-    assert cubes.count == 32
-    assert len(cubes.large_cube_counts) == 8
-    assert set(cubes.large_cube_counts.values()) == {4}
-    assert all(len(a) == 3 and all(0 <= x <= 3 for x in a) for a in cubes.anchors)
-    assert len(set(cubes.anchors)) == cubes.count
+    counts = filled_cubes(closure)
+    assert len(counts) == 8
+    assert set(counts.values()) == {4}
+    anchors = [element.vector for element in closure.elements]
+    assert len(anchors) == 32
+    assert all(len(a) == 3 and all(0 <= x <= 3 for x in a) for a in anchors)
+    assert len(set(anchors)) == len(anchors)
 
 
 def test_filled_cube_counts_balanced(n4_m8_classes):
     for word in n4_m8_classes:
         closure = reflection_closure(reflection_generators(validate(word)))
-        cubes = filled_cubes(closure)
-        assert cubes.count == closure.order
-        assert len(set(cubes.large_cube_counts.values())) == 1
+        counts = filled_cubes(closure)
+        assert sum(counts.values()) == closure.order
+        assert len(set(counts.values())) == 1
 
 
 def test_filled_cubes_odd_dimension_checkerboard(n3_classes):
     # in odd dimension every reachable cube anchor has even coordinate sum
     for word in n3_classes:
         closure = reflection_closure(reflection_generators(validate(word)))
-        for anchor in filled_cubes(closure).anchors:
-            assert sum(anchor) % 2 == 0
+        for element in closure.elements:
+            assert sum(element.vector) % 2 == 0
 
 
 def _check_witness(path, beta):

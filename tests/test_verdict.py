@@ -63,12 +63,12 @@ def test_decide_orientable_even_dimension(n4_m8_classes):
 
 
 def test_decide_orientable_odd_dimension_pins():
-    flags = build_report("123123", dim=3).orientable
+    flags = build_report(parse_word("123123", 3)).orientable
     assert flags.surface is True
     assert flags.quotient_by_pair_lattice is True
     assert flags.quotient_by_even_translations is False
 
-    flags = build_report("145231425232", dim=5).orientable
+    flags = build_report(parse_word("145231425232", 5)).orientable
     assert flags.surface is False
     assert flags.quotient_by_pair_lattice is False
     assert flags.quotient_by_even_translations is False
@@ -83,7 +83,7 @@ def test_euler_genus_reference_values():
         ("121323", 3, (-2, None)),
         ("12321232", 3, (-4, None)),
     ):
-        report = build_report(text, dim=dim)
+        report = build_report(parse_word(text, dim))
         assert (report.euler_char, report.genus) == expected
 
 
@@ -163,7 +163,7 @@ def test_four_edge_direction_constraint_on_embedded(n4_classes):
 
 
 def test_build_report_reference_g6():
-    report = build_report("12321434", dim=4)
+    report = build_report(parse_word("12321434", 4))
     assert report.embedded
     assert report.genus == 9
     assert report.euler_char == -16
@@ -173,7 +173,7 @@ def test_build_report_reference_g6():
 
 
 def test_build_report_reference_hexagon():
-    report = build_report("123123", dim=3)
+    report = build_report(parse_word("123123", 3))
     assert report.embedded
     assert report.reflection_group_order == 32
     assert report.lattice.order == 8
@@ -183,13 +183,13 @@ def test_build_report_reference_hexagon():
 
 def test_build_report_propagates_validation_errors():
     with pytest.raises(NotClosedError):
-        build_report("32123121", dim=3)
+        build_report(parse_word("32123121", 3))
     with pytest.raises(ValueError):
-        build_report("123123", dim=3, mode="quick")
+        build_report(parse_word("123123", 3), mode="quick")
 
 
 def test_build_report_verify_mode_runs_oracles():
-    report = build_report("12314234", dim=4, mode="verify")
+    report = build_report(parse_word("12314234", 4), mode="verify")
     checks = report.oracle_checks
     assert checks is not None
     assert checks["closure_order"] == 64
@@ -223,11 +223,11 @@ def test_verify_mode_runs_both_oracles_above_dimension_five():
 
 
 def test_build_report_fast_mode_skips_oracles():
-    assert build_report("12314234", dim=4).oracle_checks is None
+    assert build_report(parse_word("12314234", 4)).oracle_checks is None
 
 
 def test_report_json_document_shape():
-    doc = build_report("123214123214", dim=4).to_json_dict()
+    doc = build_report(parse_word("123214123214", 4)).to_json_dict()
     assert doc["schema"] == 1
     assert doc["dim"] == 4
     assert doc["word"] == "123214123214"
@@ -253,7 +253,7 @@ def test_report_json_document_shape():
 
 
 def test_report_text_rendering_mentions_key_facts():
-    text = build_report("12321434", dim=4).render_text()
+    text = build_report(parse_word("12321434", 4)).render_text()
     assert "embedded:   yes" in text
     assert "genus: 9" in text
     assert "12321434" in text
@@ -262,8 +262,8 @@ def test_report_text_rendering_mentions_key_facts():
 def test_reports_for_all_references_are_deterministic():
     for name, text in {**REFERENCE_WORDS_N3, **REFERENCE_WORDS_N4}.items():
         dim = 3 if name in REFERENCE_WORDS_N3 else 4
-        first = build_report(text, dim=dim).to_json_dict()
-        second = build_report(text, dim=dim).to_json_dict()
+        first = build_report(parse_word(text, dim)).to_json_dict()
+        second = build_report(parse_word(text, dim)).to_json_dict()
         assert first == second
         assert first["embedded"] == (text in EMBEDDED_N4 or dim == 3)
 
