@@ -21,13 +21,11 @@ from .errors import (
     BadProjectionError,
     BudgetExceededError,
     CubeLoopsError,
-    DimensionMismatchError,
     InternalInvariantError,
     MissingDirectionError,
     NotClosedError,
     NotEmbeddedError,
     OddLengthError,
-    QuotientDomainError,
     UnsupportedFormatError,
     WordValidationError,
 )
@@ -57,7 +55,7 @@ from .enumeration import (
     family_word,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "BadLabelError",
@@ -66,7 +64,6 @@ __all__ = [
     "BudgetExceededError",
     "CanonicalWord",
     "CubeLoopsError",
-    "DimensionMismatchError",
     "DirectionWord",
     "EnumerationQuery",
     "FAMILY_NAMES",
@@ -78,7 +75,6 @@ __all__ = [
     "NotEmbeddedError",
     "OddLengthError",
     "PatchSet",
-    "QuotientDomainError",
     "SignSymmetry",
     "SurfaceReport",
     "UnsupportedFormatError",

@@ -36,7 +36,6 @@ from .paths import CanonicalWord, parse_word, validate
 from .verdict import (
     SurfaceReport,
     _euler_genus,
-    _word_str,
     build_report,
     decide_embedded,
 )
@@ -204,7 +203,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     for word, (embedded, genus) in zip(classes, verdicts):
         flags = "embedded" if embedded else "not embedded"
         genus_text = f"  genus={genus}" if genus is not None else ""
-        print(f"m={len(word):>3}  {_word_str(word)}  {flags}{genus_text}")
+        print(f"m={len(word):>3}  {word}  {flags}{genus_text}")
     plural = "es" if len(classes) != 1 else ""
     print(f"{len(classes)} class{plural}")
     return 0
@@ -280,11 +279,11 @@ def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
             text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
             *parts, tail = text.split(slot)
             template = templates[key] = parts, tail
-        word = dumps(_word_str(report.word), 2)
+        word = dumps(str(report.word), 2)
         canonical = (
             word  # a census class is its own canonical word
             if report.canonical is report.word
-            else dumps(_word_str(report.canonical), 2)
+            else dumps(str(report.canonical), 2)
         )
         parts, tail = template
         values = (word, canonical, *map(vector_text, report.gaps))

@@ -36,18 +36,6 @@ class NotEmbeddedError(WordValidationError):
     """The walk revisits a vertex, so the loop is not simple."""
 
 
-class DimensionMismatchError(CubeLoopsError, ValueError):
-    """Two group elements of different dimensions were combined."""
-
-
-class QuotientDomainError(CubeLoopsError, ValueError):
-    """An ambient element outside the quotient's domain was projected.
-
-    Projection is defined only on elements whose translation parity equals
-    the sign-flip pattern and whose flips lie in the admissible subgroup.
-    """
-
-
 class BadParametersError(CubeLoopsError, ValueError):
     """Family parameters outside their admissible range."""
 

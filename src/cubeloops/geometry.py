@@ -34,7 +34,6 @@ from .paths import JordanPath
 from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
 __all__ = [
-    "ConeDisk",
     "Patch",
     "PatchSet",
     "VertexIncidence",
@@ -73,31 +72,18 @@ def closure_within_budget(
     return reflection_closure(reflection_generators(path))
 
 
-@dataclass(frozen=True)
-class ConeDisk:
-    """Triangle fan over the loop from the cube center, doubled coordinates.
+def cone_disk(path: JordanPath) -> tuple[tuple[int, ...], ...]:
+    """Rim of the triangle fan over the loop from the cube center, doubled.
 
-    The apex is the origin; rim vertices are the walk vertices (entries
-    +-1 when doubled).  Triangle k joins the apex to rim k and rim k+1,
-    so the fan's boundary is exactly the loop.
+    The rim vertices are the walk vertices (entries +-1 when doubled).
+    The fan's apex is the origin, and triangle k joins it to rim k and
+    rim k+1, so the fan's boundary is exactly the loop.
     """
-
-    dim: int
-    apex: tuple[int, ...]
-    rim: tuple[tuple[int, ...], ...]
-
-    @property
-    def triangle_count(self) -> int:
-        return len(self.rim)
-
-
-def cone_disk(path: JordanPath) -> ConeDisk:
     n = path.dim
-    rim = tuple(
+    return tuple(
         tuple(-1 if (mask >> k) & 1 else 1 for k in range(n))
         for mask in path.vertex_masks
     )
-    return ConeDisk(n, (0,) * n, rim)
 
 
 @dataclass(frozen=True)
@@ -141,24 +127,24 @@ def expand_patches(
     point x at 2a_k + x_k, or at 2a_k - x_k when a_k is odd (the element's
     flips are the parity pattern of a).  So each coordinate of the disk has
     only four placed columns, one per value of a_k; they are built once per
-    loop from the rim and every patch's rim is zipped together from n of
-    them.  The apex (the origin) lands on 2a.  The identity element
-    reproduces the original disk in the base cube; each patch's anchor is
-    its element's vector.
+    loop from the rim (:func:`cone_disk`) and every patch's rim is zipped
+    together from n of them.  The apex (the origin) lands on 2a.  The
+    identity element reproduces the original disk in the base cube; each
+    patch's anchor is its element's vector.
     """
     disk = cone_disk(path)
     if closure is None:
         closure = closure_within_budget(path)
     placed = [
         [tuple(2 * a - x if a % 2 else 2 * a + x for x in column) for a in range(4)]
-        for column in zip(*disk.rim)
+        for column in zip(*disk)
     ]
     patches = []
     for element in closure.elements:
         anchor = element.vector
         rim = tuple(zip(*(placed[k][a] for k, a in enumerate(anchor))))
         patches.append(Patch(anchor, rim))
-    return PatchSet(path.dim, len(disk.rim), tuple(patches))
+    return PatchSet(path.dim, len(disk), tuple(patches))
 
 
 @dataclass(frozen=True)

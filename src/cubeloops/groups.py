@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DimensionMismatchError, QuotientDomainError
-
 __all__ = [
     "QuotientElement",
     "compose_quotient",
@@ -85,7 +83,8 @@ def _compose_packed(a: int, b: int, lo: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class QuotientElement:
-    """Group element of the quotient, stored as packed Z_4 translation lanes."""
+    """Group element of the quotient, stored as packed Z_4 translation lanes;
+    its sign-flip pattern is the parity pattern of its ``vector``."""
 
     dim: int
     packed: int
@@ -96,7 +95,7 @@ class QuotientElement:
         vec = tuple(v % 4 for v in vector)
         flips = sum(1 << i for i, v in enumerate(vec) if v % 2)
         if not in_flip_subgroup(len(vec), flips):
-            raise QuotientDomainError(
+            raise ValueError(
                 f"translation parity pattern {flips:#x} is not admissible in "
                 f"dimension {len(vec)}"
             )
@@ -106,20 +105,6 @@ class QuotientElement:
     def vector(self) -> tuple[int, ...]:
         return tuple((self.packed >> (2 * i)) & 3 for i in range(self.dim))
 
-    @property
-    def flips(self) -> int:
-        """Sign-flip mask, recovered as the translation's parity pattern."""
-        lo = _lane_masks(self.dim)
-        odd = self.packed & lo
-        mask = 0
-        i = 0
-        while odd:
-            if odd & 1:
-                mask |= 1 << i
-            odd >>= 2
-            i += 1
-        return mask
-
 
 def quotient_identity(dim: int) -> QuotientElement:
     return QuotientElement(dim, 0)
@@ -127,7 +112,7 @@ def quotient_identity(dim: int) -> QuotientElement:
 
 def compose_quotient(a: QuotientElement, b: QuotientElement) -> QuotientElement:
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
     lo = _lane_masks(a.dim)
     return QuotientElement(a.dim, _compose_packed(a.packed, b.packed, lo))
 
@@ -157,7 +142,7 @@ def close_under_composition(
         raise ValueError("generator list must be nonempty")
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
-        raise DimensionMismatchError("generators mix dimensions")
+        raise ValueError("generators mix dimensions")
     lo = _lane_masks(dim)
 
     group = {0}  # the identity

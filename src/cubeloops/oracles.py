@@ -38,12 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import (
-    CubeLoopsError,
-    DimensionMismatchError,
-    InternalInvariantError,
-    QuotientDomainError,
-)
+from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import cone_disk
 from .groups import QuotientElement, _pack, in_flip_subgroup
 from .lattice import TranslationLattice, parallel_pair_translation
@@ -128,7 +123,7 @@ def ambient_identity(dim: int) -> AmbientElement:
 def compose_ambient(a: AmbientElement, b: AmbientElement) -> AmbientElement:
     """a o b, i.e. apply b first, then a."""
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
     translation = tuple(
         u + (-v if (a.flips >> i) & 1 else v)
         for i, (u, v) in enumerate(zip(a.translation, b.translation))
@@ -151,7 +146,7 @@ def project_to_quotient(a: AmbientElement) -> QuotientElement:
         if t % 2:
             flips |= 1 << i
     if flips != a.flips or not in_flip_subgroup(a.dim, a.flips):
-        raise QuotientDomainError(
+        raise ValueError(
             "element lies outside the subgroup on which the quotient is defined "
             f"(translation {a.translation}, flips {flip_vector(a.dim, a.flips)})"
         )
@@ -353,12 +348,12 @@ def mesh_document(path: JordanPath) -> dict:
     """The document ``export_mesh(..., format="json")`` writes, built whole.
 
     Every reflection-closure element is applied to the cone disk's apex
-    and rim on the doubled torus; each copy adds its fan triangles and
-    their owner, the element's position.  The warning appears when some
-    wrapped rim vertex meets eight or more patches.
+    (the origin) and rim on the doubled torus; each copy adds its fan
+    triangles and their owner, the element's position.  The warning
+    appears when some wrapped rim vertex meets eight or more patches.
     """
-    disk = cone_disk(path)
-    m = disk.triangle_count
+    rim = cone_disk(path)
+    m = len(rim)
     vertices: list[tuple[int, ...]] = []
     triangles: list[tuple[int, int, int]] = []
     owners: list[int] = []
@@ -366,9 +361,9 @@ def mesh_document(path: JordanPath) -> dict:
     closure = reflection_closure(reflection_generators(path))
     for index, element in enumerate(closure.elements):
         base = len(vertices)
-        rim = [apply_doubled(element, vertex) for vertex in disk.rim]
-        rims.update(rim)
-        vertices += [apply_doubled(element, disk.apex), *rim]
+        placed = [apply_doubled(element, vertex) for vertex in rim]
+        rims.update(placed)
+        vertices += [apply_doubled(element, (0,) * path.dim), *placed]
         triangles += [(base, base + 1 + k, base + 1 + (k + 1) % m) for k in range(m)]
         owners += [index] * m
     document: dict = {

@@ -56,12 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DirectionWord:
     """A raw edge word.  Only the dimension and the label range are checked
     at construction, raising in that order ValueError (dimension below 2)
     and BadLabelError (label outside 1..dim); the Jordan-path requirements
-    are certified by :func:`validate`."""
+    are certified by :func:`validate`.  ``str(word)`` spells it as reports
+    do: digits run together for dim <= 9, labels spaced out above."""
 
     labels: tuple[int, ...]
     dim: int
@@ -79,9 +80,8 @@ class DirectionWord:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def compact(self) -> str:
-        """Digit string, only well-defined for dim <= 9."""
-        return "".join(str(lab) for lab in self.labels)
+    def __str__(self) -> str:
+        return ("" if self.dim <= 9 else " ").join(map(str, self.labels))
 
 
 class CanonicalWord(DirectionWord):
@@ -100,14 +100,15 @@ def parse_word(text: str, dim: int) -> DirectionWord:
 
     For dim <= 9 each digit is one label, so ``12314234`` and ``1 2 3 1 4 2
     3 4`` agree.  For dim > 9 labels must be separated by whitespace or
-    commas (``"3 12 3 12"``), since a digit run would be ambiguous.
+    commas (``"3 12 3 12"``), since a digit run would be ambiguous.  Only
+    ASCII digits are labels; any other token raises BadLabelError.
     """
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise BadLabelError("empty word")
-    if any(not t.isdigit() for t in tokens):
-        bad = next(t for t in tokens if not t.isdigit())
-        raise BadLabelError(f"not a direction label: {bad!r}")
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise BadLabelError(f"not a direction label: {token!r}")
     if dim <= 9:
         labels = tuple(int(ch) for tok in tokens for ch in tok)
     else:

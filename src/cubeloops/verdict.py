@@ -75,16 +75,14 @@ NOT_APPLICABLE = "not-applicable"
 
 @dataclass(frozen=True)
 class EmbeddedDecision:
-    """Embeddedness with its certificate.
+    """Embeddedness with the reflection group order that certifies it.
 
-    ``lattice_order`` against ``embedded_order`` (4 for even dimension,
-    8 for odd) is the primary criterion; ``reflection_group_order`` is
-    the implied group size (flip subgroup times lattice).
+    The surface is embedded exactly when the even translation lattice has
+    order 4 (even dimension) or 8 (odd); ``reflection_group_order`` is the
+    flip-subgroup order times the lattice order.
     """
 
     embedded: bool
-    lattice_order: int
-    embedded_order: int
     reflection_group_order: int
 
 
@@ -96,7 +94,7 @@ def decide_embedded(path: JordanPath) -> EmbeddedDecision:
 def _decide_from_lattice(dim: int, lattice: TranslationLattice) -> EmbeddedDecision:
     threshold = 4 if dim % 2 == 0 else 8
     order = flip_subgroup_order(dim) * lattice.order
-    return EmbeddedDecision(lattice.order == threshold, lattice.order, threshold, order)
+    return EmbeddedDecision(lattice.order == threshold, order)
 
 
 @dataclass(frozen=True)
@@ -266,8 +264,8 @@ class SurfaceReport:
         return {
             "schema": 1,
             "dim": self.dim,
-            "word": _word_str(self.word),
-            "canonical": _word_str(self.canonical),
+            "word": str(self.word),
+            "canonical": str(self.canonical),
             "m": self.length,
             "embedded": self.embedded,
             "s_q_order": self.reflection_group_order,
@@ -299,9 +297,9 @@ class SurfaceReport:
 
     def render_text(self) -> str:
         lines = [
-            f"word:       {_word_str(self.word)}",
+            f"word:       {self.word}",
             f"canonical:  {format_word(self.canonical.labels)}"
-            + (f"  ({self.canonical.compact()})" if self.dim <= 9 else ""),
+            + (f"  ({self.canonical})" if self.dim <= 9 else ""),
             f"dim:        {self.dim}   edges: {self.length}",
             f"embedded:   {_yn(self.embedded)}   "
             f"(lattice order {self.lattice.order}, "
@@ -339,10 +337,6 @@ class SurfaceReport:
         for note in self.notes:
             lines.append(f"note:       {note}")
         return "\n".join(lines)
-
-
-def _word_str(word: DirectionWord) -> str:
-    return word.compact() if word.dim <= 9 else format_word(word.labels)
 
 
 def _yn(flag: bool) -> str:
@@ -453,9 +447,9 @@ def _run_oracles(
     except BudgetExceededError as exc:
         return checks, (f"verify-mode oracles not run: {exc}",)
     checks["closure_order"] = closure.order
-    product = flip_subgroup_order(n) * lattice.order
+    expected = decision.reflection_group_order
     closure_embedded = closure.order == 1 << (n + 2)
-    agree = closure.order == product and closure_embedded == decision.embedded
+    agree = closure.order == expected and closure_embedded == decision.embedded
     checks["closure_agrees"] = agree
     counts = set(filled_cubes(closure).values())
     checks["filled_cube_counts_equal"] = (
@@ -464,7 +458,7 @@ def _run_oracles(
     if not agree:
         raise InternalInvariantError(
             f"group closure order {closure.order} disagrees with the "
-            f"lattice-derived order {product} "
+            f"lattice-derived order {expected} "
             f"(lattice order {lattice.order})"
         )
     if not checks["filled_cube_counts_equal"]:

@@ -81,6 +81,11 @@ def modules_loaded_by(statement: str) -> set[str]:
     return set(done.stdout.split())
 
 
+def parity_mask(element) -> int:
+    """A quotient element's sign-flip mask: the parity pattern of its vector."""
+    return sum(1 << k for k, v in enumerate(element.vector) if v % 2)
+
+
 def random_valid_path(rng: random.Random, dim: int) -> JordanPath:
     """One pseudo-random loop: a uniform random simple walk with restarts."""
     full = (2 << dim) - 2

@@ -75,6 +75,19 @@ def test_check_bad_label_exit_code(capsys):
     assert err.startswith("invalid request: dimension must be at least 2, not 0")
 
 
+@pytest.mark.parametrize("word", ["\u0661\u0662\u0663\u0661\u0662\u0663", "12\u00b3"])
+def test_labels_are_ascii_digits(capsys, word):
+    # Arabic-Indic digits and superscripts pass str.isdigit, but no label
+    # is spelled with them
+    message = f"not a direction label: {word!r}"
+    with pytest.raises(errors.BadLabelError, match=re.escape(message)):
+        parse_word(word, 3)
+    assert main(["check", "--dim", "3", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"BadLabel: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     ("condition", "word"),
     [
@@ -240,7 +253,7 @@ def test_enumerate_text_listing_matches_the_reports(capsys):
             report = build_report(word)
             flags = "embedded" if report.embedded else "not embedded"
             genus = f"  genus={report.genus}" if report.genus is not None else ""
-            expected.append(f"m={report.length:>3}  {word.compact()}  {flags}{genus}")
+            expected.append(f"m={report.length:>3}  {word}  {flags}{genus}")
         assert lines == [*expected, f"{len(expected)} classes"], dim
 
 
@@ -507,6 +520,33 @@ def test_readme_options_exist():
     }
     assert shown
     assert shown <= known, sorted(shown - known)
+
+
+def test_readme_names_the_exports():
+    # the Library paragraph counts the exported names and lists the entry
+    # points; the rest of __all__ is the error classes of cubeloops.errors
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    found = re.search(
+        r"`import cubeloops` exports (\d+) names:(.*?)\n\n", readme.read_text(), re.S
+    )
+    assert found is not None
+    assert int(found.group(1)) == len(cubeloops.__all__)
+    listing = found.group(2).split("—", 1)[1].split(". ", 1)[0]
+    exported = {name: getattr(cubeloops, name) for name in cubeloops.__all__}
+    entry_points = {
+        name
+        for name, value in exported.items()
+        if not (isinstance(value, type) and issubclass(value, Exception))
+    }
+    assert set(re.findall(r"`(\w+)`", listing)) == entry_points
+    defined = {
+        value.__name__
+        for value in vars(errors).values()
+        if isinstance(value, type)
+        and issubclass(value, errors.CubeLoopsError)
+        and value.__module__ == errors.__name__
+    }
+    assert defined <= exported.keys()
 
 
 def test_readme_library_snippet_runs():

@@ -52,7 +52,7 @@ def test_census_dimension_four_embedded(n4_embedded_classes):
     assert len(n4_embedded_classes) == 5
     lengths = sorted(len(w) for w in n4_embedded_classes)
     assert lengths == [8, 8, 8, 10, 12]
-    compacts = {w.compact() for w in n4_embedded_classes}
+    compacts = {str(w) for w in n4_embedded_classes}
     assert "1231413214" in compacts
     assert "123214123214" in compacts
     genus_by_length = sorted(
@@ -74,7 +74,7 @@ def test_census_dimension_five_up_to_twelve_edges():
     # by newlines in census order
     census = enumerate_paths(EnumerationQuery.create(5, max_length=12))
     assert len(census) == 193
-    digest = hashlib.sha256("\n".join(w.compact() for w in census).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(str(w) for w in census).encode()).hexdigest()
     assert digest == "6c5a37a45175d9e5f7477e02117d91d715e204dedf7ce492329acad5b360927a"
 
 
@@ -84,7 +84,7 @@ def test_census_dimension_five_up_to_fourteen_edges():
     # newlines in census order
     census = enumerate_paths(EnumerationQuery.create(5, max_length=14))
     assert len(census) == 1494
-    digest = hashlib.sha256("\n".join(w.compact() for w in census).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(str(w) for w in census).encode()).hexdigest()
     assert digest == "1f39575020cde6e926c991310b9a32a759799728621af9d742b15cd6c814a013"
 
 
@@ -152,7 +152,7 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
 
 def test_census_dimension_two():
     census = enumerate_paths(EnumerationQuery.create(2))
-    assert [w.compact() for w in census] == ["1212"]
+    assert [str(w) for w in census] == ["1212"]
 
 
 def test_open_window_ends_at_the_cube_vertex_count():
@@ -404,13 +404,13 @@ def test_query_limit_truncates_sorted_census(n4_classes):
 
 
 def test_family_word_reference_values():
-    assert family_word(FamilySpec("d-series", 3)).compact() == "123123"
-    assert family_word(FamilySpec("d-series", 4)).compact() == "12341243"
-    assert family_word(FamilySpec("d-series", 5)).compact() == "1234512543"
-    assert family_word(FamilySpec("sharp", 4)).compact() == "134243134243"
-    assert family_word(FamilySpec("gamma-a", 4, beta=2)).compact() == "12342143"
-    assert family_word(FamilySpec("gamma-b", 4, 1, 3)).compact() == "12341324"
-    assert family_word(FamilySpec("gamma-c", 4, 1, 2)).compact() == "1234212432"
+    assert str(family_word(FamilySpec("d-series", 3))) == "123123"
+    assert str(family_word(FamilySpec("d-series", 4))) == "12341243"
+    assert str(family_word(FamilySpec("d-series", 5))) == "1234512543"
+    assert str(family_word(FamilySpec("sharp", 4))) == "134243134243"
+    assert str(family_word(FamilySpec("gamma-a", 4, beta=2))) == "12342143"
+    assert str(family_word(FamilySpec("gamma-b", 4, 1, 3))) == "12341324"
+    assert str(family_word(FamilySpec("gamma-c", 4, 1, 2))) == "1234212432"
 
 
 def test_family_word_low_dimension_member_matches_census(n3_classes):

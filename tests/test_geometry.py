@@ -31,35 +31,32 @@ from cubeloops.reflection import reflection_closure, reflection_generators
 
 
 def test_cone_disk_hexagon():
-    disk = cone_disk(validate(parse_word("123123", 3)))
-    assert disk.apex == (0, 0, 0)
-    assert disk.triangle_count == 6
-    assert len(disk.rim) == 6
-    assert disk.rim[0] == (1, 1, 1)
-    assert all(set(map(abs, v)) == {1} for v in disk.rim)
+    rim = cone_disk(validate(parse_word("123123", 3)))
+    assert len(rim) == 6
+    assert rim[0] == (1, 1, 1)
+    assert all(set(map(abs, v)) == {1} for v in rim)
     # fan boundary retraces the loop: consecutive rim vertices differ in
     # exactly the walked coordinate
     labels = (1, 2, 3, 1, 2, 3)
     for i, lab in enumerate(labels):
-        nxt = disk.rim[(i + 1) % 6]
-        assert [k for k in range(3) if disk.rim[i][k] != nxt[k]] == [lab - 1]
+        nxt = rim[(i + 1) % 6]
+        assert [k for k in range(3) if rim[i][k] != nxt[k]] == [lab - 1]
 
 
 def test_cone_disk_eight_rim():
-    assert cone_disk(validate(parse_word("12341234", 4))).triangle_count == 8
+    assert len(cone_disk(validate(parse_word("12341234", 4)))) == 8
 
 
 def test_expand_patches_identity_patch_and_anchors():
     path = validate(parse_word("123123", 3))
     closure = reflection_closure(reflection_generators(path))
     patches = expand_patches(path, closure)
-    disk = cone_disk(path)
     assert patches.count == closure.order == 32
     assert patches.rim_size == 6
     assert patches.triangle_count == 192
     identity_patch = patches.patches[0]
     assert identity_patch.anchor == (0, 0, 0)
-    assert identity_patch.rim == disk.rim
+    assert identity_patch.rim == cone_disk(path)
     assert {p.anchor for p in patches.patches} == {e.vector for e in closure.elements}
 
 
@@ -81,10 +78,10 @@ def test_expand_patches_match_quotient_action(oracle_paths):
         block = patches.rim_size + 1
         for i, (patch, element) in enumerate(zip(patches.patches, closure.elements)):
             assert patch.anchor == element.vector
-            rim = tuple(apply_doubled(element, vertex) for vertex in disk.rim)
+            rim = tuple(apply_doubled(element, vertex) for vertex in disk)
             assert tuple(tuple(c % 8 for c in v) for v in patch.rim) == rim
             exported = [tuple(v) for v in vertices[i * block : (i + 1) * block]]
-            assert exported[0] == apply_doubled(element, disk.apex)
+            assert exported[0] == apply_doubled(element, (0,) * path.dim)
             assert tuple(exported[1:]) == rim
 
 

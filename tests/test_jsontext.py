@@ -198,7 +198,7 @@ def test_export_json_matches_the_streamed_encoder(capsys):
     paths = _golden_paths()
     paths["sharp_n6"] = validate(family_word(FamilySpec("sharp", 6)))
     for name, path in paths.items():
-        argv = ["export", "--dim", str(path.dim), "--word", path.word.compact(), "--format", "json"]
+        argv = ["export", "--dim", str(path.dim), "--word", str(path.word), "--format", "json"]
         assert main(argv) == 0
         chunks = json.JSONEncoder(indent=1).iterencode(mesh_document(path))
         assert capsys.readouterr().out == "".join(chunks) + "\n", name

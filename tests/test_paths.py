@@ -108,10 +108,10 @@ def test_validate_high_dimension_sharp_loop():
 
 def test_canonicalize_pinned_forms():
     # the two longer embedded classes are canonical fixed points
-    assert canonicalize(parse_word("1231413214", 4)).compact() == "1231413214"
-    assert canonicalize(parse_word("123214123214", 4)).compact() == "123214123214"
-    assert canonicalize(parse_word("123123", 3)).compact() == "123123"
-    assert canonicalize(parse_word("12341234", 4)).compact() == "12341234"
+    assert str(canonicalize(parse_word("1231413214", 4))) == "1231413214"
+    assert str(canonicalize(parse_word("123214123214", 4))) == "123214123214"
+    assert str(canonicalize(parse_word("123123", 3))) == "123123"
+    assert str(canonicalize(parse_word("12341234", 4))) == "12341234"
 
 
 def test_canonicalize_identifies_sharp_path_with_longest_class():

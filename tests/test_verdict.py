@@ -25,24 +25,26 @@ EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
 
 def test_decide_embedded_eight_edge_census():
     for text in ("12314234", "12314324", "12321434"):
-        decision = decide_embedded(validate(parse_word(text, 4)))
+        path = validate(parse_word(text, 4))
+        decision = decide_embedded(path)
         assert decision.embedded
-        assert decision.lattice_order == 4
-        assert decision.embedded_order == 4
+        assert even_translation_lattice(path).order == 4
         assert decision.reflection_group_order == 64
     for text in ("12314243", "12314342", "12341234"):
-        decision = decide_embedded(validate(parse_word(text, 4)))
+        path = validate(parse_word(text, 4))
+        decision = decide_embedded(path)
         assert not decision.embedded
-        assert decision.lattice_order >= 8
+        assert even_translation_lattice(path).order >= 8
         assert decision.reflection_group_order >= 128
 
 
 def test_decide_embedded_every_small_odd_class(n3_classes):
     # dimension three admits no self-intersections at all
     for word in n3_classes:
-        decision = decide_embedded(validate(word))
+        path = validate(word)
+        decision = decide_embedded(path)
         assert decision.embedded
-        assert decision.lattice_order == 8
+        assert even_translation_lattice(path).order == 8
         assert decision.reflection_group_order == 32
 
 
