@@ -46,6 +46,11 @@ __all__ = ["main"]
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact reports pass Python's default limit of 4,300 digits for printing
+    # an int near dimension 14,300; Pythons without the limit have no getter
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except InternalInvariantError as exc:
@@ -61,6 +66,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 @lru_cache(maxsize=1)

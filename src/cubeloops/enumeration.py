@@ -52,8 +52,9 @@ previous same-direction edge is i - p[i] (mod m), so the profile p fixes
 the direction classes, and the first-occurrence relabelling, which
 numbers the classes by their first positions, depends on the classes
 alone.  Two rotations with equal profiles therefore have equal relabelled
-words, and the least profile decides the canonical form.  Only a kept walk
-is relabelled into C, the first-occurrence form of ``W[g:] + W[:g]``.
+words, and the least profile decides the canonical form.  The walk keeps
+no labels: only a kept walk builds C, from its profile alone
+(``paths._word_from_profile``).
 The result is exact both ways.  A canonical C yields a W that passes
 every cut, because each cut is a necessity for it.  A kept W yields a
 canonical C, and C fixes g and hence W, so each class is emitted once.
@@ -125,7 +126,7 @@ from .paths import (
     CanonicalWord,
     DirectionWord,
     _is_least_rotation,
-    _relabel_first_occurrence,
+    _word_from_profile,
     validate,
 )
 
@@ -297,10 +298,9 @@ def _search(
             rank += 1
         return row
 
-    # the prefix and its repeat profile (module docstring): word[i] and
-    # gaps[i] for i < depth, and first[d], last[d] for the used directions;
-    # the first edge leaves the base vertex 0 in direction 1
-    word = [1] * max_len
+    # the prefix's repeat profile (module docstring): gaps[i] for
+    # i < depth, and first[d], last[d] for the used directions; the first
+    # edge leaves the base vertex 0 in direction 1
     gaps = [0] * max_len
     first = [0] * (n + 1)
     last = [0] * (n + 1)
@@ -343,10 +343,10 @@ def _search(
                     profile[first[e]] = m - last[e] + first[e]
                 # the canonical candidate starts at the second direction-1
                 # edge, where W's smallest gap g stands; its word is built
-                # only once its profile has won
-                if _is_least_rotation((*profile[g:], *profile[:g])):
-                    labels = _relabel_first_occurrence((*word[g:depth], d, *word[:g]))
-                    out.append(CanonicalWord(labels, n))
+                # from its profile, only once that profile has won
+                rotated = (*profile[g:], *profile[:g])
+                if _is_least_rotation(rotated):
+                    out.append(CanonicalWord(_word_from_profile(rotated), n))
             last[d] = prior
         # edges left after the child's; the closing edge is handled above,
         # and vertex 0 is in visited
@@ -359,7 +359,6 @@ def _search(
             child_need = need - 1 if vertex & bit or d > used else need + 1
             if child_need > left:
                 continue
-            word[depth] = d
             prior = last[d]
             if d > used:
                 # the last child: it introduces direction d = used + 1

@@ -18,21 +18,21 @@ arises from the other by cyclic shifts, order reversal, and relabeling of
 directions.  ``canonicalize`` picks one representative per equivalence
 class: among all rotations of the word and of its reversal it minimizes
 the cyclic repeat-distance profile (for each position, the distance back
-to the previous edge in the same direction) and relabels the winner's
+to the previous edge in the same direction) and writes the winner's
 directions in first-occurrence order.  The profile decides and the word
 follows: position i's previous same-direction edge is i - p[i] (mod m), so
 the cycles of that map are the direction classes, and the first-occurrence
 relabelling depends only on those classes.  Rotations with equal profiles
-thus have equal relabelled words, and a tie-break on labels would never
-decide.  The profile makes the choice depend on the loop's parallelism
-structure alone.
+thus have equal relabelled words, a tie-break on labels would never
+decide, and the search runs on profiles alone.  The profile makes the
+choice depend on the loop's parallelism structure alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Sequence
 
 from .errors import (
@@ -194,23 +194,10 @@ def validate(word: DirectionWord) -> JordanPath:
 # canonical forms
 
 
-def _relabel_first_occurrence(labels: Sequence[int]) -> tuple[int, ...]:
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        out.append(mapping[lab])
-    return tuple(out)
-
-
 def _repeat_profile(labels: Sequence[int]) -> tuple[int, ...]:
     """Cyclic distance from each position to the previous same-direction edge."""
-    m = len(labels)
-    prev: dict[int, int] = {}
-    for i in range(m - 1, -1, -1):  # seed with wrapped-around predecessors
-        if labels[i] not in prev:
-            prev[labels[i]] = i - m
+    # seeded with each label's last position, the wrapped-around predecessor
+    prev = {lab: i - len(labels) for i, lab in enumerate(labels)}
     out = []
     for i, lab in enumerate(labels):
         out.append(i - prev[lab])
@@ -223,34 +210,57 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
 
     Requires a closed word (every label count even); embeddedness and
     coverage are not needed.  Idempotent and constant on equivalence
-    classes, and the result introduces labels in increasing order.  The
-    least repeat profile over the 2m rotations of the word and of its
-    reversal decides, and the word follows: only the winning rotation is
-    relabelled, since a profile fixes its relabelled word (module
-    docstring).  The result's profile starts with the word's smallest
-    cyclic gap, since every candidate profile rearranges the same gaps.
+    classes, and the result introduces labels in increasing order.  It is
+    the word of the least repeat profile over the rotations of the word
+    and of its reversal (module docstring).  Those profiles rearrange the
+    same gaps, so only rotations that start with the smallest are compared.
 
-    A :class:`CanonicalWord` is returned unchanged, without the search
-    over its 2m rotations: only this function and the census walk
-    construct one, so it is already the fixed point.  The walk
-    (``enumeration._search``) rotates each closed walk's profile to start
-    at its smallest gap and builds the word only after
-    ``_is_least_rotation`` has proved it its own canonical form.  Pass a
-    plain :class:`DirectionWord` to recompute it.
+    A :class:`CanonicalWord` is returned unchanged, without the search:
+    only this function and the census walk construct one, so it is
+    already the fixed point.  The walk (``enumeration._search``) builds a
+    word only after ``_is_least_rotation`` has proved its profile least.
+    Pass a plain :class:`DirectionWord` to recompute it.
     """
     if isinstance(word, CanonicalWord):
         return word
-    labels = word.labels
-    m = len(labels)
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for seq in (labels, labels[::-1]):
-        profile = _repeat_profile(seq)
-        for r in range(m):
-            rotated_profile = profile[r:] + profile[:r]
-            if best is None or rotated_profile < best[0]:
-                best = rotated_profile, seq[r:] + seq[:r]
-    assert best is not None
-    return CanonicalWord(_relabel_first_occurrence(best[1]), word.dim)
+    profile = _repeat_profile(word.labels)
+    least = _least_rotation(profile, _reversed_profile(profile))
+    return CanonicalWord(_word_from_profile(least), word.dim)
+
+
+def _word_from_profile(profile: Sequence[int]) -> tuple[int, ...]:
+    """The first-occurrence form of the words with this repeat profile
+    (module docstring): position i repeats the label of position
+    i - p[i], or takes the next new label when p[i] > i, where the
+    previous same-direction edge wraps around."""
+    new = count(1)
+    out: list[int] = []
+    for i, p in enumerate(profile):
+        out.append(out[i - p] if p <= i else next(new))
+    return tuple(out)
+
+
+def _reversed_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
+    """The repeat profile of the reversed word, built without the word: it
+    is the forward profile read at the next same-direction edge."""
+    following = [0] * len(profile)
+    for k, p in enumerate(profile):
+        following[k - p] = p  # k - p, mod m, is the previous same-direction edge
+    return tuple(following[::-1])
+
+
+def _least_rotation(seq: tuple[int, ...], reverse: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of ``seq`` or of ``reverse``, the same cycle read
+    backwards.  All rotations rearrange the same entries, so only those
+    that start with the smallest entry are compared."""
+    m = len(seq)
+    low = min(seq)
+    return min(
+        doubled[r : r + m]
+        for doubled in (seq + seq, reverse + reverse)
+        for r in range(m)
+        if doubled[r] == low
+    )
 
 
 def _is_least_rotation(profile: tuple[int, ...]) -> bool:
@@ -260,15 +270,11 @@ def _is_least_rotation(profile: tuple[int, ...]) -> bool:
     a smaller profile.  An equal profile is the same relabelled word
     (module docstring), so no labels are compared.  The forward rotations
     start at r = 1, since r = 0 is the profile itself; the reversed ones
-    at r = 0.  The reversed word's profile is the forward one read at the
-    next same-direction edge, so it is built without the word."""
+    at r = 0.  The comparison stops at the first smaller rotation, where
+    ``_least_rotation`` would compare them all."""
     m = len(profile)
     gap = profile[0]
-    following = [0] * m
-    for k, p in enumerate(profile):
-        following[k - p] = p  # k - p, mod m, is the previous same-direction edge
-    reverse = tuple(following[::-1])
-    for seq, start in ((profile, 1), (reverse, 0)):
+    for seq, start in ((profile, 1), (_reversed_profile(profile), 0)):
         doubled = seq + seq
         for r in range(start, m):
             if seq[r] == gap and doubled[r : r + m] < profile:
@@ -284,34 +290,21 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     reversal.  The multiset is unchanged by all four word symmetries, so
     distinct invariants certify distinct classes (the converse can fail).
 
-    One pass over the word collects each direction's gaps in order; the
-    gap that wraps from its last occurrence to its first closes the
-    vector, and is what the others leave of the word's length.
+    A direction's entries of the repeat profile, in word order, are its
+    gap vector rotated to start with the gap that wraps around.
     """
     gaps: dict[int, list[int]] = {}
-    last: dict[int, int] = {}
-    for i, lab in enumerate(word.labels):
-        prev = last.get(lab)
-        if prev is None:
-            gaps[lab] = []
-        else:
-            gaps[lab].append(i - prev)
-        last[lab] = i
-    m = len(word.labels)
-    return tuple(
-        sorted(_min_cyclic((*vec, m - sum(vec))) for vec in gaps.values())
-    )
+    for lab, gap in zip(word.labels, _repeat_profile(word.labels)):
+        gaps.setdefault(lab, []).append(gap)
+    return tuple(sorted(_min_cyclic(tuple(vec)) for vec in gaps.values()))
 
 
 def _min_cyclic(vec: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(vec)
-    if k == 2:
+    """The least rotation of a gap vector or of its reversal."""
+    if len(vec) == 2:
         # the two rotations are the two reversals
         return vec if vec[0] <= vec[1] else vec[::-1]
-    candidates = [vec[r:] + vec[:r] for r in range(k)]
-    rev = vec[::-1]
-    candidates += [rev[r:] + rev[:r] for r in range(k)]
-    return min(candidates)
+    return _least_rotation(vec, vec[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ walk's vertex trail determines in O(mn) time: the surface is embedded
 exactly when the even translation lattice has order 4 (even dimension) or
 8 (odd), and the reflection group order follows as flip-subgroup order
 times lattice order.  A whole fast report is polynomial in m and n: the
-rest of it is the canonical form (2m rotations of the word, skipped for a
-census word, which is canonical already) and the sign symmetries (the
+rest of it is the canonical form (a least rotation of a profile, skipped
+for a census word, which is canonical already) and the sign symmetries (the
 word against its rotations and reversals that start with its first label,
 each compared in O(m)).
 The verifying path recomputes the group by brute-force closure and the

@@ -122,6 +122,26 @@ def test_check_refuses_a_short_word_in_a_high_dimension_quickly(capsys):
     )
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no limit on int to str conversion",
+)
+def test_reports_print_integers_past_the_default_digit_limit(capsys):
+    # s_q_order = 2**15000 flips times lattice order 4 has 4,517 digits,
+    # past the default limit of 4,300; main lifts it for the call only
+    before = sys.get_int_max_str_digits()
+    assert main(["family", "--name", "d-series", "--dim", "15000", "--json"]) == 0
+    assert sys.get_int_max_str_digits() == before
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(captured.out)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert doc["s_q_order"] == 2**15002
+
+
 def test_check_separated_word_above_nine_directions(capsys):
     word = "1 2 3 4 5 6 7 8 9 10 1 2 10 9 8 7 6 5 4 3"
     assert main(["check", "--dim", "10", "--word", *word.split()]) == 0

@@ -128,16 +128,24 @@ def test_census_equals_the_classes_of_all_closed_walks():
 def test_census_canonicity_calls_are_pinned(monkeypatch):
     # the walk's deterministic work: every closed walk that passes the
     # smallest-gap tests (and, embedded-only, closes at full even-lattice
-    # rank) reaches one rotation comparison, so a lost cut raises the count
-    calls = 0
+    # rank) reaches one rotation comparison, so a lost cut raises the count;
+    # only a kept walk builds its word, once per class
+    calls = builds = 0
     compare = enumeration._is_least_rotation
+    build = enumeration._word_from_profile
 
     def counting(profile):
         nonlocal calls
         calls += 1
         return compare(profile)
 
+    def counting_builds(profile):
+        nonlocal builds
+        builds += 1
+        return build(profile)
+
     monkeypatch.setattr(enumeration, "_is_least_rotation", counting)
+    monkeypatch.setattr(enumeration, "_word_from_profile", counting_builds)
     for query, classes, expected_calls in (
         (EnumerationQuery.create(4), 69, 258),
         (EnumerationQuery.create(5, max_length=14), 1494, 6903),
@@ -145,9 +153,10 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
         (EnumerationQuery.create(5, embedded_only=True), 8, 9),
         (EnumerationQuery.create(7, embedded_only=True), 16, 18),
     ):
-        calls = 0
+        calls = builds = 0
         assert len(enumerate_paths(query)) == classes
         assert calls == expected_calls, query
+        assert builds == classes, query
 
 
 def test_census_dimension_two():

@@ -21,6 +21,7 @@ from cubeloops import (
     parse_word,
     validate,
 )
+from cubeloops import paths
 from cubeloops.oracles import is_canonical
 from cubeloops.paths import _min_cyclic, gap_invariant, path_symmetries
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
@@ -256,8 +257,10 @@ def test_repeat_profile_fixes_the_relabelled_word():
     # classes and with them the first-occurrence relabelling.  Over every
     # rotation and reversal of random closed words, and of periodic ones
     # (a short word repeated an even number of times) for their many
-    # profile ties, equal profiles give equal relabelled words, and
-    # canonicalize picks the definition's form
+    # profile ties, equal profiles give equal relabelled words, the word
+    # and the reversed profile are read off the profile, and canonicalize
+    # picks the definition's form, also on every family word up to
+    # dimension 30, long and with many ties at the smallest gap
     rng = random.Random(57721)
     ties = 0
     for _ in range(400):
@@ -271,10 +274,30 @@ def test_repeat_profile_fixes_the_relabelled_word():
             for w in _rotations(labels):
                 relabelled = _first_occurrence_form(w)
                 assert word_of.setdefault(_profile(w), relabelled) == relabelled, w
+                assert paths._word_from_profile(_profile(w)) == relabelled, w
+                assert paths._reversed_profile(_profile(w)) == _profile(w[::-1]), w
             ties += 2 * len(labels) - len(word_of)
             form = canonicalize(DirectionWord(labels, dim)).labels
             assert form == _reference_canonical_form(labels), labels
     assert ties > 1000
+    for dim in range(3, 31):
+        for spec in _family_specs(dim):
+            labels = family_word(spec).labels
+            form = canonicalize(DirectionWord(labels, dim)).labels
+            assert form == _reference_canonical_form(labels), spec
+
+
+def _family_specs(dim: int) -> list[FamilySpec]:
+    """One member of each named family that has one in this dimension."""
+    specs = [
+        FamilySpec("gamma-a", dim, beta=dim // 2),
+        FamilySpec("gamma-b", dim, alpha=1, beta=dim - 1),
+        FamilySpec("gamma-c", dim, alpha=dim // 3 or 1, beta=dim - 1),
+        FamilySpec("d-series", dim),
+    ]
+    if dim >= 4:
+        specs.append(FamilySpec("sharp", dim))
+    return specs
 
 
 def test_gap_invariant_reference_values():
@@ -283,8 +306,9 @@ def test_gap_invariant_reference_values():
 
 
 def test_min_cyclic_is_the_least_rotation_or_reversal():
-    # two-gap vectors take a shortcut; longer ones compare every candidate
-    for k in (1, 2, 3, 4):
+    # two-gap vectors take a shortcut; longer ones compare the rotations
+    # of the vector and of its reversal that start with its smallest gap
+    for k in range(1, 7):
         for vec in itertools.product(range(1, 5), repeat=k):
             candidates = [vec[r:] + vec[:r] for r in range(k)]
             candidates += [c[::-1] for c in candidates]
