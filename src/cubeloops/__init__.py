@@ -10,85 +10,61 @@ generate loop classes (:mod:`cubeloops.enumeration`).
 
 This namespace exports the error classes and the entry points of the
 command line and the README, with the types they return.  Every other
-name is imported from its own module.  The reference implementations the
-tests check against are in :mod:`cubeloops.oracles`, which this package
-does not import.
+name is imported from its own module.  Each exported name resolves on
+first access by importing its module, so ``import cubeloops`` imports no
+submodule.  The reference implementations the tests check against are
+in :mod:`cubeloops.oracles`, which this package does not import.
 """
 
-from .errors import (
-    BadLabelError,
-    BadParametersError,
-    BadProjectionError,
-    BudgetExceededError,
-    CubeLoopsError,
-    InternalInvariantError,
-    MissingDirectionError,
-    NotClosedError,
-    NotEmbeddedError,
-    OddLengthError,
-    UnsupportedFormatError,
-    WordValidationError,
-)
-from .paths import (
-    CanonicalWord,
-    DirectionWord,
-    JordanPath,
-    SignSymmetry,
-    canonicalize,
-    parse_word,
-    validate,
-)
-from .verdict import SurfaceReport, build_report, decide_embedded
-from .geometry import (
-    PatchSet,
-    VertexIncidence,
-    expand_patches,
-    export_mesh,
-    vertex_incidence,
-)
-from .enumeration import (
-    EnumerationQuery,
-    FamilySpec,
-    FAMILY_NAMES,
-    enumerate_paths,
-    expand_word,
-    family_word,
-)
+from importlib import import_module
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
-__all__ = [
-    "BadLabelError",
-    "BadParametersError",
-    "BadProjectionError",
-    "BudgetExceededError",
-    "CanonicalWord",
-    "CubeLoopsError",
-    "DirectionWord",
-    "EnumerationQuery",
-    "FAMILY_NAMES",
-    "FamilySpec",
-    "InternalInvariantError",
-    "JordanPath",
-    "MissingDirectionError",
-    "NotClosedError",
-    "NotEmbeddedError",
-    "OddLengthError",
-    "PatchSet",
-    "SignSymmetry",
-    "SurfaceReport",
-    "UnsupportedFormatError",
-    "VertexIncidence",
-    "WordValidationError",
-    "build_report",
-    "canonicalize",
-    "decide_embedded",
-    "enumerate_paths",
-    "expand_patches",
-    "expand_word",
-    "export_mesh",
-    "family_word",
-    "parse_word",
-    "validate",
-    "vertex_incidence",
-]
+_EXPORTS = {
+    "BadLabelError": "errors",
+    "BadParametersError": "errors",
+    "BadProjectionError": "errors",
+    "BudgetExceededError": "errors",
+    "CubeLoopsError": "errors",
+    "InternalInvariantError": "errors",
+    "MissingDirectionError": "errors",
+    "NotClosedError": "errors",
+    "NotEmbeddedError": "errors",
+    "OddLengthError": "errors",
+    "UnsupportedFormatError": "errors",
+    "WordValidationError": "errors",
+    "CanonicalWord": "paths",
+    "DirectionWord": "paths",
+    "JordanPath": "paths",
+    "SignSymmetry": "paths",
+    "canonicalize": "paths",
+    "parse_word": "paths",
+    "validate": "paths",
+    "SurfaceReport": "verdict",
+    "build_report": "verdict",
+    "decide_embedded": "verdict",
+    "PatchSet": "geometry",
+    "VertexIncidence": "geometry",
+    "expand_patches": "geometry",
+    "export_mesh": "geometry",
+    "vertex_incidence": "geometry",
+    "EnumerationQuery": "enumeration",
+    "FamilySpec": "enumeration",
+    "FAMILY_NAMES": "enumeration",
+    "enumerate_paths": "enumeration",
+    "expand_word": "enumeration",
+    "family_word": "enumeration",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *__all__]

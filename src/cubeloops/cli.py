@@ -3,6 +3,8 @@
 Four subcommands: ``check`` validates a word and reports everything known
 about its surface; ``enumerate`` runs the census; ``family`` instantiates
 a named family member; ``export`` writes the patch mesh as OBJ or JSON.
+The geometry and the JSON writer are imported where a command first uses
+them, so a text ``check`` loads neither.
 
 Exit codes: 0 success; 2 user or input error (invalid words, bad
 parameters, impossible projections — the diagnostic names the failed
@@ -20,7 +22,7 @@ from dataclasses import fields
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .enumeration import (
     FAMILY_NAMES,
@@ -30,8 +32,6 @@ from .enumeration import (
     family_word,
 )
 from .errors import CubeLoopsError, InternalInvariantError
-from .geometry import expand_patches, export_mesh, vertex_incidence
-from .jsontext import Encoded, dumps, stream
 from .paths import CanonicalWord, parse_word, validate
 from .verdict import (
     SurfaceReport,
@@ -39,6 +39,9 @@ from .verdict import (
     build_report,
     decide_embedded,
 )
+
+if TYPE_CHECKING:
+    from .jsontext import Encoded
 
 __all__ = ["main"]
 
@@ -191,6 +194,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     )
     classes = enumerate_paths(query, jobs=args.jobs)
     if args.json:
+        from .jsontext import stream
+
         reports = [build_report(word, mode=args.mode) for word in classes]
         document = {
             "schema": 1,
@@ -267,6 +272,8 @@ def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
     split at the slots.  Each class of that shape joins its own values
     into those parts; a gap vector's text is also encoded once.
     """
+    from .jsontext import Encoded, dumps
+
     slot = dumps(_SLOT, 2)
     templates: dict[tuple[Any, ...], tuple[list[str], str]] = {}
     vectors: dict[tuple[int, ...], str] = {}
@@ -308,6 +315,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _print_report(args: argparse.Namespace, report: SurfaceReport) -> int:
     if args.json:
+        from .jsontext import dumps
+
         print(dumps(report.to_json_dict(), 2))
     else:
         print(report.render_text())
@@ -315,6 +324,8 @@ def _print_report(args: argparse.Namespace, report: SurfaceReport) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .geometry import expand_patches, export_mesh, vertex_incidence
+
     word = _parse_cli_word(args)
     path = validate(word)
     patches = expand_patches(path)

@@ -441,6 +441,9 @@ def family_word(spec: FamilySpec) -> DirectionWord:
     directions around one full rise and fall (length 2*dim, dim >= 3).
     sharp alternates directions 1 and 2 between full runs of the rest,
     reaching the maximal embedded length 4*(dim-1) (dim >= 4).
+
+    The word is not validated here: every report of it validates it, and
+    a caller who needs the vertex trail calls :func:`validate`.
     """
     name, n, alpha, beta = spec.name, spec.dim, spec.alpha, spec.beta
     if name == "gamma-a":
@@ -481,9 +484,7 @@ def family_word(spec: FamilySpec) -> DirectionWord:
         raise BadParametersError(
             f"unknown family {name!r}; choose one of {', '.join(FAMILY_NAMES)}"
         )
-    word = DirectionWord(tuple(labels), n)
-    validate(word)
-    return word
+    return DirectionWord(tuple(labels), n)
 
 
 def _require(spec: FamilySpec, condition: bool, message: str) -> None:

@@ -22,15 +22,16 @@ whether it lies in the pair lattice decides orientability.  The arc walk
 (:func:`parallel_pair_translation`) and the rotation composition
 (:func:`direction_product_translation`) remain as independent cross-checks;
 lattices spanned from explicit vectors live in :mod:`cubeloops.oracles`.
+The composition imports the group layers (:mod:`cubeloops.groups`,
+:mod:`cubeloops.reflection`) when it runs, so this module loads
+:mod:`cubeloops.paths` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import compose_quotient, quotient_identity
 from .paths import JordanPath
-from .reflection import reflection_generators
 
 __all__ = [
     "TranslationLattice",
@@ -169,6 +170,9 @@ def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     dimension the product is not a translation and its vector has odd
     entries; it is returned for inspection but is not an even translation.
     """
+    from .groups import compose_quotient, quotient_identity
+    from .reflection import reflection_generators
+
     gens = reflection_generators(path)
     base: dict[int, int] = {}
     for i, d in enumerate(path.word.labels):

@@ -269,16 +269,21 @@ def _is_least_rotation(profile: tuple[int, ...]) -> bool:
     rotation of the word or of its reversal that starts with that gap has
     a smaller profile.  An equal profile is the same relabelled word
     (module docstring), so no labels are compared.  The forward rotations
-    start at r = 1, since r = 0 is the profile itself; the reversed ones
-    at r = 0.  The comparison stops at the first smaller rotation, where
-    ``_least_rotation`` would compare them all."""
+    start at r = 1, since r = 0 is the profile itself; the reversal is
+    built only if none is smaller, and its rotations start at r = 0.
+    Each pass stops at its first smaller rotation (``_least_rotation``
+    compares them all)."""
     m = len(profile)
     gap = profile[0]
-    for seq, start in ((profile, 1), (_reversed_profile(profile), 0)):
-        doubled = seq + seq
-        for r in range(start, m):
-            if seq[r] == gap and doubled[r : r + m] < profile:
-                return False
+    doubled = profile + profile
+    for r in range(1, m):
+        if profile[r] == gap and doubled[r : r + m] < profile:
+            return False
+    reverse = _reversed_profile(profile)
+    doubled = reverse + reverse
+    for r in range(m):
+        if reverse[r] == gap and doubled[r : r + m] < profile:
+            return False
     return True
 
 

@@ -12,6 +12,8 @@ each compared in O(m)).
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
+It imports the closure and geometry layers (:mod:`cubeloops.reflection`,
+:mod:`cubeloops.geometry`) when it runs, so the fast path never loads them.
 
 Orientability: in even dimension the surface and both standard quotients
 are orientable.  In odd dimension the surface (and its quotient by the
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .geometry import closure_within_budget, expand_patches, vertex_incidence
 from .groups import flip_subgroup_order
 from .lattice import (
     TranslationLattice,
@@ -54,7 +55,6 @@ from .paths import (
     path_symmetries,
     validate,
 )
-from .reflection import filled_cubes
 
 __all__ = [
     "EmbeddedDecision",
@@ -431,6 +431,9 @@ def _run_oracles(
     decision: EmbeddedDecision,
 ) -> tuple[dict[str, Any], tuple[str, ...]]:
     """The oracle checks, and a note when the patch budget refuses them."""
+    from .geometry import closure_within_budget, expand_patches, vertex_incidence
+    from .reflection import filled_cubes
+
     n = path.dim
     checks: dict[str, Any] = dict.fromkeys(
         (

@@ -69,14 +69,24 @@ def family_members(dim: int) -> list[FamilySpec]:
     return members
 
 
-def modules_loaded_by(statement: str) -> set[str]:
-    """The modules a fresh interpreter has loaded after the statement."""
+def fresh_interpreter_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's
+    package ahead of anything else on the path."""
     env = dict(os.environ)
     source = pathlib.Path(cubeloops.__file__).parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(source), env.get("PYTHONPATH"))))
+    return env
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after the statement."""
     code = f"import sys\n{statement}\nprint(*sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env=fresh_interpreter_env(),
+        check=True,
+        capture_output=True,
+        text=True,
     )
     return set(done.stdout.split())
 

@@ -16,10 +16,13 @@ import sys
 import time
 
 import pytest
+from conftest import fresh_interpreter_env
 
 import cubeloops
+import cubeloops.enumeration as enumeration
 import cubeloops.errors as errors
 import cubeloops.reflection as reflection
+import cubeloops.verdict as verdict
 from cubeloops import (
     EnumerationQuery,
     FamilySpec,
@@ -401,6 +404,23 @@ def test_family_json_carries_spec(capsys):
     assert doc["word"] == "12341324"
 
 
+def test_family_validates_its_word_once(capsys, monkeypatch):
+    # the report validates the family word; nothing walks it before that
+    calls = 0
+    walk = verdict.validate
+
+    def counted(word):
+        nonlocal calls
+        calls += 1
+        return walk(word)
+
+    for module in (verdict, enumeration):
+        monkeypatch.setattr(module, "validate", counted)
+    assert main(["family", "--name", "sharp", "--dim", "6"]) == 0
+    capsys.readouterr()
+    assert calls == 1
+
+
 def test_family_bad_parameters_exit_code(capsys):
     assert main(["family", "--name", "gamma-a", "--dim", "4", "--beta", "4"]) == 2
     assert capsys.readouterr().err.startswith("BadParameters:")
@@ -442,6 +462,30 @@ def test_export_stdout_bytes_equal_the_file_bytes(tmp_path, capsysbinary):
         captured = capsysbinary.readouterr()
         assert captured.out == target.read_bytes(), fmt
         assert b"patches" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--dim", "4", "--word", "12321434", "--json"],
+        ["check", "--dim", "4", "--word", "12321434", "--mode", "verify", "--json"],
+        ["export", "--dim", "4", "--word", "12321434", "--format", "json"],
+        ["export", "--dim", "4", "--word", "12321434"],
+        ["enumerate", "--dim", "4", "--json"],
+        ["family", "--name", "sharp", "--dim", "6", "--json"],
+    ],
+)
+def test_first_command_of_a_fresh_process_matches_in_process(argv, capsysbinary):
+    # a fresh process imports each layer at its first use; the output must
+    # be the one an interpreter with every module loaded gives
+    done = subprocess.run(
+        [sys.executable, "-m", "cubeloops", *argv],
+        env=fresh_interpreter_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    code = main(argv)
+    assert (done.returncode, done.stdout) == (code, capsysbinary.readouterr().out)
 
 
 def test_export_stdout_without_a_byte_layer(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,7 @@ import pytest
 from conftest import family_members, modules_loaded_by
 
 import cubeloops.enumeration as enumeration
+import cubeloops.paths as paths
 from cubeloops import (
     BadParametersError,
     DirectionWord,
@@ -129,10 +130,12 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
     # the walk's deterministic work: every closed walk that passes the
     # smallest-gap tests (and, embedded-only, closes at full even-lattice
     # rank) reaches one rotation comparison, so a lost cut raises the count;
-    # only a kept walk builds its word, once per class
-    calls = builds = 0
+    # only a kept walk builds its word, once per class; the reversed
+    # profile is built only for a walk that no forward rotation refuses
+    calls = builds = reversals = 0
     compare = enumeration._is_least_rotation
     build = enumeration._word_from_profile
+    reverse = paths._reversed_profile
 
     def counting(profile):
         nonlocal calls
@@ -144,19 +147,26 @@ def test_census_canonicity_calls_are_pinned(monkeypatch):
         builds += 1
         return build(profile)
 
+    def counting_reversals(profile):
+        nonlocal reversals
+        reversals += 1
+        return reverse(profile)
+
     monkeypatch.setattr(enumeration, "_is_least_rotation", counting)
     monkeypatch.setattr(enumeration, "_word_from_profile", counting_builds)
-    for query, classes, expected_calls in (
-        (EnumerationQuery.create(4), 69, 258),
-        (EnumerationQuery.create(5, max_length=14), 1494, 6903),
-        (EnumerationQuery.create(6, max_length=14), 3516, 13490),
-        (EnumerationQuery.create(5, embedded_only=True), 8, 9),
-        (EnumerationQuery.create(7, embedded_only=True), 16, 18),
+    monkeypatch.setattr(paths, "_reversed_profile", counting_reversals)
+    for query, classes, expected_calls, expected_reversals in (
+        (EnumerationQuery.create(4), 69, 258, 92),
+        (EnumerationQuery.create(5, max_length=14), 1494, 6903, 2758),
+        (EnumerationQuery.create(6, max_length=14), 3516, 13490, 6718),
+        (EnumerationQuery.create(5, embedded_only=True), 8, 9, 8),
+        (EnumerationQuery.create(7, embedded_only=True), 16, 18, 17),
     ):
-        calls = builds = 0
+        calls = builds = reversals = 0
         assert len(enumerate_paths(query)) == classes
         assert calls == expected_calls, query
         assert builds == classes, query
+        assert reversals == expected_reversals, query
 
 
 def test_census_dimension_two():

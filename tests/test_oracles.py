@@ -36,9 +36,25 @@ def _imports(tree: ast.AST, name: str) -> bool:
 
 
 def test_command_line_does_not_load_the_oracles():
-    loaded = modules_loaded_by("import cubeloops.cli")
-    assert "cubeloops.cli" in loaded
-    assert "cubeloops.oracles" not in loaded
+    # a text check loads neither the verify-mode closure, the geometry nor
+    # the JSON layer: each is imported where it is first used
+    check = (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cubeloops.cli.main(['check', '--dim', '4', '--word', '12321434']) == 0"
+    )
+    lazy = {"cubeloops.geometry", "cubeloops.reflection", "cubeloops.jsontext", "json"}
+    for statement in ("import cubeloops.cli", f"import cubeloops.cli\n{check}"):
+        loaded = modules_loaded_by(statement)
+        assert "cubeloops.cli" in loaded
+        assert "cubeloops.oracles" not in loaded
+        assert not loaded & lazy, (statement, loaded & lazy)
+    # the package namespace imports a module on first access to its names
+    loaded = modules_loaded_by("import cubeloops")
+    assert not {name for name in loaded if name.startswith("cubeloops.")}
+    assert "cubeloops.geometry" in modules_loaded_by(
+        "import cubeloops\nfrom cubeloops import export_mesh"
+    )
 
 
 def test_no_production_module_imports_the_oracles():
@@ -68,6 +84,7 @@ def test_the_census_does_not_import_the_verdicts():
 
 def test_every_exported_name_resolves():
     assert len(cubeloops.__all__) <= 33
+    assert set(cubeloops.__all__) <= set(dir(cubeloops))
     modules = [cubeloops] + [
         importlib.import_module(f"cubeloops.{source.stem}")
         for source in sorted(PACKAGE.glob("*.py"))

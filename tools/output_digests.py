@@ -68,6 +68,9 @@ def invocations() -> list[list[str]]:
     ):
         family = ["family", *member]
         runs += [family, [*family, "--json"], [*family, "--mode", "verify", "--json"]]
+    # a high-dimension member, about 2 s: its report walks 58,000 edges
+    member = ["--name", "gamma-c", "--dim", "15000", "--alpha", "2", "--beta", "14000"]
+    runs.append(["family", *member, "--json"])
     runs += [
         ["export", "--dim", "3", "--word", "123123"],
         ["export", "--dim", "4", "--word", "12321434"],
