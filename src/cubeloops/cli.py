@@ -3,8 +3,9 @@
 Four subcommands: ``check`` validates a word and reports everything known
 about its surface; ``enumerate`` runs the census; ``family`` instantiates
 a named family member; ``export`` writes the patch mesh as OBJ or JSON.
-The geometry and the JSON writer are imported where a command first uses
-them, so a text ``check`` loads neither.
+The census and family layer, the geometry and the JSON writer are
+imported where a command first uses them, so a text ``check`` loads none
+of them.  ``family_word`` alone decides which family names exist.
 
 Exit codes: 0 success; 2 user or input error (invalid words, bad
 parameters, impossible projections — the diagnostic names the failed
@@ -24,21 +25,9 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .enumeration import (
-    FAMILY_NAMES,
-    EnumerationQuery,
-    FamilySpec,
-    enumerate_paths,
-    family_word,
-)
 from .errors import CubeLoopsError, InternalInvariantError
-from .paths import CanonicalWord, parse_word, validate
-from .verdict import (
-    SurfaceReport,
-    _euler_genus,
-    build_report,
-    decide_embedded,
-)
+from .paths import parse_word, validate
+from .verdict import SurfaceReport, build_report, decide_embedded
 
 if TYPE_CHECKING:
     from .jsontext import Encoded
@@ -118,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(handler=_cmd_enumerate)
 
     family = sub.add_parser("family", help="instantiate a named family member")
-    family.add_argument(
-        "--name", required=True, choices=FAMILY_NAMES, help="family name"
-    )
+    family.add_argument("--name", required=True, help="family name")
     family.add_argument("--dim", type=int, required=True, help="ambient dimension")
     family.add_argument("--alpha", type=int, help="lower split parameter")
     family.add_argument("--beta", type=int, help="upper split parameter")
@@ -184,6 +171,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import EnumerationQuery, enumerate_paths
+
     query = EnumerationQuery.create(
         dim=args.dim,
         length=args.length,
@@ -212,25 +201,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         sys.stdout.writelines(stream(document, 2))
         print()
         return 0
-    verdicts = [_listed_verdict(word, args.mode) for word in classes]
-    for word, (embedded, genus) in zip(classes, verdicts):
-        flags = "embedded" if embedded else "not embedded"
-        genus_text = f"  genus={genus}" if genus is not None else ""
+    # the embedded verdict and genus from the lattice alone in fast mode;
+    # verify mode builds the full report, whose oracles must agree with it
+    if args.mode == "verify":
+        verdicts = [build_report(word, mode="verify") for word in classes]
+    else:
+        verdicts = [decide_embedded(validate(word)) for word in classes]
+    for word, verdict in zip(classes, verdicts):
+        flags = "embedded" if verdict.embedded else "not embedded"
+        genus_text = f"  genus={verdict.genus}" if verdict.genus is not None else ""
         print(f"m={len(word):>3}  {word}  {flags}{genus_text}")
     plural = "es" if len(classes) != 1 else ""
     print(f"{len(classes)} class{plural}")
     return 0
-
-
-def _listed_verdict(word: CanonicalWord, mode: str) -> tuple[bool, int | None]:
-    """The embedded verdict and genus that the text listing prints for a
-    class: from its lattice and length alone in fast mode, and from the full
-    report in verify mode, whose oracles must agree with the lattice."""
-    if mode == "verify":
-        report = build_report(word, mode=mode)
-        return report.embedded, report.genus
-    embedded = decide_embedded(validate(word)).embedded
-    return embedded, _euler_genus(word.dim, len(word))[1] if embedded else None
 
 
 # The report fields that change from class to class in a census listing;
@@ -307,6 +290,8 @@ def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .enumeration import FamilySpec, family_word
+
     spec = FamilySpec(args.name, args.dim, alpha=args.alpha, beta=args.beta)
     word = family_word(spec)
     report = build_report(word, mode=args.mode, family=spec.to_json_dict())

@@ -173,8 +173,8 @@ class EnumerationQuery:
         embedded classes tightens the end to the proven embedded lengths:
         4*(dim-1) in even dimension, and 8*dim, eight edges per direction,
         in odd (module docstring).  Raises ValueError for a nonempty window
-        whose end is the open 2**dim when that passes
-        ``MAX_CENSUS_LENGTH``."""
+        whose end is the open 2**dim, or an exact ``length``, when that
+        passes ``MAX_CENSUS_LENGTH``."""
         if dim < 2:
             raise ValueError(f"dimension must be at least 2, not {dim}")
         lo = 2 * dim
@@ -208,6 +208,12 @@ class EnumerationQuery:
             )
         else:
             hi = 1 << dim  # at most MAX_CENSUS_LENGTH, or below lo
+        if length is not None and MAX_CENSUS_LENGTH < lo <= hi:
+            # refused here, where the request is known to name one length
+            raise ValueError(
+                f"a census window up to {length} edges exceeds the walk's "
+                f"limit of {MAX_CENSUS_LENGTH}; give a smaller --length"
+            )
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be nonnegative, not {limit}")
         return cls(dim, lo, hi, embedded_only, limit)

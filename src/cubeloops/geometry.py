@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
 from .groups import flip_subgroup_order
 from .jsontext import stream
-from .lattice import TranslationLattice, even_translation_lattice
+from .lattice import even_translation_lattice
 from .paths import JordanPath
 from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
@@ -53,16 +53,13 @@ __all__ = [
 PATCH_COORDINATE_BUDGET = 1 << 22
 
 
-def closure_within_budget(
-    path: JordanPath, lattice: TranslationLattice | None = None
-) -> ReflectionClosure:
+def closure_within_budget(path: JordanPath) -> ReflectionClosure:
     """The reflection closure, refused up front when its patches would
     place over PATCH_COORDINATE_BUDGET coordinates: m + 1 points in R^n per
-    element, flip-subgroup order times even ``lattice`` order elements."""
+    element, flip-subgroup order times the path's even translation lattice
+    order elements, a lattice read off the trail in O(mn)."""
     n = path.dim
-    if lattice is None:
-        lattice = even_translation_lattice(path)
-    order = flip_subgroup_order(n) * lattice.order
+    order = flip_subgroup_order(n) * even_translation_lattice(path).order
     coordinates = order * (path.length + 1) * n
     if coordinates > PATCH_COORDINATE_BUDGET:
         raise BudgetExceededError(

@@ -75,26 +75,37 @@ NOT_APPLICABLE = "not-applicable"
 
 @dataclass(frozen=True)
 class EmbeddedDecision:
-    """Embeddedness with the reflection group order that certifies it.
+    """Embeddedness with the reflection group order that certifies it, and
+    the Euler data of an embedded surface.
 
     The surface is embedded exactly when the even translation lattice has
     order 4 (even dimension) or 8 (odd); ``reflection_group_order`` is the
-    flip-subgroup order times the lattice order.
+    flip-subgroup order times the lattice order.  ``euler_char`` and
+    ``genus`` are None unless the surface is embedded, and ``genus`` is
+    also None in odd dimension (module docstring).
     """
 
     embedded: bool
     reflection_group_order: int
+    euler_char: int | None
+    genus: int | None
 
 
 def decide_embedded(path: JordanPath) -> EmbeddedDecision:
     lattice = even_translation_lattice(path)
-    return _decide_from_lattice(path.dim, lattice)
+    return _decide_from_lattice(path.dim, path.length, lattice)
 
 
-def _decide_from_lattice(dim: int, lattice: TranslationLattice) -> EmbeddedDecision:
-    threshold = 4 if dim % 2 == 0 else 8
-    order = flip_subgroup_order(dim) * lattice.order
-    return EmbeddedDecision(lattice.order == threshold, order)
+def _decide_from_lattice(
+    dim: int, length: int, lattice: TranslationLattice
+) -> EmbeddedDecision:
+    flips = flip_subgroup_order(dim)
+    order = flips * lattice.order
+    if lattice.order != (4 if dim % 2 == 0 else 8):
+        return EmbeddedDecision(False, order, None, None)
+    chi = flips * (4 - length) // 4
+    genus = 1 - chi // 2 if dim % 2 == 0 else None
+    return EmbeddedDecision(True, order, chi, genus)
 
 
 @dataclass(frozen=True)
@@ -113,12 +124,6 @@ def _orientable(
         return OrientabilityFlags(True, True, True)
     surface = even.rank != pair.rank
     return OrientabilityFlags(surface, surface, False)
-
-
-def _euler_genus(dim: int, length: int) -> tuple[int, int | None]:
-    chi = flip_subgroup_order(dim) * (4 - length) // 4
-    genus = 1 - chi // 2 if dim % 2 == 0 else None
-    return chi, genus
 
 
 @dataclass(frozen=True)
@@ -369,12 +374,8 @@ def build_report(
     m = path.length
     pair = pair_translation_lattice(path)
     lattice = even_lattice_from_pair(path, pair)
-    decision = _decide_from_lattice(n, lattice)
+    decision = _decide_from_lattice(n, m, lattice)
     orientable = _orientable(pair, lattice)
-    if decision.embedded:
-        chi, genus = _euler_genus(n, m)
-    else:
-        chi, genus = None, None
     symmetries = path_symmetries(path)
     notes = _report_notes(path, decision.embedded, symmetries)
     oracle_checks = None
@@ -390,8 +391,8 @@ def build_report(
         reflection_group_order=decision.reflection_group_order,
         embedded=decision.embedded,
         orientable=orientable,
-        euler_char=chi,
-        genus=genus,
+        euler_char=decision.euler_char,
+        genus=decision.genus,
         symmetries=symmetries,
         gaps=gap_invariant(path.word),
         edge_bound=edge_bound(n, m),
@@ -446,7 +447,7 @@ def _run_oracles(
         )
     )
     try:
-        closure = closure_within_budget(path, lattice)
+        closure = closure_within_budget(path)
     except BudgetExceededError as exc:
         return checks, (f"verify-mode oracles not run: {exc}",)
     checks["closure_order"] = closure.order

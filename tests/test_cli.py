@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -223,6 +224,12 @@ def test_enumerate_max_length_names_the_window_it_refuses(capsys):
         "invalid request: a census window up to 600 edges exceeds the walk's "
         "limit of 512; give a smaller --max-length\n"
     )
+    # an exact length is refused with the flag that gave it
+    assert main(["enumerate", "--dim", "10", "--length", "600"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid request: a census window up to 600 edges exceeds the walk's "
+        "limit of 512; give a smaller --length\n"
+    )
 
 
 def _enumerate_under_512_mb(*argv: str) -> subprocess.CompletedProcess:
@@ -424,6 +431,14 @@ def test_family_validates_its_word_once(capsys, monkeypatch):
 def test_family_bad_parameters_exit_code(capsys):
     assert main(["family", "--name", "gamma-a", "--dim", "4", "--beta", "4"]) == 2
     assert capsys.readouterr().err.startswith("BadParameters:")
+    # family_word alone checks the name, and lists every family
+    assert main(["family", "--name", "spiral", "--dim", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "BadParameters: unknown family 'spiral'; choose one of gamma-a, "
+        "gamma-b, gamma-c, d-series, sharp\n"
+    )
 
 
 def test_export_obj_to_file(tmp_path, capsys):
@@ -619,6 +634,19 @@ def test_readme_library_snippet_runs():
     snippet = re.search(r"## Library\n+```python\n(.*?)```", readme.read_text(), re.S)
     assert snippet is not None
     exec(compile(snippet.group(1), "README.md", "exec"), {})
+
+
+def test_output_digest_invocations_parse():
+    # the byte-identity list goes stale if an option it uses is dropped or
+    # renamed; each argv must still parse (none is run here)
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = tool.invocations()
+    assert runs
+    for argv in runs:
+        _build_parser().parse_args(argv)
 
 
 def test_unknown_subcommand_exits_via_argparse():

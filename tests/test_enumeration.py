@@ -270,7 +270,12 @@ def test_census_worker_count_is_clamped(serial_pool, n4_classes):
 
 def test_command_line_does_not_load_multiprocessing():
     # the worker pool is imported only when a census runs sharded
-    loaded = modules_loaded_by("import cubeloops.cli")
+    loaded = modules_loaded_by(
+        "import contextlib, io\n"
+        "import cubeloops.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cubeloops.cli.main(['enumerate', '--dim', '4']) == 0"
+    )
     assert "cubeloops.enumeration" in loaded
     assert "multiprocessing" not in loaded
 

@@ -36,14 +36,20 @@ def _imports(tree: ast.AST, name: str) -> bool:
 
 
 def test_command_line_does_not_load_the_oracles():
-    # a text check loads neither the verify-mode closure, the geometry nor
-    # the JSON layer: each is imported where it is first used
+    # a text check loads neither the census, the verify-mode closure, the
+    # geometry nor the JSON layer: each is imported where it is first used
     check = (
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cubeloops.cli.main(['check', '--dim', '4', '--word', '12321434']) == 0"
     )
-    lazy = {"cubeloops.geometry", "cubeloops.reflection", "cubeloops.jsontext", "json"}
+    lazy = {
+        "cubeloops.enumeration",
+        "cubeloops.geometry",
+        "cubeloops.reflection",
+        "cubeloops.jsontext",
+        "json",
+    }
     for statement in ("import cubeloops.cli", f"import cubeloops.cli\n{check}"):
         loaded = modules_loaded_by(statement)
         assert "cubeloops.cli" in loaded

@@ -98,6 +98,35 @@ def test_euler_genus_consistency(n4_embedded_classes):
         assert chi == 2 - 2 * genus
 
 
+def _summary_members():
+    for dim in range(3, 10):
+        yield FamilySpec("gamma-a", dim, beta=1)
+        yield FamilySpec("gamma-b", dim, alpha=1, beta=2)
+        yield FamilySpec("gamma-c", dim, alpha=1, beta=2)
+        yield FamilySpec("d-series", dim)
+        if dim >= 4:
+            yield FamilySpec("sharp", dim)
+
+
+def test_embedded_decision_matches_the_full_report(n3_classes, n4_classes):
+    # the summary the text listing prints from must read as the report does
+    words = [
+        *n3_classes,
+        *n4_classes,
+        *enumerate_paths(EnumerationQuery.create(5, max_length=12)),
+        *map(family_word, _summary_members()),
+    ]
+    seen = set()
+    for word in words:
+        decision = decide_embedded(validate(word))
+        report = build_report(word)
+        for field in ("embedded", "reflection_group_order", "euler_char", "genus"):
+            assert getattr(decision, field) == getattr(report, field), (word, field)
+        seen.add((decision.embedded, word.dim % 2, decision.genus is None))
+    # a non-embedded loop, an odd embedded one and an even embedded one
+    assert {(False, 0, True), (True, 1, True), (True, 0, False)} <= seen
+
+
 def test_edge_bound_reference_values():
     ruled = edge_bound(4, 14)
     assert ruled.verdict == "ruled-out"

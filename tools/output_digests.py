@@ -78,7 +78,7 @@ def invocations() -> list[list[str]]:
         ["export", "--dim", "4", "--word", "12321434", "--format", "json"],
     ]
     # the error paths: bad label, odd length, not closed, missing direction,
-    # not embedded, bad projection, a refused census window
+    # not embedded, bad projection, refused census windows, unknown family
     runs += [
         ["check", "--dim", "3", "--word", "129123"],
         ["check", "--dim", "3", "--word", "12312"],
@@ -87,6 +87,8 @@ def invocations() -> list[list[str]]:
         ["check", "--dim", "3", "--word", "112233"],
         ["export", "--dim", "5", "--word", "145231425232"],
         ["enumerate", "--dim", "10"],
+        ["enumerate", "--dim", "10", "--length", "600"],
+        ["family", "--name", "spiral", "--dim", "4"],
     ]
     return runs
 
