@@ -314,6 +314,13 @@ def _search(
     # the prefix's vertices, the base and the first edge's end included;
     # a child's vertex is added before its call and discarded after it
     visited = {0, 1}
+    visit, leave = visited.add, visited.discard
+    # the children's (direction, bit) pairs once directions 1..used occur:
+    # the used directions and, below n, the next new one
+    children = [
+        [(d, 1 << (d - 1)) for d in range(1, min(used + 1, n) + 1)]
+        for used in range(n + 1)
+    ]
 
     def extend(depth: int, vertex: int, used: int, g: int, need: int) -> None:
         """Grow the prefix of ``depth`` edges ending at ``vertex``, which is
@@ -335,13 +342,16 @@ def _search(
             # first[e] = e - 1, can wrap below g; an embedded-only walk
             # closes with its even lattice at full rank (vertex is bit d, so
             # the closing pair row is first_vertex[d] & ~vertex)
-            if (
-                depth - prior >= g
-                and all(last[e] - e < m - g for e in range(1, g + 1))
-                and (
-                    rank_cap is None
-                    or rank + bool(residue(first_vertex[d] & ~vertex)) == rank_cap
-                )
+            closes = depth - prior >= g
+            if closes:
+                home = m - g
+                for e in range(1, g + 1):
+                    if last[e] - e >= home:
+                        closes = False
+                        break
+            if closes and (
+                rank_cap is None
+                or rank + bool(residue(first_vertex[d] & ~vertex)) == rank_cap
             ):
                 profile = gaps[:depth]
                 profile.append(depth - prior)
@@ -357,8 +367,7 @@ def _search(
         # edges left after the child's; the closing edge is handled above,
         # and vertex 0 is in visited
         left = max_len - depth - 1
-        for d in range(1, min(used + 1, n) + 1):
-            bit = 1 << (d - 1)
+        for d, bit in children[used]:
             target = vertex ^ bit
             if target in visited:
                 continue
@@ -389,9 +398,9 @@ def _search(
                     continue
             last[d] = depth
             gaps[depth] = gap
-            visited.add(target)
+            visit(target)
             extend(depth + 1, target, used, g or gap, child_need)
-            visited.discard(target)
+            leave(target)
             last[d] = prior
             if pivot:
                 pivots[pivot.bit_length() - 1] = 0

@@ -190,6 +190,20 @@ def validate(word: DirectionWord) -> JordanPath:
     return JordanPath(word, tuple(trail))
 
 
+def _census_path(word: DirectionWord) -> JordanPath:
+    """The walk of a word that ``enumeration.enumerate_paths`` returned,
+    based at mask 0, built without :func:`validate`'s checks: the census
+    walk has already proved it closed, simple and covering.  Any other
+    word, a canonical one included, goes through :func:`validate`."""
+    trail = []
+    append = trail.append
+    vertex = 0
+    for lab in word.labels:
+        append(vertex)
+        vertex ^= 1 << (lab - 1)
+    return JordanPath(word, tuple(trail))
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -298,10 +312,24 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     A direction's entries of the repeat profile, in word order, are its
     gap vector rotated to start with the gap that wraps around.
     """
+    return _gap_invariant(word.labels, {})
+
+
+def _gap_invariant(
+    labels: Sequence[int], forms: dict[tuple[int, ...], tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """:func:`gap_invariant` of the labels, each gap vector's least form
+    read from ``forms``, or computed and added there on its first sight."""
     gaps: dict[int, list[int]] = {}
-    for lab, gap in zip(word.labels, _repeat_profile(word.labels)):
+    for lab, gap in zip(labels, _repeat_profile(labels)):
         gaps.setdefault(lab, []).append(gap)
-    return tuple(sorted(_min_cyclic(tuple(vec)) for vec in gaps.values()))
+    out = []
+    for vec in map(tuple, gaps.values()):
+        form = forms.get(vec)
+        if form is None:
+            form = forms[vec] = _min_cyclic(vec)
+        out.append(form)
+    return tuple(sorted(out))
 
 
 def _min_cyclic(vec: tuple[int, ...]) -> tuple[int, ...]:

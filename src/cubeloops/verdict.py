@@ -9,6 +9,12 @@ rest of it is the canonical form (a least rotation of a profile, skipped
 for a census word, which is canonical already) and the sign symmetries (the
 word against its rotations and reversals that start with its first label,
 each compared in O(m)).
+A census listing builds its reports with ``_listing_reports``, one core
+shared with :func:`build_report`.  The census walk has proved every class
+it returns closed, simple and covering, so the listing reads each walk off
+its word without :func:`validate`'s checks (``paths._census_path``), and
+computes each distinct gap vector's least form and each length's edge
+bound once per listing, in tables made afresh for each listing.
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -34,6 +40,7 @@ is reported only where that quotient is orientable (even dimension).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,6 +56,7 @@ from .paths import (
     DirectionWord,
     JordanPath,
     SignSymmetry,
+    _gap_invariant,
     canonicalize,
     format_word,
     gap_invariant,
@@ -151,12 +159,12 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     dimension an embedded surface forces at most 4(dim-1) edges; in odd
     dimension the working bound 8(dim-3)+18 is applied and flagged as
     heuristic (it rests on the even-dimensional argument applied
-    coordinate-wise, not on a full proof).  For dim 5, 7, 9 and 11,
+    coordinate-wise, not on a full proof).  For dim 5, 7, 9, 11 and 13,
     4(dim-1) holds by exhaustive search: the complete embedded censuses,
     searched up to the proven 8*dim edges (eight per direction; see
-    :mod:`cubeloops.enumeration`), reach at most 16, 24, 32 and 40 edges
-    (8, 16, 27 and 40 classes), against working bounds of 34, 50, 66 and
-    82.
+    :mod:`cubeloops.enumeration`), reach at most 16, 24, 32, 40 and 48
+    edges (8, 16, 27, 40 and 56 classes), against working bounds of 34,
+    50, 66, 82 and 98.
     """
     capacity = 1 << dim
     if length > capacity:
@@ -356,7 +364,10 @@ def build_report(
     """Assemble the full report for a loop, in fast or verifying mode.
 
     A :class:`DirectionWord` (from ``parse_word`` or built directly) is
-    validated first; a :class:`JordanPath` is used as it is.
+    validated first, a canonical one too; a :class:`JordanPath` is used
+    as it is.  A census listing builds its reports with
+    :func:`_listing_reports` instead, from the walks the census has
+    already proved simple.
 
     Fast mode derives everything from the translation lattice.  Verifying
     mode additionally runs the brute-force group closure and the exact
@@ -367,9 +378,48 @@ def build_report(
     over it neither runs, every ``oracle_checks`` value is None, and a note
     gives the patch and coordinate counts against the budget.
     """
+    _check_mode(mode)
+    path = word if isinstance(word, JordanPath) else validate(word)
+    gaps = gap_invariant(path.word)
+    return _report(path, mode, family, gaps, edge_bound(path.dim, path.length))
+
+
+def _listing_reports(paths: Iterable[JordanPath], mode: str) -> list[SurfaceReport]:
+    """The reports of a census listing's walks, of one dimension, in order,
+    each equal to :func:`build_report`'s.
+
+    The listing shares two tables, made afresh for each listing: each
+    distinct gap vector's least form (a census has far fewer distinct
+    vectors than classes) and each length's edge bound, each computed on
+    first sight.
+    """
+    _check_mode(mode)
+    forms: dict[tuple[int, ...], tuple[int, ...]] = {}
+    bounds: dict[int, BoundDiagnostic] = {}
+    reports = []
+    for path in paths:
+        m = path.length
+        bound = bounds.get(m)
+        if bound is None:
+            bound = bounds[m] = edge_bound(path.dim, m)
+        gaps = _gap_invariant(path.word.labels, forms)
+        reports.append(_report(path, mode, None, gaps, bound))
+    return reports
+
+
+def _check_mode(mode: str) -> None:
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
-    path = word if isinstance(word, JordanPath) else validate(word)
+
+
+def _report(
+    path: JordanPath,
+    mode: str,
+    family: dict[str, Any] | None,
+    gaps: tuple[tuple[int, ...], ...],
+    bound: BoundDiagnostic,
+) -> SurfaceReport:
+    """The report of a walk, given its gap invariant and edge bound."""
     n = path.dim
     m = path.length
     pair = pair_translation_lattice(path)
@@ -394,8 +444,8 @@ def build_report(
         euler_char=decision.euler_char,
         genus=decision.genus,
         symmetries=symmetries,
-        gaps=gap_invariant(path.word),
-        edge_bound=edge_bound(n, m),
+        gaps=gaps,
+        edge_bound=bound,
         direction_load=per_direction_bound(path),
         family=family,
         oracle_checks=oracle_checks,

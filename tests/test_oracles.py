@@ -88,6 +88,43 @@ def test_the_census_does_not_import_the_verdicts():
     assert not _imports(ast.parse(source.read_text(), filename=str(source)), "verdict")
 
 
+def _cached_functions(tree: ast.AST) -> set[str]:
+    """The functions that the tree decorates with ``lru_cache`` or ``cache``."""
+    cached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = getattr(decorator, "attr", getattr(decorator, "id", None))
+                if name in ("lru_cache", "cache"):
+                    cached.add(node.name)
+    return cached
+
+
+def test_no_new_cache_outlives_a_command():
+    # a cache that outlives one cli.main call speeds up calls made in one
+    # process, which a fresh command-line process never has; a new one
+    # must be added here on purpose
+    cached = {
+        f"{source.stem}.{name}"
+        for source in sorted(PACKAGE.glob("*.py"))
+        for name in _cached_functions(ast.parse(source.read_text()))
+    }
+    assert cached == {"cli._build_parser", "groups._lane_masks"}
+    # the check itself sees each decorator form
+    for decorator in (
+        "lru_cache",
+        "lru_cache(maxsize=1)",
+        "functools.lru_cache",
+        "functools.lru_cache(None)",
+        "cache",
+        "functools.cache",
+    ):
+        tree = ast.parse(f"@{decorator}\ndef f():\n    pass\n")
+        assert _cached_functions(tree) == {"f"}, decorator
+
+
 def test_every_exported_name_resolves():
     assert len(cubeloops.__all__) <= 33
     assert set(cubeloops.__all__) <= set(dir(cubeloops))

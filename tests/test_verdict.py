@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from cubeloops import (
+    DirectionWord,
     EnumerationQuery,
     FamilySpec,
     NotClosedError,
+    NotEmbeddedError,
     build_report,
+    canonicalize,
     decide_embedded,
     enumerate_paths,
     family_word,
@@ -17,7 +20,8 @@ from cubeloops import (
 )
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
-from cubeloops.verdict import edge_bound, per_direction_bound
+from cubeloops.paths import _census_path
+from cubeloops.verdict import _listing_reports, edge_bound, per_direction_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
@@ -217,6 +221,43 @@ def test_build_report_propagates_validation_errors():
         build_report(parse_word("32123121", 3))
     with pytest.raises(ValueError):
         build_report(parse_word("123123", 3), mode="quick")
+
+
+def test_build_report_validates_a_canonical_word():
+    # a closed word canonicalizes without being simple, so a canonical word
+    # is no proof that its walk is simple; only census listings skip validate
+    word = canonicalize(DirectionWord((1, 1, 2, 2, 3, 3), 3))
+    with pytest.raises(NotEmbeddedError):
+        build_report(word)
+
+
+# the census windows that tools/output_digests.py lists, then the complete
+# embedded censuses of dimensions 3 to 10, with the modes each is checked
+# in: verify mode runs the same oracles in both builders and takes seconds
+# a window past the smallest, so only those run in it
+BOTH = ("fast", "verify")
+LISTED_WINDOWS = (
+    ({"dim": 3}, BOTH),
+    ({"dim": 4}, BOTH),
+    ({"dim": 5, "max_length": 14}, ("fast",)),
+    ({"dim": 5, "max_length": 16}, ("fast",)),
+    ({"dim": 6, "max_length": 12}, ("fast",)),
+    *(({"dim": dim, "embedded_only": True}, BOTH) for dim in range(3, 9)),
+    *(({"dim": dim, "embedded_only": True}, ("fast",)) for dim in (9, 10)),
+)
+
+
+@pytest.mark.parametrize("window, modes", LISTED_WINDOWS, ids=repr)
+def test_listing_reports_match_their_oracles(window, modes):
+    # the listing reads each class's walk off without validate and shares
+    # its gap-vector forms and edge bounds across the listing; validate and
+    # build_report, one class at a time, are the oracles
+    words = enumerate_paths(EnumerationQuery.create(**window))
+    walks = [_census_path(word) for word in words]
+    assert walks == [validate(word) for word in words]
+    for mode in modes:
+        reports = _listing_reports(walks, mode)
+        assert reports == [build_report(word, mode=mode) for word in words]
 
 
 def test_build_report_verify_mode_runs_oracles():
