@@ -9,25 +9,38 @@ of them.  ``family_word`` alone decides which family names exist.
 
 Exit codes: 0 success; 2 user or input error (invalid words, bad
 parameters, impossible projections — the diagnostic names the failed
-condition); 3 I/O failure; 1 internal invariant violation, meaning the
-independent methods disagreed — never expected, always a bug worth
-reporting.
+condition); 3 I/O failure, a reader that closed the output pipe among
+them; 1 internal invariant violation, meaning the independent methods
+disagreed — never expected, always a bug worth reporting.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from collections.abc import Iterator
-from dataclasses import fields
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 from .errors import CubeLoopsError, InternalInvariantError
-from .paths import _census_path, parse_word, validate
-from .verdict import SurfaceReport, _listing_reports, build_report, decide_embedded
+from .paths import (
+    JordanPath,
+    _census_path,
+    _gap_invariant,
+    canonicalize,
+    parse_word,
+    validate,
+)
+from .verdict import (
+    SurfaceReport,
+    _report,
+    _report_shape,
+    _Shape,
+    build_report,
+    decide_embedded,
+)
 
 if TYPE_CHECKING:
     from .jsontext import Encoded
@@ -44,23 +57,53 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed pipe fails here, not in the interpreter's final flush;
+        # print skips a standard output closed at start-up (None)
+        print(end="", flush=True)
+        return code
     except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"internal invariant violated: {exc}")
     except CubeLoopsError as exc:
         condition = type(exc).__name__.removesuffix("Error")
-        print(f"{condition}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"{condition}: {exc}")
     except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"invalid request: {exc}")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"i/o error: {exc}")
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)
+
+
+def _fail(code: int, message: str) -> int:
+    """Print the diagnostic to standard error and return the exit code.
+
+    A reader that has gone, such as ``head`` at the far end of a pipe,
+    fails every write to its stream, this message and the interpreter's
+    final flush included; that flush would turn the exit code into 120.
+    A stream that fails is pointed at the null device, so that the text
+    it still holds is dropped and the exit code stands.
+    """
+    for stream, text in ((sys.stdout, ""), (sys.stderr, message + "\n")):
+        if stream is None:  # closed when the interpreter started
+            continue
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            _discard(stream)
+    return code
+
+
+def _discard(stream: IO[str]) -> None:
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor, and so no final flush to fail
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 @lru_cache(maxsize=1)
@@ -188,7 +231,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.json:
         from .jsontext import stream
 
-        reports = _listing_reports(walks, args.mode)
         document = {
             "schema": 1,
             "dim": args.dim,
@@ -198,8 +240,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "embedded_only": query.embedded_only,
                 "limit": query.limit,
             },
-            "count": len(reports),
-            "classes": _class_documents(reports),
+            "count": len(classes),
+            "classes": _class_documents(walks, args.mode),
         }
         sys.stdout.writelines(stream(document, 2))
         print()
@@ -207,7 +249,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # the embedded verdict and genus from the lattice alone in fast mode;
     # verify mode builds the full report, whose oracles must agree with it
     if args.mode == "verify":
-        verdicts = _listing_reports(walks, "verify")
+        verdicts = [build_report(walk, "verify") for walk in walks]
     else:
         verdicts = [decide_embedded(walk) for walk in walks]
     for word, verdict in zip(classes, verdicts):
@@ -219,14 +261,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-# The report fields that change from class to class in a census listing;
-# every other field is part of the report's shape, which many classes
-# share.  The shape's dict fields are keyed by their items.
-_PER_CLASS = ("word", "canonical", "gaps")
-_DICTS = ("family", "oracle_checks")
-_SHAPE = attrgetter(
-    *(f.name for f in fields(SurfaceReport) if f.name not in _PER_CLASS + _DICTS)
-)
 # stands for each per-class value while a shape's text is encoded
 _SLOT = "\0"
 # a class sits two levels deep (document, classes); a gap vector four
@@ -234,34 +268,45 @@ _CLASS_NEWLINE = "\n" + " " * 4
 _VECTOR_NEWLINE = "\n" + " " * 8
 
 
-def _shape_key(report: SurfaceReport) -> tuple[Any, ...]:
-    """The report's shape fields, with its dicts frozen as item tuples.
-
-    A shape is keyed by these fields, not by their JSON text: ``True == 1``
-    and both hash alike, but each field holds one type.
-    """
-    family, checks = report.family, report.oracle_checks
-    return (
-        _SHAPE(report),
-        None if family is None else tuple(family.items()),
-        None if checks is None else tuple(checks.items()),
-    )
-
-
-def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
+def _class_documents(
+    walks: Iterable[JordanPath], mode: str
+) -> Iterator[list[Encoded]]:
     """The listing's classes for :func:`stream`, one encoded report at a
-    time, each report shape encoded once per listing.
+    time, with one :class:`SurfaceReport` built per report shape.
 
-    On a shape's first class its :meth:`SurfaceReport.to_json_dict` is
-    encoded with slots for the word, the canonical word and each of the
-    ``dim`` gap vectors (one per direction, all used), and the text is
-    split at the slots.  Each class of that shape joins its own values
-    into those parts; a gap vector's text is also encoded once.
+    Each class computes its gap invariant and the inputs that fix its
+    report's shape (``verdict._Shape``, whose docstring proves the key
+    exact), in verify mode its oracle checks among them.  Every class's
+    inputs are computed here, before any text: a verify run whose
+    oracles disagree raises before the listing writes anything, and
+    interleaving the inputs with the encoding made the full n=4 listing
+    about 7% slower (600 alternating in-process calls each way, 2 CPUs,
+    Python 3.11.7).
+    """
+    forms: dict[tuple[int, ...], tuple[int, ...]] = {}
+    inputs = [
+        (walk, _report_shape(walk, mode), _gap_invariant(walk.word.labels, forms))
+        for walk in walks
+    ]
+    return _encoded_classes(inputs)
+
+
+def _encoded_classes(
+    inputs: list[tuple[JordanPath, _Shape, tuple[tuple[int, ...], ...]]],
+) -> Iterator[list[Encoded]]:
+    """Each class's text, from its walk, shape and gap invariant.
+
+    On a shape's first class its report is built from those inputs and
+    its :meth:`SurfaceReport.to_json_dict` is encoded with slots for the
+    word, the canonical word and each of the ``dim`` gap vectors (one
+    per direction, all used); the text is split at the slots.  Each class
+    of that shape joins its own values into those parts; a gap vector's
+    text is also encoded once.
     """
     from .jsontext import Encoded, dumps
 
     slot = dumps(_SLOT, 2)
-    templates: dict[tuple[Any, ...], tuple[list[str], str]] = {}
+    templates: dict[_Shape, tuple[list[str], str]] = {}
     vectors: dict[tuple[int, ...], str] = {}
 
     def vector_text(vector: tuple[int, ...]) -> str:
@@ -270,24 +315,21 @@ def _class_documents(reports: list[SurfaceReport]) -> Iterator[list[Encoded]]:
             text = vectors[vector] = dumps(vector, 2).replace("\n", _VECTOR_NEWLINE)
         return text
 
-    for report in reports:
-        key = _shape_key(report)
-        template = templates.get(key)
+    for walk, shape, gaps in inputs:
+        template = templates.get(shape)
         if template is None:
-            document = report.to_json_dict()
+            document = _report(walk, shape, gaps).to_json_dict()
             document["word"] = document["canonical"] = _SLOT
-            document["gap_invariant"] = [_SLOT] * report.dim
+            document["gap_invariant"] = [_SLOT] * walk.dim
             text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
             *parts, tail = text.split(slot)
-            template = templates[key] = parts, tail
-        word = dumps(str(report.word), 2)
-        canonical = (
-            word  # a census class is its own canonical word
-            if report.canonical is report.word
-            else dumps(str(report.canonical), 2)
-        )
+            template = templates[shape] = parts, tail
+        word = dumps(str(walk.word), 2)
+        canonical = canonicalize(walk.word)
+        # a census class is its own canonical word
+        canonical_text = word if canonical is walk.word else dumps(str(canonical), 2)
         parts, tail = template
-        values = (word, canonical, *map(vector_text, report.gaps))
+        values = (word, canonical_text, *map(vector_text, gaps))
         text = "".join(chain.from_iterable(zip(parts, values, strict=True)))
         yield [Encoded(text + tail)]
 

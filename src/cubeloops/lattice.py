@@ -49,30 +49,38 @@ def double_bit_vector(mask: int, dim: int) -> tuple[int, ...]:
     return tuple(2 if (mask >> k) & 1 else 0 for k in range(dim))
 
 
-def _row_reduce(rows: list[int]) -> tuple[int, ...]:
-    """Fully reduced GF(2) echelon basis, sorted descending (canonical).
+def _row_reduce(rows: list[int], dim: int) -> tuple[int, ...]:
+    """Fully reduced GF(2) echelon basis of rows in ``dim`` bits, sorted
+    descending (canonical).
 
-    Each row is reduced against a table of pivots keyed by leading bit
+    Each row is reduced against a list of pivots indexed by leading bit
     and, if anything is left, becomes the pivot of its own leading bit.
-    One back-substitution pass, in increasing order of leading bit, then
-    clears every pivot's bit from the higher pivots.
+    Once ``dim`` pivots are set the rows span GF(2)^dim, whose fully
+    reduced basis is the identity whatever the rows left unread, so the
+    reduction stops there.  Otherwise one back-substitution pass, in
+    increasing order of leading bit, clears every pivot's bit from the
+    higher pivots.
     """
-    pivots: dict[int, int] = {}
+    pivots = [0] * dim
+    rank = 0
     for row in rows:
         while row:
             top = row.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
+            pivot = pivots[top]
+            if not pivot:
                 pivots[top] = row
+                rank += 1
+                if rank == dim:
+                    return tuple(1 << k for k in range(dim - 1, -1, -1))
                 break
             row ^= pivot
     basis: list[tuple[int, int]] = []
-    for top in sorted(pivots):
-        row = pivots[top]
-        for bit, lower in basis:
-            if row >> bit & 1:
-                row ^= lower
-        basis.append((top, row))
+    for top, row in enumerate(pivots):
+        if row:
+            for bit, lower in basis:
+                if row >> bit & 1:
+                    row ^= lower
+            basis.append((top, row))
     return tuple(row for _, row in reversed(basis))
 
 
@@ -147,7 +155,9 @@ def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
     """Subgroup generated by pairing every edge with its direction's first edge.
 
     One pass over the trail: a direction's first edge records its vertex
-    (its own row would be zero) and every later edge adds its row."""
+    (its own row would be zero) and every later edge adds its row.  The
+    reduction stops at full rank (:func:`_row_reduce`), which most census
+    classes reach."""
     first: dict[int, int] = {}
     rows = []
     for d, vertex in zip(path.word.labels, path.vertex_masks):
@@ -156,7 +166,7 @@ def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
             first[d] = vertex
         else:
             rows.append((vertex ^ base) & ~(1 << (d - 1)))
-    return TranslationLattice(path.dim, _row_reduce(rows))
+    return TranslationLattice(path.dim, _row_reduce(rows, path.dim))
 
 
 def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
@@ -196,8 +206,9 @@ def even_lattice_from_pair(
     product in one pass.  A zero remainder lies in the pair lattice, which
     is returned as it is; otherwise the remainder's leading bit is cleared
     from the rows that hold it, and it joins them in descending order.
+    A pair lattice of full rank holds every row already.
     """
-    if path.dim % 2 == 0:
+    if path.dim % 2 == 0 or pair.rank == path.dim:
         return pair
     # one pass: a direction's bit joins ``seen`` at its first edge
     seen = product = 0

@@ -9,12 +9,12 @@ rest of it is the canonical form (a least rotation of a profile, skipped
 for a census word, which is canonical already) and the sign symmetries (the
 word against its rotations and reversals that start with its first label,
 each compared in O(m)).
-A census listing builds its reports with ``_listing_reports``, one core
-shared with :func:`build_report`.  The census walk has proved every class
-it returns closed, simple and covering, so the listing reads each walk off
-its word without :func:`validate`'s checks (``paths._census_path``), and
-computes each distinct gap vector's least form and each length's edge
-bound once per listing, in tables made afresh for each listing.
+A census listing keys each class on the inputs that fix its report's
+shape (:func:`_report_shape`) and builds a :class:`SurfaceReport`, through
+the core that :func:`build_report` shares (``_report``), only for the
+first class of each shape.  The census walk has proved every class it
+returns closed, simple and covering, so the listing reads each walk off
+its word without :func:`validate`'s checks (``paths._census_path``).
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -29,7 +29,7 @@ rank than the pair lattice — while the quotient by all even translations
 is never orientable.  A report reads the pair lattice off the trail in
 one pass, each edge against its direction's first vertex, and derives
 every decision from it; in odd dimension a second pass reads the
-direction-product row.
+direction-product row, unless the pair lattice has full rank already.
 
 The Euler characteristic of the compact quotient by twice-integer
 translations counts cells of the patch complex: each patch contributes
@@ -40,9 +40,8 @@ is reported only where that quotient is orientable (even dimension).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import BudgetExceededError, InternalInvariantError
 from .groups import flip_subgroup_order
@@ -56,7 +55,6 @@ from .paths import (
     DirectionWord,
     JordanPath,
     SignSymmetry,
-    _gap_invariant,
     canonicalize,
     format_word,
     gap_invariant,
@@ -125,12 +123,10 @@ class OrientabilityFlags:
     quotient_by_even_translations: bool
 
 
-def _orientable(
-    pair: TranslationLattice, even: TranslationLattice
-) -> OrientabilityFlags:
-    if pair.dim % 2 == 0:
+def _orientable(dim: int, pair_rank: int, even_rank: int) -> OrientabilityFlags:
+    if dim % 2 == 0:
         return OrientabilityFlags(True, True, True)
-    surface = even.rank != pair.rank
+    surface = even_rank != pair_rank
     return OrientabilityFlags(surface, surface, False)
 
 
@@ -222,15 +218,22 @@ class DirectionLoadDiagnostic:
 
 
 def per_direction_bound(path: JordanPath) -> DirectionLoadDiagnostic:
+    return _direction_load(path.dim, _direction_counts(path))
+
+
+def _direction_counts(path: JordanPath) -> tuple[int, ...]:
     counts = [0] * path.dim
     for label in path.word.labels:
         counts[label - 1] += 1
-    counts_t = tuple(counts)
-    if path.dim % 2:
+    return tuple(counts)
+
+
+def _direction_load(dim: int, counts: tuple[int, ...]) -> DirectionLoadDiagnostic:
+    if dim % 2:
         return DirectionLoadDiagnostic(
             NOT_APPLICABLE,
             "per-direction ceiling applies to even dimension only",
-            counts_t,
+            counts,
         )
     overloaded = tuple(d + 1 for d, c in enumerate(counts) if c > 4)
     constrained = tuple(d + 1 for d, c in enumerate(counts) if c == 4)
@@ -238,14 +241,14 @@ def per_direction_bound(path: JordanPath) -> DirectionLoadDiagnostic:
         return DirectionLoadDiagnostic(
             RULED_OUT,
             f"direction(s) {list(overloaded)} carry more than 4 edges",
-            counts_t,
+            counts,
             overloaded,
             constrained,
         )
     return DirectionLoadDiagnostic(
         MAYBE_EMBEDDED,
         "no direction carries more than 4 edges",
-        counts_t,
+        counts,
         (),
         constrained,
     )
@@ -365,9 +368,9 @@ def build_report(
 
     A :class:`DirectionWord` (from ``parse_word`` or built directly) is
     validated first, a canonical one too; a :class:`JordanPath` is used
-    as it is.  A census listing builds its reports with
-    :func:`_listing_reports` instead, from the walks the census has
-    already proved simple.
+    as it is.  A census listing builds its reports from
+    :func:`_report_shape` instead, one for each report shape, from the
+    walks the census has already proved simple.
 
     Fast mode derives everything from the translation lattice.  Verifying
     mode additionally runs the brute-force group closure and the exact
@@ -378,60 +381,90 @@ def build_report(
     over it neither runs, every ``oracle_checks`` value is None, and a note
     gives the patch and coordinate counts against the budget.
     """
-    _check_mode(mode)
-    path = word if isinstance(word, JordanPath) else validate(word)
-    gaps = gap_invariant(path.word)
-    return _report(path, mode, family, gaps, edge_bound(path.dim, path.length))
-
-
-def _listing_reports(paths: Iterable[JordanPath], mode: str) -> list[SurfaceReport]:
-    """The reports of a census listing's walks, of one dimension, in order,
-    each equal to :func:`build_report`'s.
-
-    The listing shares two tables, made afresh for each listing: each
-    distinct gap vector's least form (a census has far fewer distinct
-    vectors than classes) and each length's edge bound, each computed on
-    first sight.
-    """
-    _check_mode(mode)
-    forms: dict[tuple[int, ...], tuple[int, ...]] = {}
-    bounds: dict[int, BoundDiagnostic] = {}
-    reports = []
-    for path in paths:
-        m = path.length
-        bound = bounds.get(m)
-        if bound is None:
-            bound = bounds[m] = edge_bound(path.dim, m)
-        gaps = _gap_invariant(path.word.labels, forms)
-        reports.append(_report(path, mode, None, gaps, bound))
-    return reports
-
-
-def _check_mode(mode: str) -> None:
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
+    path = word if isinstance(word, JordanPath) else validate(word)
+    shape = _report_shape(path, mode)
+    return _report(path, shape, gap_invariant(path.word), family)
+
+
+class _Shape(NamedTuple):
+    """The inputs of a walk's report that fix its shape: every report
+    field but the word, the canonical word and the gap invariant.
+
+    Walks with equal shapes have one dimension n (the lattice holds it)
+    and reports that agree in every other field once ``family`` is set
+    alike (a census listing sets none).  Each field of the report is a
+    function of n and these inputs:
+
+    - ``lattice`` is the even lattice, held here;
+    - the length m is the sum of ``counts``, each edge counted in its
+      direction;
+    - the decision (embedded flag, reflection group order, χ and genus) is
+      :func:`_decide_from_lattice` of (n, m, the even lattice);
+    - ``orientable`` is :func:`_orientable` of (n, ``pair_rank``, the even
+      lattice's rank): only the pair lattice's rank is held, since its
+      rows would split shapes (keyed on them, the 1,494 classes of the
+      full n=5 census up to 14 edges would make 121 templates for 93
+      shapes);
+    - ``symmetries`` are held;
+    - ``edge_bound`` is :func:`edge_bound` of (n, m);
+    - ``direction_load`` is :func:`_direction_load` of (n, ``counts``);
+    - ``oracle_checks`` are held, as their items in a fixed key order,
+      each value of one type (an int, a bool, or None when refused), so
+      tuple equality is equality of the checks (``True == 1`` never
+      meets);
+    - ``notes`` are :func:`_report_notes` of (n, the embedded flag,
+      ``symmetries``), then ``refusal``, the note of a verify run that
+      the patch budget refused, held here (it reads n, m and the group
+      order).
+
+    So equal shapes give equal report shapes.  The key is also no finer
+    than the report: each input is printed as it is, moves the printed
+    orientability (``pair_rank``, given the lattice) or ends the notes
+    (``refusal``).
+    """
+
+    lattice: TranslationLattice
+    pair_rank: int
+    symmetries: tuple[SignSymmetry, ...]
+    counts: tuple[int, ...]
+    oracle_checks: tuple[tuple[str, Any], ...] | None
+    refusal: tuple[str, ...]
+
+
+def _report_shape(path: JordanPath, mode: str) -> _Shape:
+    """The inputs that fix the report's shape, each computed once; in
+    verify mode (any other mode is fast) the oracles run here, and raise
+    when they disagree."""
+    pair = pair_translation_lattice(path)
+    lattice = even_lattice_from_pair(path, pair)
+    checks, refusal = None, ()
+    if mode == "verify":
+        decision = _decide_from_lattice(path.dim, path.length, lattice)
+        checks, refusal = _run_oracles(path, lattice, decision)
+    return _Shape(
+        lattice,
+        pair.rank,
+        path_symmetries(path),
+        _direction_counts(path),
+        checks,
+        refusal,
+    )
 
 
 def _report(
     path: JordanPath,
-    mode: str,
-    family: dict[str, Any] | None,
+    shape: _Shape,
     gaps: tuple[tuple[int, ...], ...],
-    bound: BoundDiagnostic,
+    family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
-    """The report of a walk, given its gap invariant and edge bound."""
+    """The report of a walk, given its shape's inputs and its gap invariant."""
     n = path.dim
     m = path.length
-    pair = pair_translation_lattice(path)
-    lattice = even_lattice_from_pair(path, pair)
+    lattice = shape.lattice
     decision = _decide_from_lattice(n, m, lattice)
-    orientable = _orientable(pair, lattice)
-    symmetries = path_symmetries(path)
-    notes = _report_notes(path, decision.embedded, symmetries)
-    oracle_checks = None
-    if mode == "verify":
-        oracle_checks, refusal = _run_oracles(path, lattice, decision)
-        notes += refusal
+    checks = shape.oracle_checks
     return SurfaceReport(
         dim=n,
         word=path.word,
@@ -440,21 +473,22 @@ def _report(
         lattice=lattice,
         reflection_group_order=decision.reflection_group_order,
         embedded=decision.embedded,
-        orientable=orientable,
+        orientable=_orientable(n, shape.pair_rank, lattice.rank),
         euler_char=decision.euler_char,
         genus=decision.genus,
-        symmetries=symmetries,
+        symmetries=shape.symmetries,
         gaps=gaps,
-        edge_bound=bound,
-        direction_load=per_direction_bound(path),
+        edge_bound=edge_bound(n, m),
+        direction_load=_direction_load(n, shape.counts),
         family=family,
-        oracle_checks=oracle_checks,
-        notes=notes,
+        oracle_checks=None if checks is None else dict(checks),
+        notes=_report_notes(n, decision.embedded, shape.symmetries)
+        + shape.refusal,
     )
 
 
 def _report_notes(
-    path: JordanPath, embedded: bool, symmetries: tuple[SignSymmetry, ...]
+    dim: int, embedded: bool, symmetries: tuple[SignSymmetry, ...]
 ) -> tuple[str, ...]:
     notes = [
         "walk base normalized to the all-plus cube corner; every reported "
@@ -465,7 +499,7 @@ def _report_notes(
     ]
     if (
         embedded
-        and path.dim % 2 == 0
+        and dim % 2 == 0
         and any(s.orientation_preserving for s in symmetries)
     ):
         notes.append(
@@ -480,8 +514,9 @@ def _run_oracles(
     path: JordanPath,
     lattice: TranslationLattice,
     decision: EmbeddedDecision,
-) -> tuple[dict[str, Any], tuple[str, ...]]:
-    """The oracle checks, and a note when the patch budget refuses them."""
+) -> tuple[tuple[tuple[str, Any], ...], tuple[str, ...]]:
+    """The oracle checks as items, and a note when the patch budget
+    refuses them."""
     from .geometry import closure_within_budget, expand_patches, vertex_incidence
     from .reflection import filled_cubes
 
@@ -499,7 +534,7 @@ def _run_oracles(
     try:
         closure = closure_within_budget(path)
     except BudgetExceededError as exc:
-        return checks, (f"verify-mode oracles not run: {exc}",)
+        return tuple(checks.items()), (f"verify-mode oracles not run: {exc}",)
     checks["closure_order"] = closure.order
     expected = decision.reflection_group_order
     closure_embedded = closure.order == 1 << (n + 2)
@@ -529,4 +564,4 @@ def _run_oracles(
             f"{incidence.max_multiplicity}) disagrees with the lattice "
             f"criterion (embedded={decision.embedded})"
         )
-    return checks, ()
+    return tuple(checks.items()), ()

@@ -22,6 +22,7 @@ from conftest import fresh_interpreter_env
 import cubeloops
 import cubeloops.enumeration as enumeration
 import cubeloops.errors as errors
+import cubeloops.geometry as geometry
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
 from cubeloops import (
@@ -33,7 +34,8 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.cli import _build_parser, _class_documents, _shape_key, main
+from cubeloops.cli import _build_parser, _class_documents, main
+from cubeloops.paths import _census_path
 from cubeloops.verdict import SurfaceReport
 
 
@@ -347,33 +349,63 @@ def test_class_documents_match_the_plain_encoding(dim, max_length, mode):
     # each class is joined into its shape's template; it must read as the
     # report encoded on its own, indented for its place in the listing
     query = EnumerationQuery.create(dim, max_length=max_length)
-    reports = [build_report(word, mode=mode) for word in enumerate_paths(query)]
-    texts = [item for items in _class_documents(reports) for item in items]
+    words = enumerate_paths(query)
+    texts = [
+        item
+        for items in _class_documents(map(_census_path, words), mode)
+        for item in items
+    ]
     assert texts == [
-        json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")
-        for report in reports
+        json.dumps(build_report(word, mode=mode).to_json_dict(), indent=2).replace(
+            "\n", "\n    "
+        )
+        for word in words
     ]
 
 
-def test_class_shape_covers_every_field_but_the_per_class_ones():
-    # a report field outside the key would be shared between classes by
-    # mistake: each shape field must move the key, and only those fields
-    per_class = {"word", "canonical", "gaps"}
-    names = [field.name for field in dataclasses.fields(SurfaceReport)]
-    assert per_class <= {*names}
-    spec = FamilySpec("gamma-b", 4, alpha=1, beta=3)
-    word = family_word(spec)
-    report = build_report(word, mode="verify", family=spec.to_json_dict())
-    key = _shape_key(report)
-    hash(key)  # the dict fields are frozen
-    copy = build_report(word, mode="verify", family=spec.to_json_dict())
-    assert _shape_key(copy) == key
-    for name in names:
-        fresh = object()
-        if isinstance(getattr(report, name), dict):
-            fresh = {"fresh": fresh}
-        moved = _shape_key(dataclasses.replace(report, **{name: fresh}))
-        assert (moved == key) == (name in per_class), name
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_enumerate_verify_stops_when_the_oracles_disagree(
+    capsys, monkeypatch, json_flag
+):
+    # both listings run the oracles on every class; a geometric verdict
+    # that contradicts the lattice is an internal invariant violation
+    incidence = geometry.vertex_incidence
+
+    def contradicted(patches):
+        found = incidence(patches)
+        return dataclasses.replace(found, embedded=not found.embedded)
+
+    monkeypatch.setattr(geometry, "vertex_incidence", contradicted)
+    argv = ["enumerate", "--dim", "4", "--mode", "verify", *json_flag]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no class is written before every check ran
+    assert captured.err.startswith("internal invariant violated: geometric verdict")
+
+
+def test_class_documents_key_on_the_oracle_checks(monkeypatch):
+    # the oracles agree with the lattice, so in a real listing the checks
+    # follow from the other shape inputs; a check that varies on its own
+    # must still split the shape
+    run_oracles = verdict._run_oracles
+
+    def marked(path, lattice, decision):
+        checks, refusal = run_oracles(path, lattice, decision)
+        return (*checks, ("marker", sum(path.word.labels[::2]) % 3)), refusal
+
+    monkeypatch.setattr(verdict, "_run_oracles", marked)
+    words = enumerate_paths(EnumerationQuery.create(4))
+    texts = [
+        item
+        for items in _class_documents(map(_census_path, words), "verify")
+        for item in items
+    ]
+    documents = [build_report(word, mode="verify").to_json_dict() for word in words]
+    assert {document["oracle_checks"]["marker"] for document in documents} == {0, 1, 2}
+    assert texts == [
+        json.dumps(document, indent=2).replace("\n", "\n    ")
+        for document in documents
+    ]
 
 
 @pytest.mark.parametrize(
@@ -383,17 +415,24 @@ def test_class_shape_covers_every_field_but_the_per_class_ones():
 def test_enumerate_json_encodes_each_report_shape_once(
     capsys, monkeypatch, argv, shapes
 ):
-    calls = []
-    to_json_dict = SurfaceReport.to_json_dict
+    # one report per shape, built and encoded once: a class whose shape is
+    # known joins its word and gap vectors into the shape's text
+    built, calls = [], []
+    init, to_json_dict = SurfaceReport.__init__, SurfaceReport.to_json_dict
+
+    def counted_init(report, *args, **kwargs):
+        built.append(report)
+        init(report, *args, **kwargs)
 
     def counted(report):
         calls.append(report)
         return to_json_dict(report)
 
+    monkeypatch.setattr(SurfaceReport, "__init__", counted_init)
     monkeypatch.setattr(SurfaceReport, "to_json_dict", counted)
     assert main(["enumerate", *argv, "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) == shapes
+    assert (len(built), len(calls)) == (shapes, shapes)
 
 
 def test_family_text(capsys):
@@ -540,6 +579,53 @@ def test_export_io_error(tmp_path, capsys):
     code = main(["export", "--dim", "3", "--word", "123123", "-o", str(target)])
     assert code == 3
     assert capsys.readouterr().err.startswith("i/o error:")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stream whose reader has gone: every write and flush fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_closed_pipe_on_both_streams_exits_with_the_io_code(monkeypatch, json_flag):
+    # the diagnostic cannot be written either; the exit code still says i/o
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    assert main(["enumerate", "--dim", "4", *json_flag]) == 3
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a short report waits in the buffer for the final flush
+        ["check", "--dim", "3", "--word", "123123"],
+        # a long listing meets the closed pipe while it writes
+        ["enumerate", "--dim", "5", "--max-length", "12", "--json"],
+    ],
+)
+def test_closed_pipe_exits_with_the_io_code(argv, unbuffered):
+    # standard output and standard error share one pipe whose reader has
+    # gone, as in `cubeloops ... 2>&1 | head -c 100`; a buffered stream
+    # still holds its text when the interpreter exits
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cubeloops", *argv],
+            stdout=write,
+            stderr=write,
+            env={**fresh_interpreter_env(), "PYTHONUNBUFFERED": unbuffered},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 3
 
 
 def test_oversized_closure_is_refused_before_any_work(monkeypatch, capsys):

@@ -269,7 +269,7 @@ def test_row_reduce_matches_reference_on_random_rows():
         if rows and rng.random() < 0.5:
             rows += [0, *rng.sample(rows, rng.randint(1, len(rows)))]
             rng.shuffle(rows)
-        assert _row_reduce(rows) == row_reduce_reference(rows), rows
+        assert _row_reduce(rows, dim) == row_reduce_reference(rows), rows
 
 
 def _pair_and_even_rows(path):
@@ -293,8 +293,27 @@ def test_row_reduce_matches_reference_on_census_lattices(
     for path in (*map(validate, (*n3_classes, *n4_classes)), *random_n5_paths):
         pair_rows, even_rows = _pair_and_even_rows(path)
         for rows in (pair_rows, even_rows):
-            assert _row_reduce(rows) == row_reduce_reference(rows), path.word
+            assert _row_reduce(rows, path.dim) == row_reduce_reference(rows), path.word
         assert pair_translation_lattice(path).rows == row_reduce_reference(pair_rows)
         if path.dim % 2:
             expected = row_reduce_reference(even_rows)
             assert even_translation_lattice(path).rows == expected
+
+
+def test_pair_lattice_matches_reference_on_random_loops():
+    # the reduction stops reading rows at full rank; the reference reads
+    # them all, so loops of both full and deficient rank are compared
+    rng = random.Random(2024)
+    ranks = {"full": 0, "deficient": 0}
+    for dim in range(3, 9):
+        for _ in range(60):
+            path = random_valid_path(rng, dim)
+            pair_rows, even_rows = _pair_and_even_rows(path)
+            pair = pair_translation_lattice(path)
+            assert pair.rows == row_reduce_reference(pair_rows), path.word
+            even = even_lattice_from_pair(path, pair)
+            assert even.rows == row_reduce_reference(
+                even_rows if dim % 2 else pair_rows
+            ), path.word
+            ranks["full" if pair.rank == dim else "deficient"] += 1
+    assert min(ranks.values()) >= 50, ranks

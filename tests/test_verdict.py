@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from cubeloops import (
@@ -21,7 +23,8 @@ from cubeloops import (
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops.paths import _census_path
-from cubeloops.verdict import _listing_reports, edge_bound, per_direction_bound
+import cubeloops.cli as cli
+from cubeloops.verdict import _report_shape, edge_bound, per_direction_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
@@ -248,16 +251,38 @@ LISTED_WINDOWS = (
 
 
 @pytest.mark.parametrize("window, modes", LISTED_WINDOWS, ids=repr)
-def test_listing_reports_match_their_oracles(window, modes):
-    # the listing reads each class's walk off without validate and shares
-    # its gap-vector forms and edge bounds across the listing; validate and
+def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
+    # the listing reads each class's walk off without validate and builds a
+    # report only for the first class of each shape; validate and
     # build_report, one class at a time, are the oracles
     words = enumerate_paths(EnumerationQuery.create(**window))
     walks = [_census_path(word) for word in words]
     assert walks == [validate(word) for word in words]
+    shapes = []
+
+    def recorded(walk, mode):
+        shapes.append(_report_shape(walk, mode))
+        return shapes[-1]
+
+    monkeypatch.setattr(cli, "_report_shape", recorded)
     for mode in modes:
-        reports = _listing_reports(walks, mode)
-        assert reports == [build_report(word, mode=mode) for word in words]
+        shapes.clear()
+        listing = cli._class_documents(walks, mode)
+        texts = [text for items in listing for text in items]
+        documents = [build_report(word, mode=mode).to_json_dict() for word in words]
+        assert texts == [
+            json.dumps(document, indent=2).replace("\n", "\n    ")
+            for document in documents
+        ]
+        # classes share a template exactly when their documents agree
+        # outside the per-class fields
+        shared: dict[object, set[str]] = {}
+        for shape, document in zip(shapes, documents, strict=True):
+            for name in ("word", "canonical", "gap_invariant"):
+                del document[name]
+            shared.setdefault(shape, set()).add(json.dumps(document))
+        assert all(len(group) == 1 for group in shared.values())
+        assert len(set.union(*shared.values())) == len(shared)
 
 
 def test_build_report_verify_mode_runs_oracles():

@@ -58,6 +58,10 @@ def invocations() -> list[list[str]]:
     runs.append(["enumerate", "--dim", "5", "--max-length", "16", "--json", "--jobs", "1"])
     verify = ["enumerate", "--dim", "5", "--max-length", "12", "--mode", "verify"]
     runs += [verify, [*verify, "--json"]]
+    # oracle checks in the listing's shape key; a count under a limit
+    runs.append(["enumerate", "--dim", "4", "--json", "--mode", "verify", "--jobs", "1"])
+    limited = ["enumerate", "--dim", "5", "--max-length", "14", "--json", "--limit", "100"]
+    runs.append([*limited, "--jobs", "1"])
     for dim in range(3, 11):
         runs.append(["enumerate", "--dim", str(dim), "--embedded-only"])
     runs.append(
