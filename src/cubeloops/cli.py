@@ -26,10 +26,12 @@ from typing import IO, TYPE_CHECKING, Sequence
 
 from .errors import CubeLoopsError, InternalInvariantError
 from .paths import (
+    DirectionWord,
     JordanPath,
+    _canonical_form,
     _census_path,
     _gap_invariant,
-    canonicalize,
+    _read_walk,
     parse_word,
     validate,
 )
@@ -274,9 +276,10 @@ def _class_documents(
     """The listing's classes for :func:`stream`, one encoded report at a
     time, with one :class:`SurfaceReport` built per report shape.
 
-    Each class computes its gap invariant and the inputs that fix its
-    report's shape (``verdict._Shape``, whose docstring proves the key
-    exact), in verify mode its oracle checks among them.  Every class's
+    Each class's walk is read once (``paths._read_walk``) for its
+    canonical word, its gap invariant and the inputs that fix its report's
+    shape (``verdict._Shape``, whose docstring proves the key exact), in
+    verify mode its oracle checks among them.  Every class's
     inputs are computed here, before any text: a verify run whose
     oracles disagree raises before the listing writes anything, and
     interleaving the inputs with the encoding made the full n=4 listing
@@ -284,17 +287,19 @@ def _class_documents(
     Python 3.11.7).
     """
     forms: dict[tuple[int, ...], tuple[int, ...]] = {}
-    inputs = [
-        (walk, _report_shape(walk, mode), _gap_invariant(walk.word.labels, forms))
-        for walk in walks
-    ]
+    inputs = []
+    for walk in walks:
+        reading = _read_walk(walk.word.labels, walk.vertex_masks)
+        shape = _report_shape(walk, reading, mode)
+        canonical = _canonical_form(walk.word, reading.profile)
+        inputs.append((walk, shape, canonical, _gap_invariant(reading.gaps, forms)))
     return _encoded_classes(inputs)
 
 
 def _encoded_classes(
-    inputs: list[tuple[JordanPath, _Shape, tuple[tuple[int, ...], ...]]],
+    inputs: list[tuple[JordanPath, _Shape, DirectionWord, tuple[tuple[int, ...], ...]]],
 ) -> Iterator[list[Encoded]]:
-    """Each class's text, from its walk, shape and gap invariant.
+    """Each class's text, from its walk, shape, canonical word and gaps.
 
     On a shape's first class its report is built from those inputs and
     its :meth:`SurfaceReport.to_json_dict` is encoded with slots for the
@@ -315,17 +320,16 @@ def _encoded_classes(
             text = vectors[vector] = dumps(vector, 2).replace("\n", _VECTOR_NEWLINE)
         return text
 
-    for walk, shape, gaps in inputs:
+    for walk, shape, canonical, gaps in inputs:
         template = templates.get(shape)
         if template is None:
-            document = _report(walk, shape, gaps).to_json_dict()
+            document = _report(walk, shape, canonical, gaps).to_json_dict()
             document["word"] = document["canonical"] = _SLOT
             document["gap_invariant"] = [_SLOT] * walk.dim
             text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
             *parts, tail = text.split(slot)
             template = templates[shape] = parts, tail
         word = dumps(str(walk.word), 2)
-        canonical = canonicalize(walk.word)
         # a census class is its own canonical word
         canonical_text = word if canonical is walk.word else dumps(str(canonical), 2)
         parts, tail = template

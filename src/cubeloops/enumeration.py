@@ -353,20 +353,23 @@ def _search(
                 rank_cap is None
                 or rank + bool(residue(first_vertex[d] & ~vertex)) == rank_cap
             ):
-                profile = gaps[:depth]
-                profile.append(depth - prior)
+                # the canonical candidate's profile: W's, with position i
+                # at i - g (mod m), so that it starts at W's smallest gap g;
+                # its word is built only once that profile has won
+                rotated = gaps[g:depth]
+                rotated.append(depth - prior)
+                rotated += gaps[:g]
                 for e in range(1, n + 1):
-                    profile[first[e]] = m - last[e] + first[e]
-                # the canonical candidate starts at the second direction-1
-                # edge, where W's smallest gap g stands; its word is built
-                # from its profile, only once that profile has won
-                rotated = (*profile[g:], *profile[:g])
-                if _is_least_rotation(rotated):
-                    out.append(CanonicalWord(_word_from_profile(rotated), n))
+                    rotated[first[e] - g] = m - last[e] + first[e]
+                profile = tuple(rotated)
+                if _is_least_rotation(profile):
+                    out.append(CanonicalWord(_word_from_profile(profile), n))
             last[d] = prior
         # edges left after the child's; the closing edge is handled above,
-        # and vertex 0 is in visited
+        # and vertex 0 is in visited, so a child needs at least one edge
         left = max_len - depth - 1
+        if not left:
+            return
         for d, bit in children[used]:
             target = vertex ^ bit
             if target in visited:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import JordanPath
+from .paths import JordanPath, _read_walk, _Reading
 
 __all__ = [
     "TranslationLattice",
@@ -154,19 +154,15 @@ def parallel_pair_translation(
 def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
     """Subgroup generated by pairing every edge with its direction's first edge.
 
-    One pass over the trail: a direction's first edge records its vertex
-    (its own row would be zero) and every later edge adds its row.  The
-    reduction stops at full rank (:func:`_row_reduce`), which most census
-    classes reach."""
-    first: dict[int, int] = {}
-    rows = []
-    for d, vertex in zip(path.word.labels, path.vertex_masks):
-        base = first.get(d)
-        if base is None:
-            first[d] = vertex
-        else:
-            rows.append((vertex ^ base) & ~(1 << (d - 1)))
-    return TranslationLattice(path.dim, _row_reduce(rows, path.dim))
+    One pass over the trail (``paths._read_walk``): a direction's first
+    edge records its vertex (its own row would be zero) and every later
+    edge adds its row.  The reduction stops at full rank
+    (:func:`_row_reduce`), which most census classes reach."""
+    return _pair_lattice(path.dim, _read_walk(path.word.labels, path.vertex_masks))
+
+
+def _pair_lattice(dim: int, reading: _Reading) -> TranslationLattice:
+    return TranslationLattice(dim, _row_reduce(reading.rows, dim))
 
 
 def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
@@ -194,29 +190,23 @@ def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
 
 
 def even_lattice_from_pair(
-    path: JordanPath, pair: TranslationLattice
+    pair: TranslationLattice, product: int
 ) -> TranslationLattice:
-    """The even translation lattice, given the path's pair lattice.
+    """The even translation lattice, given a walk's pair lattice and its
+    direction-product row (``paths._Reading``).
 
     Equals the pair lattice for even dimension; for odd dimension the
-    direction-product row is adjoined (it may or may not already lie in
-    the pair lattice — that dichotomy is the orientability test).  The
-    pair rows are fully reduced, so each pivot bit lies in one row only:
-    XOR-ing in every row whose leading bit the product holds reduces the
-    product in one pass.  A zero remainder lies in the pair lattice, which
-    is returned as it is; otherwise the remainder's leading bit is cleared
+    product row is adjoined (it may or may not already lie in the pair
+    lattice — that dichotomy is the orientability test).  The pair rows
+    are fully reduced, so each pivot bit lies in one row only: XOR-ing in
+    every row whose leading bit the product holds reduces the product in
+    one pass.  A zero remainder lies in the pair lattice, which is
+    returned as it is; otherwise the remainder's leading bit is cleared
     from the rows that hold it, and it joins them in descending order.
     A pair lattice of full rank holds every row already.
     """
-    if path.dim % 2 == 0 or pair.rank == path.dim:
+    if pair.dim % 2 == 0 or pair.rank == pair.dim:
         return pair
-    # one pass: a direction's bit joins ``seen`` at its first edge
-    seen = product = 0
-    for d, vertex in zip(path.word.labels, path.vertex_masks):
-        bit = 1 << (d - 1)
-        if not seen & bit:
-            seen |= bit
-            product ^= vertex & ~bit
     for row in pair.rows:
         if product >> (row.bit_length() - 1) & 1:
             product ^= row
@@ -224,9 +214,10 @@ def even_lattice_from_pair(
         return pair
     top = product.bit_length() - 1
     rows = [row ^ product if row >> top & 1 else row for row in pair.rows]
-    return TranslationLattice(path.dim, tuple(sorted([*rows, product], reverse=True)))
+    return TranslationLattice(pair.dim, tuple(sorted([*rows, product], reverse=True)))
 
 
 def even_translation_lattice(path: JordanPath) -> TranslationLattice:
     """The full group of even translations mapping the surface to itself."""
-    return even_lattice_from_pair(path, pair_translation_lattice(path))
+    reading = _read_walk(path.word.labels, path.vertex_masks)
+    return even_lattice_from_pair(_pair_lattice(path.dim, reading), reading.product)

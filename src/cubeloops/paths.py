@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import count, islice
-from typing import Sequence
+from itertools import count, islice, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadLabelError,
@@ -208,15 +208,48 @@ def _census_path(word: DirectionWord) -> JordanPath:
 # canonical forms
 
 
+class _Reading(NamedTuple):
+    """A walk read once: ``gaps[d]`` lists direction d's profile entries in
+    word order, wrapping gap first (one per edge); ``rows`` holds the pair
+    row ``(v_i ^ v_first(d)) & ~bit(d)`` of each edge after its direction's
+    first, ``product`` the direction-product row ``XOR_d v_first(d) & ~bit(d)``."""
+
+    profile: tuple[int, ...]
+    gaps: dict[int, list[int]]
+    rows: list[int]
+    product: int
+
+
+def _read_walk(labels: Sequence[int], masks: Iterable[int]) -> _Reading:
+    """One pass over a walk's labels and vertex masks.  A direction's
+    wrapping gap is known only once its last edge is read, so its first
+    edge holds that edge's position until the pass ends."""
+    m = len(labels)
+    profile = [0] * m
+    gaps: dict[int, list[int]] = {}
+    firsts: dict[int, int] = {}
+    last: dict[int, int] = {}
+    rows = []
+    product = 0
+    for i, d, vertex in zip(count(), labels, masks):
+        if d in last:
+            profile[i] = gap = i - last[d]
+            gaps[d].append(gap)
+            rows.append((vertex ^ firsts[d]) & ~(1 << d - 1))
+        else:
+            gaps[d] = [i]
+            firsts[d] = vertex
+            product ^= vertex & ~(1 << d - 1)
+        last[d] = i
+    for d, vector in gaps.items():
+        i = vector[0]
+        vector[0] = profile[i] = m - last[d] + i
+    return _Reading(tuple(profile), gaps, rows, product)
+
+
 def _repeat_profile(labels: Sequence[int]) -> tuple[int, ...]:
     """Cyclic distance from each position to the previous same-direction edge."""
-    # seeded with each label's last position, the wrapped-around predecessor
-    prev = {lab: i - len(labels) for i, lab in enumerate(labels)}
-    out = []
-    for i, lab in enumerate(labels):
-        out.append(i - prev[lab])
-        prev[lab] = i
-    return tuple(out)
+    return _read_walk(labels, repeat(0)).profile  # no trail: rows unused
 
 
 def canonicalize(word: DirectionWord) -> CanonicalWord:
@@ -235,9 +268,13 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
     word only after ``_is_least_rotation`` has proved its profile least.
     Pass a plain :class:`DirectionWord` to recompute it.
     """
+    return _canonical_form(word, _repeat_profile(word.labels))
+
+
+def _canonical_form(word: DirectionWord, profile: tuple[int, ...]) -> CanonicalWord:
+    """:func:`canonicalize` of a word, given its repeat profile."""
     if isinstance(word, CanonicalWord):
         return word
-    profile = _repeat_profile(word.labels)
     least = _least_rotation(profile, _reversed_profile(profile))
     return CanonicalWord(_word_from_profile(least), word.dim)
 
@@ -308,21 +345,17 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     consecutive occurrences; each gap vector is taken up to rotation and
     reversal.  The multiset is unchanged by all four word symmetries, so
     distinct invariants certify distinct classes (the converse can fail).
-
-    A direction's entries of the repeat profile, in word order, are its
-    gap vector rotated to start with the gap that wraps around.
+    A direction's gap vector is read in word order (``_Reading.gaps``).
     """
-    return _gap_invariant(word.labels, {})
+    return _gap_invariant(_read_walk(word.labels, repeat(0)).gaps, {})
 
 
 def _gap_invariant(
-    labels: Sequence[int], forms: dict[tuple[int, ...], tuple[int, ...]]
+    gaps: dict[int, list[int]], forms: dict[tuple[int, ...], tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
-    """:func:`gap_invariant` of the labels, each gap vector's least form
-    read from ``forms``, or computed and added there on its first sight."""
-    gaps: dict[int, list[int]] = {}
-    for lab, gap in zip(labels, _repeat_profile(labels)):
-        gaps.setdefault(lab, []).append(gap)
+    """:func:`gap_invariant` of a walk's gap vectors (``_Reading.gaps``),
+    each vector's least form read from ``forms``, or computed and added
+    there on its first sight."""
     out = []
     for vec in map(tuple, gaps.values()):
         form = forms.get(vec)

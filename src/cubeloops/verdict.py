@@ -4,17 +4,19 @@ The fast path decides everything from the translation lattice, which the
 walk's vertex trail determines in O(mn) time: the surface is embedded
 exactly when the even translation lattice has order 4 (even dimension) or
 8 (odd), and the reflection group order follows as flip-subgroup order
-times lattice order.  A whole fast report is polynomial in m and n: the
-rest of it is the canonical form (a least rotation of a profile, skipped
-for a census word, which is canonical already) and the sign symmetries (the
-word against its rotations and reversals that start with its first label,
-each compared in O(m)).
-A census listing keys each class on the inputs that fix its report's
-shape (:func:`_report_shape`) and builds a :class:`SurfaceReport`, through
-the core that :func:`build_report` shares (``_report``), only for the
-first class of each shape.  The census walk has proved every class it
-returns closed, simple and covering, so the listing reads each walk off
-its word without :func:`validate`'s checks (``paths._census_path``).
+times lattice order.  A whole fast report is polynomial in m and n.  It
+reads the walk once (``paths._read_walk``) for the repeat profile, each
+direction's gap vector and edge count, and the pair and product rows;
+the rest is the canonical form (a least rotation of that profile, skipped
+for a census word, which is canonical already) and the sign symmetries
+(the word against its rotations and reversals that start with its first
+label, each compared in O(m)).  A census listing keys each class on the
+inputs that fix its report's shape (:func:`_report_shape`) and builds a
+:class:`SurfaceReport`, through the core that :func:`build_report` shares
+(``_report``), only for the first class of each shape.  The census walk
+has proved every class it returns closed, simple and covering, so the
+listing reads each walk off its word without :func:`validate`'s checks
+(``paths._census_path``).
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -26,10 +28,10 @@ are orientable.  In odd dimension the surface (and its quotient by the
 pair lattice) is orientable exactly when the direction-product translation
 falls outside the pair lattice — that is, when the even lattice has higher
 rank than the pair lattice — while the quotient by all even translations
-is never orientable.  A report reads the pair lattice off the trail in
-one pass, each edge against its direction's first vertex, and derives
-every decision from it; in odd dimension a second pass reads the
-direction-product row, unless the pair lattice has full rank already.
+is never orientable.  A report reduces its reading's pair rows, each edge
+against its direction's first vertex, and in odd dimension adjoins the
+direction-product row of the first vertices, unless the pair lattice has
+full rank already.
 
 The Euler characteristic of the compact quotient by twice-integer
 translations counts cells of the patch complex: each patch contributes
@@ -47,17 +49,19 @@ from .errors import BudgetExceededError, InternalInvariantError
 from .groups import flip_subgroup_order
 from .lattice import (
     TranslationLattice,
+    _pair_lattice,
     even_lattice_from_pair,
     even_translation_lattice,
-    pair_translation_lattice,
 )
 from .paths import (
     DirectionWord,
     JordanPath,
     SignSymmetry,
-    canonicalize,
+    _canonical_form,
+    _gap_invariant,
+    _read_walk,
+    _Reading,
     format_word,
-    gap_invariant,
     path_symmetries,
     validate,
 )
@@ -170,26 +174,19 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
             f"{dim}-cube",
             capacity,
         )
-    limit = 4 * (dim - 1) if dim % 2 == 0 else 8 * (dim - 3) + 18
-    if dim % 2 == 0:
-        if length > limit:
-            return BoundDiagnostic(
-                RULED_OUT,
-                f"{length} edges exceed the embedded-surface limit {limit} "
-                f"for dimension {dim}",
-                limit,
-            )
-        return BoundDiagnostic(MAYBE_EMBEDDED, f"within the limit {limit}", limit)
+    heuristic = dim % 2 == 1
+    if heuristic:
+        limit = 8 * (dim - 3) + 18
+        within = f"the working limit {limit}"
+        over = f"the working odd-dimension limit {limit}"
+    else:
+        limit = 4 * (dim - 1)
+        within = f"the limit {limit}"
+        over = f"the embedded-surface limit {limit} for dimension {dim}"
     if length > limit:
-        return BoundDiagnostic(
-            RULED_OUT,
-            f"{length} edges exceed the working odd-dimension limit {limit}",
-            limit,
-            heuristic=True,
-        )
-    return BoundDiagnostic(
-        MAYBE_EMBEDDED, f"within the working limit {limit}", limit, heuristic=True
-    )
+        reason = f"{length} edges exceed {over}"
+        return BoundDiagnostic(RULED_OUT, reason, limit, heuristic)
+    return BoundDiagnostic(MAYBE_EMBEDDED, f"within {within}", limit, heuristic)
 
 
 @dataclass(frozen=True)
@@ -218,14 +215,12 @@ class DirectionLoadDiagnostic:
 
 
 def per_direction_bound(path: JordanPath) -> DirectionLoadDiagnostic:
-    return _direction_load(path.dim, _direction_counts(path))
+    reading = _read_walk(path.word.labels, path.vertex_masks)
+    return _direction_load(path.dim, _edge_counts(path.dim, reading.gaps))
 
 
-def _direction_counts(path: JordanPath) -> tuple[int, ...]:
-    counts = [0] * path.dim
-    for label in path.word.labels:
-        counts[label - 1] += 1
-    return tuple(counts)
+def _edge_counts(dim: int, gaps: dict[int, list[int]]) -> tuple[int, ...]:
+    return tuple(len(gaps[d]) for d in range(1, dim + 1))
 
 
 def _direction_load(dim: int, counts: tuple[int, ...]) -> DirectionLoadDiagnostic:
@@ -384,8 +379,10 @@ def build_report(
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
     path = word if isinstance(word, JordanPath) else validate(word)
-    shape = _report_shape(path, mode)
-    return _report(path, shape, gap_invariant(path.word), family)
+    reading = _read_walk(path.word.labels, path.vertex_masks)
+    shape = _report_shape(path, reading, mode)
+    canonical = _canonical_form(path.word, reading.profile)
+    return _report(path, shape, canonical, _gap_invariant(reading.gaps, {}), family)
 
 
 class _Shape(NamedTuple):
@@ -433,12 +430,12 @@ class _Shape(NamedTuple):
     refusal: tuple[str, ...]
 
 
-def _report_shape(path: JordanPath, mode: str) -> _Shape:
-    """The inputs that fix the report's shape, each computed once; in
-    verify mode (any other mode is fast) the oracles run here, and raise
-    when they disagree."""
-    pair = pair_translation_lattice(path)
-    lattice = even_lattice_from_pair(path, pair)
+def _report_shape(path: JordanPath, reading: _Reading, mode: str) -> _Shape:
+    """The inputs that fix the report's shape, from the walk and its one
+    reading (``paths._read_walk``); in verify mode (any other mode is
+    fast) the oracles run here, and raise when they disagree."""
+    pair = _pair_lattice(path.dim, reading)
+    lattice = even_lattice_from_pair(pair, reading.product)
     checks, refusal = None, ()
     if mode == "verify":
         decision = _decide_from_lattice(path.dim, path.length, lattice)
@@ -447,7 +444,7 @@ def _report_shape(path: JordanPath, mode: str) -> _Shape:
         lattice,
         pair.rank,
         path_symmetries(path),
-        _direction_counts(path),
+        _edge_counts(path.dim, reading.gaps),
         checks,
         refusal,
     )
@@ -456,10 +453,11 @@ def _report_shape(path: JordanPath, mode: str) -> _Shape:
 def _report(
     path: JordanPath,
     shape: _Shape,
+    canonical: DirectionWord,
     gaps: tuple[tuple[int, ...], ...],
     family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
-    """The report of a walk, given its shape's inputs and its gap invariant."""
+    """The report of a walk, given its shape's inputs and per-class fields."""
     n = path.dim
     m = path.length
     lattice = shape.lattice
@@ -468,7 +466,7 @@ def _report(
     return SurfaceReport(
         dim=n,
         word=path.word,
-        canonical=canonicalize(path.word),
+        canonical=canonical,
         length=m,
         lattice=lattice,
         reflection_group_order=decision.reflection_group_order,

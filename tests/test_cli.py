@@ -26,6 +26,7 @@ import cubeloops.geometry as geometry
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
 from cubeloops import (
+    DirectionWord,
     EnumerationQuery,
     FamilySpec,
     build_report,
@@ -361,6 +362,21 @@ def test_class_documents_match_the_plain_encoding(dim, max_length, mode):
         )
         for word in words
     ]
+
+
+def test_class_documents_of_walks_that_are_not_canonical():
+    # the listing takes each canonical word from the walk's reading; census
+    # walks are canonical already, so rotate them off their canonical form
+    words = enumerate_paths(EnumerationQuery.create(4))
+    rotated = [DirectionWord(w.labels[1:] + w.labels[:1], w.dim) for w in words]
+    walks = [validate(word) for word in rotated]
+    texts = [item for items in _class_documents(walks, "fast") for item in items]
+    documents = [build_report(walk).to_json_dict() for walk in walks]
+    assert texts == [
+        json.dumps(document, indent=2).replace("\n", "\n    ")
+        for document in documents
+    ]
+    assert sum(d["word"] != d["canonical"] for d in documents) > len(words) // 2
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])

@@ -150,7 +150,7 @@ def test_even_lattice_matches_composed_direction_product(n3_classes, random_n5_p
         product = direction_product_translation(path)
         expected = span_lattice(path.dim, [*arcs.basis_vectors(), product])
         pair = pair_translation_lattice(path)
-        even = even_lattice_from_pair(path, pair)
+        even = even_lattice_from_pair(pair, _product_row(path))
         assert even == expected == even_translation_lattice(path), path.word
         inside = lattice_contains(arcs, product)
         assert (even is pair) == inside, path.word
@@ -272,6 +272,17 @@ def test_row_reduce_matches_reference_on_random_rows():
         assert _row_reduce(rows, dim) == row_reduce_reference(rows), rows
 
 
+def _product_row(path) -> int:
+    """The direction-product row, XOR of each direction's first vertex."""
+    first: dict[int, int] = {}
+    for mask, d in zip(path.vertex_masks, path.word.labels):
+        first.setdefault(d, mask)
+    product = 0
+    for d, mask in first.items():
+        product ^= mask & ~(1 << (d - 1))
+    return product
+
+
 def _pair_and_even_rows(path):
     # the raw generator rows of pair_translation_lattice and
     # even_lattice_from_pair, before reduction
@@ -281,10 +292,7 @@ def _pair_and_even_rows(path):
     for mask, d in zip(masks, path.word.labels):
         first.setdefault(d, mask)
         pair.append((mask ^ first[d]) & ~(1 << (d - 1)))
-    product = 0
-    for d, mask in first.items():
-        product ^= mask & ~(1 << (d - 1))
-    return pair, [*row_reduce_reference(pair), product]
+    return pair, [*row_reduce_reference(pair), _product_row(path)]
 
 
 def test_row_reduce_matches_reference_on_census_lattices(
@@ -311,7 +319,7 @@ def test_pair_lattice_matches_reference_on_random_loops():
             pair_rows, even_rows = _pair_and_even_rows(path)
             pair = pair_translation_lattice(path)
             assert pair.rows == row_reduce_reference(pair_rows), path.word
-            even = even_lattice_from_pair(path, pair)
+            even = even_lattice_from_pair(pair, _product_row(path))
             assert even.rows == row_reduce_reference(
                 even_rows if dim % 2 else pair_rows
             ), path.word

@@ -21,10 +21,17 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops import paths
-from cubeloops.oracles import is_canonical
+from cubeloops import EnumerationQuery, enumerate_paths, paths
+from cubeloops.lattice import TranslationLattice, direction_product_translation
+from cubeloops.oracles import (
+    all_pairs_lattice,
+    halve_even_vector,
+    is_canonical,
+    row_reduce_reference,
+)
 from cubeloops.paths import _min_cyclic, gap_invariant, path_symmetries
-from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
+from cubeloops.verdict import _edge_counts
+from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4, random_valid_path
 
 
 def test_parse_word_compact_and_separated():
@@ -377,6 +384,43 @@ def test_gap_invariant_matches_the_modular_reference():
                     assert _reference_gap_invariant(image) == expected, image
             checked += 1
     assert checked >= 400
+
+
+def test_walk_reading_matches_the_references(n3_classes, n4_classes):
+    # the one pass that build_report and the census listing read each walk
+    # with, field by field against forms computed another way: the pair
+    # rows against the arc walk over every parallel pair, the odd-dimension
+    # product row against the composed edge rotations, the gap vectors and
+    # the profile against the word's listed positions, the edge counts
+    # against the label counts
+    rng = random.Random(8128)
+    census = enumerate_paths(EnumerationQuery.create(5, max_length=12))
+    walks = [
+        *map(validate, (*n3_classes, *n4_classes, *census)),
+        *(random_valid_path(rng, dim) for dim in range(3, 9) for _ in range(25)),
+    ]
+    for path in walks:
+        labels, masks, dim = path.word.labels, path.vertex_masks, path.dim
+        reading = paths._read_walk(labels, masks)
+        pair = TranslationLattice(dim, row_reduce_reference(reading.rows))
+        assert pair == all_pairs_lattice(path), labels
+        if dim % 2:
+            composed = direction_product_translation(path)
+            assert reading.product == halve_even_vector(composed), labels
+        m = len(labels)
+        positions: dict[int, list[int]] = {}
+        for i, d in enumerate(labels):
+            positions.setdefault(d, []).append(i)
+        assert reading.gaps == {
+            d: [(pos[k] - pos[k - 1]) % m for k in range(len(pos))]
+            for d, pos in positions.items()
+        }, labels
+        assert paths._gap_invariant(reading.gaps, {}) == _reference_gap_invariant(
+            path.word
+        )
+        assert reading.profile == _profile(labels)
+        counts = tuple(labels.count(d) for d in range(1, dim + 1))
+        assert _edge_counts(dim, reading.gaps) == counts
 
 
 def test_gap_invariant_separates_small_censuses(n3_classes, n4_m8_classes):

@@ -22,6 +22,7 @@ from cubeloops import (
 )
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
+from cubeloops import lattice, paths, verdict
 from cubeloops.paths import _census_path
 import cubeloops.cli as cli
 from cubeloops.verdict import _report_shape, edge_bound, per_direction_bound
@@ -260,8 +261,8 @@ def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
     assert walks == [validate(word) for word in words]
     shapes = []
 
-    def recorded(walk, mode):
-        shapes.append(_report_shape(walk, mode))
+    def recorded(walk, reading, mode):
+        shapes.append(_report_shape(walk, reading, mode))
         return shapes[-1]
 
     monkeypatch.setattr(cli, "_report_shape", recorded)
@@ -283,6 +284,45 @@ def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
             shared.setdefault(shape, set()).add(json.dumps(document))
         assert all(len(group) == 1 for group in shared.values())
         assert len(set.union(*shared.values())) == len(shared)
+
+
+REPORTED_WORDS = (("12314234", 4), ("145231425232", 5), ("123123", 3))
+
+
+@pytest.mark.parametrize("mode", ("fast", "verify"))
+def test_build_report_builds_one_repeat_profile(monkeypatch, mode):
+    # the canonical form and the gap invariant share one profile
+    calls = []
+    profile = paths._repeat_profile
+
+    def counted(labels):
+        calls.append(labels)
+        return profile(labels)
+
+    monkeypatch.setattr(paths, "_repeat_profile", counted)
+    for text, dim in REPORTED_WORDS:
+        calls.clear()
+        build_report(parse_word(text, dim), mode=mode)
+        assert len(calls) <= 1, text
+
+
+@pytest.mark.parametrize("mode", ("fast", "verify"))
+def test_build_report_reads_the_walk_once(monkeypatch, mode):
+    # verify mode reads the walk once more, for the closure's budget
+    # (geometry.closure_within_budget)
+    calls = []
+    read = paths._read_walk
+
+    def counted(labels, masks):
+        calls.append(labels)
+        return read(labels, masks)
+
+    for module in (paths, lattice, verdict):
+        monkeypatch.setattr(module, "_read_walk", counted)
+    for text, dim in REPORTED_WORDS:
+        calls.clear()
+        build_report(parse_word(text, dim), mode=mode)
+        assert len(calls) == (1 if mode == "fast" else 2), text
 
 
 def test_build_report_verify_mode_runs_oracles():

@@ -56,6 +56,9 @@ def invocations() -> list[list[str]]:
                 runs.append(["enumerate", *window, *listing, "--jobs", jobs])
     # 10,093 classes, about 1 s: the only window with 8-entry gap vectors
     runs.append(["enumerate", "--dim", "5", "--max-length", "16", "--json", "--jobs", "1"])
+    # 1,542 classes whose pair ranks all fall below 7, so that the
+    # direction-product row decides every orientability
+    runs.append(["enumerate", "--dim", "7", "--max-length", "14", "--json", "--jobs", "1"])
     verify = ["enumerate", "--dim", "5", "--max-length", "12", "--mode", "verify"]
     runs += [verify, [*verify, "--json"]]
     # oracle checks in the listing's shape key; a count under a limit
