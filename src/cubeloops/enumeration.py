@@ -116,9 +116,8 @@ orientation edge by edge.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import count
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import BadParametersError
 from .lattice import pair_translation_lattice
@@ -148,8 +147,7 @@ __all__ = [
 MAX_CENSUS_LENGTH = 512
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
+class EnumerationQuery(NamedTuple):
     """A resolved census request: dimension, even length window, filters."""
 
     dim: int
@@ -420,8 +418,7 @@ def _search(
 FAMILY_NAMES = ("gamma-a", "gamma-b", "gamma-c", "d-series", "sharp")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named family member: family, dimension, and its parameters."""
 
     name: str

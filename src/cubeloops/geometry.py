@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
 from .groups import flip_subgroup_order
@@ -83,8 +83,7 @@ def cone_disk(path: JordanPath) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class Patch:
+class Patch(NamedTuple):
     """One placed copy of the cone disk.
 
     ``anchor`` is the closure element's translation vector a in {0,1,2,3}^n
@@ -98,8 +97,7 @@ class Patch:
     rim: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PatchSet:
+class PatchSet(NamedTuple):
     """All patches of the surface in the torus: one per closure element."""
 
     dim: int
@@ -144,8 +142,7 @@ def expand_patches(
     return PatchSet(path.dim, len(disk), tuple(patches))
 
 
-@dataclass(frozen=True)
-class VertexIncidence:
+class VertexIncidence(NamedTuple):
     """Per-vertex patch-boundary multiplicities over the torus grid.
 
     ``counts`` maps each wrapped cube-corner vertex touched by some patch

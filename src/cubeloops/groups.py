@@ -23,9 +23,8 @@ is kept in :mod:`cubeloops.oracles`, as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "QuotientElement",
@@ -81,8 +80,7 @@ def _compose_packed(a: int, b: int, lo: int) -> int:
     return low | ((a ^ b ^ carry) & ~lo)
 
 
-@dataclass(frozen=True, order=True)
-class QuotientElement:
+class QuotientElement(NamedTuple):
     """Group element of the quotient, stored as packed Z_4 translation lanes;
     its sign-flip pattern is the parity pattern of its ``vector``."""
 

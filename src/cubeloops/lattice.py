@@ -29,7 +29,7 @@ The composition imports the group layers (:mod:`cubeloops.groups`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import JordanPath, _read_walk, _Reading
 
@@ -84,13 +84,12 @@ def _row_reduce(rows: list[int], dim: int) -> tuple[int, ...]:
     return tuple(row for _, row in reversed(basis))
 
 
-@dataclass(frozen=True)
-class TranslationLattice:
+class TranslationLattice(NamedTuple):
     """A subgroup of the even translation classes, halved to GF(2)^dim.
 
     ``rows`` is the unique fully reduced echelon basis (descending), so
-    dataclass equality is subgroup equality.  The subgroup's order is
-    2**rank.
+    equality of the tuple (dim, rows) is subgroup equality.  The
+    subgroup's order is 2**rank.
     """
 
     dim: int

@@ -34,9 +34,8 @@ the flip patterns added over Z_2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import cone_disk
@@ -97,8 +96,7 @@ def flip_vector(dim: int, flips: int) -> tuple[int, ...]:
     return tuple((flips >> i) & 1 for i in range(dim))
 
 
-@dataclass(frozen=True, order=True)
-class AmbientElement:
+class AmbientElement(NamedTuple):
     """An isometry x |-> translation + (-1)^flips x with integer translation."""
 
     translation: tuple[int, ...]

@@ -31,7 +31,6 @@ choice depend on the loop's parallelism structure alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -56,26 +55,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirectionWord:
-    """A raw edge word.  Only the dimension and the label range are checked
-    at construction, raising in that order ValueError (dimension below 2)
-    and BadLabelError (label outside 1..dim); the Jordan-path requirements
-    are certified by :func:`validate`.  ``str(word)`` spells it as reports
-    do: digits run together for dim <= 9, labels spaced out above."""
+class _Word(NamedTuple):
+    """The fields of a :class:`DirectionWord`, whose checks need a
+    ``__new__``, which a NamedTuple's own body may not define."""
 
     labels: tuple[int, ...]
     dim: int
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, not {self.dim}")
-        for lab in self.labels:
-            if not 1 <= lab <= self.dim:
+
+class DirectionWord(_Word):
+    """A raw edge word.  Only the dimension and the label range are checked
+    at construction, raising in that order ValueError (dimension below 2)
+    and BadLabelError (label outside 1..dim); the Jordan-path requirements
+    are certified by :func:`validate`.  ``str(word)`` spells it as reports
+    do: digits run together for dim <= 9, labels spaced out above.
+    ``len(word)`` is the edge count; ``_make``, and so ``_replace``, build
+    the word through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels: tuple[int, ...], dim: int) -> DirectionWord:
+        if dim < 2:
+            raise ValueError(f"dimension must be at least 2, not {dim}")
+        for lab in labels:
+            if not 1 <= lab <= dim:
                 raise BadLabelError(
-                    f"label {lab} out of range 1..{self.dim} in word "
-                    f"{format_word(self.labels)}"
+                    f"label {lab} out of range 1..{dim} in word {format_word(labels)}"
                 )
+        return tuple.__new__(cls, (labels, dim))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> DirectionWord:
+        # the NamedTuple form skips the checks and compares len() with 2
+        return cls(*fields)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -89,6 +101,8 @@ class CanonicalWord(DirectionWord):
 
     Built only by :func:`canonicalize` and by the census walk once it has
     proved the word canonical; :func:`canonicalize` trusts the type."""
+
+    __slots__ = ()
 
 
 def format_word(labels: Sequence[int]) -> str:
@@ -116,8 +130,7 @@ def parse_word(text: str, dim: int) -> DirectionWord:
     return DirectionWord(labels, dim)
 
 
-@dataclass(frozen=True)
-class JordanPath:
+class JordanPath(NamedTuple):
     """A validated closed embedded covering walk, with its vertex trail.
 
     ``vertex_masks[i]`` is the vertex the walk occupies *before* edge i+1;
@@ -126,7 +139,7 @@ class JordanPath:
     """
 
     word: DirectionWord
-    vertex_masks: tuple[int, ...] = field(repr=False)
+    vertex_masks: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -377,8 +390,7 @@ def _min_cyclic(vec: tuple[int, ...]) -> tuple[int, ...]:
 # sign-change symmetries
 
 
-@dataclass(frozen=True, order=True)
-class SignSymmetry:
+class SignSymmetry(NamedTuple):
     """A coordinate sign change mapping the loop onto itself as a point set.
 
     ``orientation_preserving`` is decided by flip-count parity for even

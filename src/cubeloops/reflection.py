@@ -15,8 +15,8 @@ closure small (a power of two) and the searches exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .groups import QuotientElement, close_under_composition
 from .paths import JordanPath
@@ -47,8 +47,7 @@ def reflection_generators(path: JordanPath) -> tuple[QuotientElement, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ReflectionClosure:
+class ReflectionClosure(NamedTuple):
     """The finite group generated by the edge rotations in the quotient.
 
     ``elements`` is sorted and deterministic; the group always contains

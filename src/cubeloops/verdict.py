@@ -42,7 +42,6 @@ is reported only where that quotient is orientable (even dimension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .errors import BudgetExceededError, InternalInvariantError
@@ -83,8 +82,7 @@ MAYBE_EMBEDDED = "maybe-embedded"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class EmbeddedDecision:
+class EmbeddedDecision(NamedTuple):
     """Embeddedness with the reflection group order that certifies it, and
     the Euler data of an embedded surface.
 
@@ -118,8 +116,7 @@ def _decide_from_lattice(
     return EmbeddedDecision(True, order, chi, genus)
 
 
-@dataclass(frozen=True)
-class OrientabilityFlags:
+class OrientabilityFlags(NamedTuple):
     """Orientability of the surface and of its two standard quotients."""
 
     surface: bool
@@ -134,8 +131,7 @@ def _orientable(dim: int, pair_rank: int, even_rank: int) -> OrientabilityFlags:
     return OrientabilityFlags(surface, surface, False)
 
 
-@dataclass(frozen=True)
-class BoundDiagnostic:
+class BoundDiagnostic(NamedTuple):
     """Outcome of a necessary edge-count condition for embeddedness."""
 
     verdict: str
@@ -189,8 +185,7 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     return BoundDiagnostic(MAYBE_EMBEDDED, f"within {within}", limit, heuristic)
 
 
-@dataclass(frozen=True)
-class DirectionLoadDiagnostic:
+class DirectionLoadDiagnostic(NamedTuple):
     """Per-direction edge counts against the four-edge ceiling (even dim).
 
     An embedded surface in even dimension admits at most four edges per
@@ -249,8 +244,7 @@ def _direction_load(dim: int, counts: tuple[int, ...]) -> DirectionLoadDiagnosti
     )
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     """Everything the tool can say about one loop's periodic surface."""
 
     dim: int
@@ -416,10 +410,13 @@ class _Shape(NamedTuple):
       the patch budget refused, held here (it reads n, m and the group
       order).
 
-    So equal shapes give equal report shapes.  The key is also no finer
-    than the report: each input is printed as it is, moves the printed
-    orientability (``pair_rank``, given the lattice) or ends the notes
-    (``refusal``).
+    The lattice and each symmetry are ``NamedTuple``s too, equal exactly
+    when their fields are, and each of those fields holds one type within
+    a dimension (a symmetry's flips are ints, its orientation flag a bool
+    in even n and None in odd).  So equal shapes give equal report shapes.
+    The key is also no finer than the report: each input is printed as it
+    is, moves the printed orientability (``pair_rank``, given the lattice)
+    or ends the notes (``refusal``).
     """
 
     lattice: TranslationLattice

@@ -6,6 +6,7 @@ import ast
 import importlib
 import pathlib
 
+import pytest
 from conftest import modules_loaded_by
 
 import cubeloops
@@ -61,6 +62,30 @@ def test_command_line_does_not_load_the_oracles():
     assert "cubeloops.geometry" in modules_loaded_by(
         "import cubeloops\nfrom cubeloops import export_mesh"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--dim", "4", "--word", "12321434"],
+        ["check", "--dim", "4", "--word", "12321434", "--mode", "verify", "--json"],
+        ["enumerate", "--dim", "4", "--json", "--jobs", "1"],
+        ["family", "--name", "sharp", "--dim", "6"],
+        ["export", "--dim", "4", "--word", "12314234"],
+    ],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # the value types are NamedTuples, so no command pays for importing
+    # dataclasses and the inspect module it pulls in
+    run = (
+        "import contextlib, io, cubeloops.cli\n"
+        "out = io.TextIOWrapper(io.BytesIO(), encoding='utf-8')\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cubeloops.cli.main({argv!r}) == 0"
+    )
+    loaded = modules_loaded_by(run)
+    assert "cubeloops.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded & {"dataclasses", "inspect"}
 
 
 def test_no_production_module_imports_the_oracles():

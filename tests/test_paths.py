@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from cubeloops import (
     BadLabelError,
+    CanonicalWord,
     DirectionWord,
     FamilySpec,
     JordanPath,
@@ -16,12 +19,15 @@ from cubeloops import (
     NotClosedError,
     NotEmbeddedError,
     OddLengthError,
+    SignSymmetry,
     canonicalize,
+    expand_patches,
     family_word,
     parse_word,
     validate,
 )
 from cubeloops import EnumerationQuery, enumerate_paths, paths
+from cubeloops.groups import QuotientElement
 from cubeloops.lattice import TranslationLattice, direction_product_translation
 from cubeloops.oracles import (
     all_pairs_lattice,
@@ -30,6 +36,7 @@ from cubeloops.oracles import (
     row_reduce_reference,
 )
 from cubeloops.paths import _min_cyclic, gap_invariant, path_symmetries
+from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops.verdict import _edge_counts
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4, random_valid_path
 
@@ -64,6 +71,60 @@ def test_words_need_dimension_two(dim):
         parse_word("11", dim)
     with pytest.raises(ValueError, match=message):
         validate(DirectionWord((1, 1), dim))
+
+
+def test_words_are_checked_frozen_tuples():
+    # the dimension is checked before the labels
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        DirectionWord((5,), 1)
+    with pytest.raises(BadLabelError, match="label 5 out of range 1..4"):
+        DirectionWord((1, 5), 4)
+    word = canonicalize(parse_word("12314234", 4))
+    assert isinstance(word, CanonicalWord)
+    assert len(word) == 8 == len(word.labels)
+    twins = pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)
+    for twin in twins:
+        assert type(twin) is CanonicalWord and twin == word and str(twin) == str(word)
+    # the census pickles its words between processes, and unpickling
+    # checks again: a word that skipped the checks does not come back
+    forged = tuple.__new__(CanonicalWord, ((1, 5), 4))
+    with pytest.raises(BadLabelError):
+        pickle.loads(pickle.dumps(forged))
+    # equality and order are those of the (labels, dim) tuple
+    assert word == DirectionWord(word.labels, 4) == (word.labels, 4)
+    assert DirectionWord((1, 2, 1, 2), 2) < DirectionWord((1, 2, 2, 1), 2)
+    # _replace builds the word through the same checks
+    assert word._replace(dim=5) == (word.labels, 5)
+    assert type(word._replace(dim=5)) is CanonicalWord
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        DirectionWord((1, 1), 2)._replace(dim=1)
+    frozen = (word, "dim"), (validate(word), "word"), (SignSymmetry((1, 0), True), "flips")
+    for value, field in frozen:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        word.extra = 0  # no instance dict
+
+
+def test_value_types_keep_their_order_and_counts():
+    # symmetries sort by flips, then the orientation flag; quotient
+    # elements by dimension, then packed lanes
+    symmetries = [
+        SignSymmetry((1, 1), True),
+        SignSymmetry((0, 1), False),
+        SignSymmetry((0, 1), True),
+    ]
+    assert sorted(symmetries) == [symmetries[1], symmetries[2], symmetries[0]]
+    elements = [QuotientElement(3, 5), QuotientElement(2, 9), QuotientElement(3, 1)]
+    assert sorted(elements) == [elements[1], elements[2], elements[0]]
+    # order and count are the element and patch counts, not the field counts
+    for text, order in (("12321434", 64), ("12341234", 256)):
+        path = validate(parse_word(text, 4))
+        closure = reflection_closure(reflection_generators(path))
+        patches = expand_patches(path, closure)
+        assert closure.order == len(closure.elements) == order
+        assert patches.count == len(patches.patches) == order
+        assert patches.triangle_count == 8 * order
 
 
 def test_validate_error_precedence():

@@ -44,6 +44,10 @@ CENSUS_WINDOWS = (
 )
 
 
+# argument lists the parser refuses: a check without --word
+USAGE_ERRORS = (["check", "--dim", "4"],)
+
+
 def invocations() -> list[list[str]]:
     runs: list[list[str]] = []
     for dim, word in GOLDENS:
@@ -87,17 +91,20 @@ def invocations() -> list[list[str]]:
         ["export", "--dim", "4", "--word", "12321434", "--format", "json"],
     ]
     # the error paths: bad label, odd length, not closed, missing direction,
-    # not embedded, bad projection, refused census windows, unknown family
+    # not embedded, dimension below 2, bad projection, refused census
+    # windows, unknown family, then the usage errors
     runs += [
         ["check", "--dim", "3", "--word", "129123"],
         ["check", "--dim", "3", "--word", "12312"],
         ["check", "--dim", "3", "--word", "32123121"],
         ["check", "--dim", "4", "--word", "123123"],
         ["check", "--dim", "3", "--word", "112233"],
+        ["check", "--dim", "1", "--word", "11"],
         ["export", "--dim", "5", "--word", "145231425232"],
         ["enumerate", "--dim", "10"],
         ["enumerate", "--dim", "10", "--length", "600"],
         ["family", "--name", "spiral", "--dim", "4"],
+        *USAGE_ERRORS,
     ]
     return runs
 
