@@ -3,9 +3,11 @@
 Four subcommands: ``check`` validates a word and reports everything known
 about its surface; ``enumerate`` runs the census; ``family`` instantiates
 a named family member; ``export`` writes the patch mesh as OBJ or JSON.
-The census and family layer, the geometry and the JSON writer are
-imported where a command first uses them, so a text ``check`` loads none
-of them.  ``family_word`` alone decides which family names exist.
+It parses arguments and prints: reports and both census listings come
+from :mod:`cubeloops.verdict`.  The census and family layer, the geometry
+and the JSON writer are imported where a command first uses them, so a
+text ``check`` loads none of them.  ``family_word`` alone decides which
+family names exist.
 
 Exit codes: 0 success; 2 user or input error (invalid words, bad
 parameters, impossible projections — the diagnostic names the failed
@@ -19,33 +21,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import chain
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, Sequence
 
 from .errors import CubeLoopsError, InternalInvariantError
-from .paths import (
-    DirectionWord,
-    JordanPath,
-    _canonical_form,
-    _census_path,
-    _gap_invariant,
-    _read_walk,
-    parse_word,
-    validate,
-)
-from .verdict import (
-    SurfaceReport,
-    _report,
-    _report_shape,
-    _Shape,
-    build_report,
-    decide_embedded,
-)
-
-if TYPE_CHECKING:
-    from .jsontext import Encoded
+from .paths import parse_word, validate
+from .verdict import SurfaceReport, _listed_classes, _listed_lines, build_report
 
 __all__ = ["main"]
 
@@ -227,9 +208,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         limit=args.limit,
     )
     classes = enumerate_paths(query, jobs=args.jobs)
-    # the census has proved every class closed, simple and covering, so
-    # its walks are read off without validate's checks
-    walks = map(_census_path, classes)
     if args.json:
         from .jsontext import stream
 
@@ -243,99 +221,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 "limit": query.limit,
             },
             "count": len(classes),
-            "classes": _class_documents(walks, args.mode),
+            "classes": _listed_classes(classes, args.mode),
         }
         sys.stdout.writelines(stream(document, 2))
         print()
         return 0
-    # the embedded verdict and genus from the lattice alone in fast mode;
-    # verify mode builds the full report, whose oracles must agree with it
-    if args.mode == "verify":
-        verdicts = [build_report(walk, "verify") for walk in walks]
-    else:
-        verdicts = [decide_embedded(walk) for walk in walks]
-    for word, verdict in zip(classes, verdicts):
-        flags = "embedded" if verdict.embedded else "not embedded"
-        genus_text = f"  genus={verdict.genus}" if verdict.genus is not None else ""
-        print(f"m={len(word):>3}  {word}  {flags}{genus_text}")
+    for line in _listed_lines(classes, args.mode):
+        print(line)
     plural = "es" if len(classes) != 1 else ""
     print(f"{len(classes)} class{plural}")
     return 0
-
-
-# stands for each per-class value while a shape's text is encoded
-_SLOT = "\0"
-# a class sits two levels deep (document, classes); a gap vector four
-_CLASS_NEWLINE = "\n" + " " * 4
-_VECTOR_NEWLINE = "\n" + " " * 8
-
-
-def _class_documents(
-    walks: Iterable[JordanPath], mode: str
-) -> Iterator[list[Encoded]]:
-    """The listing's classes for :func:`stream`, one encoded report at a
-    time, with one :class:`SurfaceReport` built per report shape.
-
-    Each class's walk is read once (``paths._read_walk``) for its
-    canonical word, its gap invariant and the inputs that fix its report's
-    shape (``verdict._Shape``, whose docstring proves the key exact), in
-    verify mode its oracle checks among them.  Every class's
-    inputs are computed here, before any text: a verify run whose
-    oracles disagree raises before the listing writes anything, and
-    interleaving the inputs with the encoding made the full n=4 listing
-    about 7% slower (600 alternating in-process calls each way, 2 CPUs,
-    Python 3.11.7).
-    """
-    forms: dict[tuple[int, ...], tuple[int, ...]] = {}
-    inputs = []
-    for walk in walks:
-        reading = _read_walk(walk.word.labels, walk.vertex_masks)
-        shape = _report_shape(walk, reading, mode)
-        canonical = _canonical_form(walk.word, reading.profile)
-        inputs.append((walk, shape, canonical, _gap_invariant(reading.gaps, forms)))
-    return _encoded_classes(inputs)
-
-
-def _encoded_classes(
-    inputs: list[tuple[JordanPath, _Shape, DirectionWord, tuple[tuple[int, ...], ...]]],
-) -> Iterator[list[Encoded]]:
-    """Each class's text, from its walk, shape, canonical word and gaps.
-
-    On a shape's first class its report is built from those inputs and
-    its :meth:`SurfaceReport.to_json_dict` is encoded with slots for the
-    word, the canonical word and each of the ``dim`` gap vectors (one
-    per direction, all used); the text is split at the slots.  Each class
-    of that shape joins its own values into those parts; a gap vector's
-    text is also encoded once.
-    """
-    from .jsontext import Encoded, dumps
-
-    slot = dumps(_SLOT, 2)
-    templates: dict[_Shape, tuple[list[str], str]] = {}
-    vectors: dict[tuple[int, ...], str] = {}
-
-    def vector_text(vector: tuple[int, ...]) -> str:
-        text = vectors.get(vector)
-        if text is None:
-            text = vectors[vector] = dumps(vector, 2).replace("\n", _VECTOR_NEWLINE)
-        return text
-
-    for walk, shape, canonical, gaps in inputs:
-        template = templates.get(shape)
-        if template is None:
-            document = _report(walk, shape, canonical, gaps).to_json_dict()
-            document["word"] = document["canonical"] = _SLOT
-            document["gap_invariant"] = [_SLOT] * walk.dim
-            text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
-            *parts, tail = text.split(slot)
-            template = templates[shape] = parts, tail
-        word = dumps(str(walk.word), 2)
-        # a census class is its own canonical word
-        canonical_text = word if canonical is walk.word else dumps(str(canonical), 2)
-        parts, tail = template
-        values = (word, canonical_text, *map(vector_text, gaps))
-        text = "".join(chain.from_iterable(zip(parts, values, strict=True)))
-        yield [Encoded(text + tail)]
 
 
 def _cmd_family(args: argparse.Namespace) -> int:

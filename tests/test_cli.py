@@ -22,10 +22,10 @@ import cubeloops
 import cubeloops.enumeration as enumeration
 import cubeloops.errors as errors
 import cubeloops.geometry as geometry
+import cubeloops.paths as paths
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
 from cubeloops import (
-    DirectionWord,
     EnumerationQuery,
     FamilySpec,
     build_report,
@@ -34,9 +34,8 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.cli import _build_parser, _class_documents, main
-from cubeloops.paths import _census_path
-from cubeloops.verdict import SurfaceReport
+from cubeloops.cli import _build_parser, main
+from cubeloops.verdict import SurfaceReport, _listed_classes
 
 
 def test_check_text_report(capsys):
@@ -350,32 +349,13 @@ def test_class_documents_match_the_plain_encoding(dim, max_length, mode):
     # report encoded on its own, indented for its place in the listing
     query = EnumerationQuery.create(dim, max_length=max_length)
     words = enumerate_paths(query)
-    texts = [
-        item
-        for items in _class_documents(map(_census_path, words), mode)
-        for item in items
-    ]
+    texts = [item for items in _listed_classes(words, mode) for item in items]
     assert texts == [
         json.dumps(build_report(word, mode=mode).to_json_dict(), indent=2).replace(
             "\n", "\n    "
         )
         for word in words
     ]
-
-
-def test_class_documents_of_walks_that_are_not_canonical():
-    # the listing takes each canonical word from the walk's reading; census
-    # walks are canonical already, so rotate them off their canonical form
-    words = enumerate_paths(EnumerationQuery.create(4))
-    rotated = [DirectionWord(w.labels[1:] + w.labels[:1], w.dim) for w in words]
-    walks = [validate(word) for word in rotated]
-    texts = [item for items in _class_documents(walks, "fast") for item in items]
-    documents = [build_report(walk).to_json_dict() for walk in walks]
-    assert texts == [
-        json.dumps(document, indent=2).replace("\n", "\n    ")
-        for document in documents
-    ]
-    assert sum(d["word"] != d["canonical"] for d in documents) > len(words) // 2
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
@@ -398,23 +378,55 @@ def test_enumerate_verify_stops_when_the_oracles_disagree(
     assert captured.err.startswith("internal invariant violated: geometric verdict")
 
 
+def test_enumerate_verify_text_runs_the_oracles_without_reports(
+    capsys, monkeypatch
+):
+    # the text listing reads each verdict off the lattice in both modes;
+    # verify mode adds each class's oracle checks, but neither a report nor
+    # its sign symmetries
+    words = enumerate_paths(EnumerationQuery.create(4))
+    expected = []
+    for word in words:
+        report = build_report(word)
+        flags = "embedded" if report.embedded else "not embedded"
+        genus = "" if report.genus is None else f"  genus={report.genus}"
+        expected.append(f"m={len(word):>3}  {word}  {flags}{genus}\n")
+    calls = {"oracles": 0, "symmetries": 0, "reports": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        verdict, "_run_oracles", counting("oracles", verdict._run_oracles)
+    )
+    symmetries = counting("symmetries", verdict.path_symmetries)
+    for module in (paths, verdict):
+        monkeypatch.setattr(module, "path_symmetries", symmetries)
+    monkeypatch.setattr(
+        SurfaceReport, "__new__", staticmethod(counting("reports", SurfaceReport.__new__))
+    )
+    assert main(["enumerate", "--dim", "4", "--mode", "verify"]) == 0
+    assert capsys.readouterr().out == "".join(expected) + "69 classes\n"
+    assert calls == {"oracles": 69, "symmetries": 0, "reports": 0}
+
+
 def test_class_documents_key_on_the_oracle_checks(monkeypatch):
     # the oracles agree with the lattice, so in a real listing the checks
     # follow from the other shape inputs; a check that varies on its own
     # must still split the shape
     run_oracles = verdict._run_oracles
 
-    def marked(path, lattice, decision):
-        checks, refusal = run_oracles(path, lattice, decision)
+    def marked(path, decision):
+        checks, refusal = run_oracles(path, decision)
         return (*checks, ("marker", sum(path.word.labels[::2]) % 3)), refusal
 
     monkeypatch.setattr(verdict, "_run_oracles", marked)
     words = enumerate_paths(EnumerationQuery.create(4))
-    texts = [
-        item
-        for items in _class_documents(map(_census_path, words), "verify")
-        for item in items
-    ]
+    texts = [item for items in _listed_classes(words, "verify") for item in items]
     documents = [build_report(word, mode="verify").to_json_dict() for word in words]
     assert {document["oracle_checks"]["marker"] for document in documents} == {0, 1, 2}
     assert texts == [

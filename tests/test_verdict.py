@@ -24,8 +24,7 @@ from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops import lattice, paths, verdict
 from cubeloops.paths import _census_path
-import cubeloops.cli as cli
-from cubeloops.verdict import _report_shape, edge_bound, per_direction_bound
+from cubeloops.verdict import _report_shape, edge_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
@@ -165,7 +164,7 @@ def test_edge_bound_odd_dimension_heuristic_flag():
 
 def test_per_direction_bound_pins():
     g8 = validate(parse_word("123214123214", 4))
-    load = per_direction_bound(g8)
+    load = build_report(g8).direction_load
     assert load.verdict == "maybe-embedded"
     assert load.counts == (4, 4, 2, 2)
     assert load.constrained_axes == (1, 2)
@@ -174,17 +173,17 @@ def test_per_direction_bound_pins():
         assert row[0] == 0 and row[1] == 0
 
     overloaded = validate(parse_word("12131214121324", 4))
-    load = per_direction_bound(overloaded)
+    load = build_report(overloaded).direction_load
     assert load.verdict == "ruled-out"
     assert load.overloaded_axes == (1,)
     assert load.counts[0] == 6
     assert not decide_embedded(overloaded).embedded
 
     g3 = validate(parse_word("12314234", 4))
-    assert per_direction_bound(g3).verdict == "maybe-embedded"
-    assert per_direction_bound(g3).constrained_axes == ()
+    assert build_report(g3).direction_load.verdict == "maybe-embedded"
+    assert build_report(g3).direction_load.constrained_axes == ()
 
-    odd = per_direction_bound(validate(parse_word("123123", 3)))
+    odd = build_report(validate(parse_word("123123", 3))).direction_load
     assert odd.verdict == "not-applicable"
     assert odd.counts == (2, 2, 2)
 
@@ -194,7 +193,7 @@ def test_four_edge_direction_constraint_on_embedded(n4_classes):
         path = validate(word)
         if not decide_embedded(path).embedded:
             continue
-        load = per_direction_bound(path)
+        load = build_report(path).direction_load
         assert load.verdict == "maybe-embedded"
         for axis in load.constrained_axes:
             for row in even_translation_lattice(path).basis_vectors():
@@ -265,12 +264,12 @@ def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
         shapes.append(_report_shape(walk, reading, mode))
         return shapes[-1]
 
-    monkeypatch.setattr(cli, "_report_shape", recorded)
+    monkeypatch.setattr(verdict, "_report_shape", recorded)
     for mode in modes:
-        shapes.clear()
-        listing = cli._class_documents(walks, mode)
-        texts = [text for items in listing for text in items]
         documents = [build_report(word, mode=mode).to_json_dict() for word in words]
+        shapes.clear()
+        listing = verdict._listed_classes(words, mode)
+        texts = [text for items in listing for text in items]
         assert texts == [
             json.dumps(document, indent=2).replace("\n", "\n    ")
             for document in documents

@@ -67,6 +67,10 @@ def invocations() -> list[list[str]]:
     runs += [verify, [*verify, "--json"]]
     # oracle checks in the listing's shape key; a count under a limit
     runs.append(["enumerate", "--dim", "4", "--json", "--mode", "verify", "--jobs", "1"])
+    # three of four classes over the patch budget: the refusal note in the
+    # JSON listing, and none in the text listing
+    refused = ["enumerate", "--dim", "8", "--length", "16", "--mode", "verify", "--limit", "4"]
+    runs += [refused, [*refused, "--json"]]
     limited = ["enumerate", "--dim", "5", "--max-length", "14", "--json", "--limit", "100"]
     runs.append([*limited, "--jobs", "1"])
     for dim in range(3, 11):
