@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import BadProjectionError, BudgetExceededError, UnsupportedFormatError
@@ -158,11 +159,11 @@ class VertexIncidence(NamedTuple):
 
 def vertex_incidence(patches: PatchSet) -> VertexIncidence:
     # Placed coordinates lie in [-1, 7]: count the placed rim vertices,
-    # then fold the distinct ones onto the torus.
-    placed = Counter(vertex for patch in patches.patches for vertex in patch.rim)
+    # then fold the distinct ones onto the torus (c & 7 is c mod 8).
+    placed = Counter(chain.from_iterable(patch.rim for patch in patches.patches))
     counts: dict[tuple[int, ...], int] = {}
     for vertex, count in placed.items():
-        wrapped = tuple(c % 8 for c in vertex)
+        wrapped = tuple([c & 7 for c in vertex])
         counts[wrapped] = counts.get(wrapped, 0) + count
     worst = max(counts.values(), default=0)
     return VertexIncidence(worst, worst < 8, counts)

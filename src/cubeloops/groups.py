@@ -101,7 +101,8 @@ class QuotientElement(NamedTuple):
 
     @property
     def vector(self) -> tuple[int, ...]:
-        return tuple((self.packed >> (2 * i)) & 3 for i in range(self.dim))
+        packed = self.packed
+        return tuple([packed >> 2 * i & 3 for i in range(self.dim)])
 
 
 def quotient_identity(dim: int) -> QuotientElement:

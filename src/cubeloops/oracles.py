@@ -18,7 +18,9 @@ the tests can compare the two:
   ``canonicalize``;
 - the JSON mesh document built whole from the closure's action on the
   cone disk, the reference for the patch-by-patch writer of
-  ``cubeloops.geometry.export_mesh``.
+  ``cubeloops.geometry.export_mesh``;
+- the filled-cube counts keyed by each element's vector, the reference
+  for the packed-lane count of ``cubeloops.reflection.filled_cubes``.
 
 No production module imports this one, and ``import cubeloops`` does not
 load it.
@@ -42,7 +44,7 @@ from .geometry import cone_disk
 from .groups import QuotientElement, _pack, in_flip_subgroup
 from .lattice import TranslationLattice, parallel_pair_translation
 from .paths import JordanPath, _is_least_rotation, _repeat_profile
-from .reflection import reflection_closure, reflection_generators
+from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
 __all__ = [
     "BadVectorError",
@@ -65,6 +67,7 @@ __all__ = [
     "lattice_contains",
     "is_canonical",
     "mesh_document",
+    "filled_cubes_reference",
 ]
 
 
@@ -376,3 +379,14 @@ def mesh_document(path: JordanPath) -> dict:
             f"surface has self-intersections: {worst} patch boundaries meet at a vertex"
         )
     return document
+
+
+def filled_cubes_reference(closure: ReflectionClosure) -> dict[tuple[int, ...], int]:
+    """The patches in each 2x...x2 block of the 4-periodic torus, counted
+    from every element's vector: the block's anchor is the vector with
+    each coordinate's 1-bit cleared.  Every block is a key, in
+    ``product((0, 2), repeat=n)`` order, an empty one with count 0."""
+    counts = dict.fromkeys(product((0, 2), repeat=closure.dim), 0)
+    for element in closure.elements:
+        counts[tuple(coord & 2 for coord in element.vector)] += 1
+    return counts

@@ -10,15 +10,18 @@ finite group they generate, and counts the patches in each block of the
 Each edge rotation fixes the edge's axis and reverses all other
 coordinates; its translation part is twice the edge midpoint.  In the
 quotient all these elements are self-inverse and commute, which keeps the
-closure small (a power of two) and the searches exact.
+closure small (a power of two) and the searches exact.  An element's
+block is read off its packed Z_4 lanes as they are: the 2-bit of each
+lane, with the 1-bits masked away.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import NamedTuple
 
-from .groups import QuotientElement, close_under_composition
+from .groups import QuotientElement, _lane_masks, _pack, close_under_composition
 from .paths import JordanPath
 
 __all__ = [
@@ -76,11 +79,16 @@ def filled_cubes(closure: ReflectionClosure) -> dict[tuple[int, ...], int]:
 
     A patch sits in the unit cube named by its closure element's vector
     in {0,1,2,3}^n; cube v belongs to the block with even anchor ``a``
-    when v - a has all entries in {0,1}.  Every one of the 2^n blocks is
-    a key, an empty one with count 0; the counts are all equal for walks
-    based at a cube vertex.
+    when v - a has all entries in {0,1}, so ``a`` is v with each
+    coordinate's 1-bit cleared.  On the packed lanes that is the element
+    masked to the 2-bit of every lane, and those ints are counted
+    without building a vector.  Every one of the 2^n blocks is a key, in
+    ``product((0, 2), repeat=n)`` order, an empty one with count 0; the
+    counts are all equal for walks based at a cube vertex.
     """
-    counts = dict.fromkeys(product((0, 2), repeat=closure.dim), 0)
-    for element in closure.elements:
-        counts[tuple(coord & 2 for coord in element.vector)] += 1
-    return counts
+    high = _lane_masks(closure.dim) << 1
+    blocks = Counter(element.packed & high for element in closure.elements)
+    return {
+        anchor: blocks[_pack(anchor)]
+        for anchor in product((0, 2), repeat=closure.dim)
+    }

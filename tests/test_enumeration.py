@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 from conftest import family_members, modules_loaded_by
@@ -378,6 +379,34 @@ def test_embedded_census_equals_the_family_classes(embedded_censuses):
         census = embedded_censuses[dim]
         assert len(census) == classes, dim
         assert {w.labels for w in census} == from_families, dim
+
+
+def _family_class(spec: FamilySpec) -> tuple[int, ...]:
+    return canonicalize(family_word(spec)).labels
+
+
+def test_the_three_gamma_families_give_n_squared_over_three_classes():
+    # gamma-a, gamma-b and gamma-c over all their parameters: floor(n^2/3)
+    # classes (n = 4 gives the five of the paper), gamma-c's the only ones
+    # longer than 2n; sharp and d-series add none
+    for n in range(3, 31):
+        pairs = list(itertools.combinations(range(1, n), 2))
+        gamma_a = {_family_class(FamilySpec("gamma-a", n, beta=b)) for b in range(1, n)}
+        gamma_b = {_family_class(FamilySpec("gamma-b", n, *pair)) for pair in pairs}
+        gamma_c = {_family_class(FamilySpec("gamma-c", n, *pair)) for pair in pairs}
+        every = gamma_a | gamma_b | gamma_c
+        assert len(every) == n * n // 3, n
+        assert len(gamma_a) == n // 2, n
+        assert len(gamma_c) == (n - 1) ** 2 // 4, n
+        assert not gamma_a & gamma_b, n
+        # ceil((n - 1 - k) / 2) classes of length 2n + 2k, 1 <= k <= n - 2
+        expected = {2 * n: n * n // 3 - (n - 1) ** 2 // 4}
+        expected.update({2 * n + 2 * k: (n - k) // 2 for k in range(1, n - 1)})
+        assert Counter(len(labels) for labels in every) == expected, n
+        assert _family_class(FamilySpec("d-series", n)) in gamma_b, n
+        if n >= 4:
+            sharp = _family_class(FamilySpec("sharp", n))
+            assert sharp == _family_class(FamilySpec("gamma-c", n, 1, n - 1)), n
 
 
 def test_census_words_are_canonical_and_valid(n4_classes):

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
-from conftest import parity_mask
+from conftest import parity_mask, random_valid_path
 
-from cubeloops import decide_embedded, parse_word, validate
+from cubeloops import (
+    EnumerationQuery,
+    decide_embedded,
+    enumerate_paths,
+    parse_word,
+    validate,
+)
 from cubeloops.groups import (
     compose_quotient,
     flip_subgroup_order,
@@ -16,6 +23,7 @@ from cubeloops.oracles import (
     ambient_generators,
     ambient_identity,
     compose_ambient,
+    filled_cubes_reference,
     four_translation_witness,
 )
 from cubeloops.reflection import (
@@ -112,6 +120,35 @@ def test_filled_cube_counts_balanced(n4_m8_classes):
         counts = filled_cubes(closure)
         assert sum(counts.values()) == closure.order
         assert len(set(counts.values())) == 1
+
+
+def test_packed_filled_cubes_match_the_reference(n3_classes, n4_classes):
+    # the count on packed lanes against the count keyed by each element's
+    # vector: equal dicts in the same key order.  The subgroup of each
+    # loop's first half of generators leaves some blocks empty, whose
+    # zero counts must be kept.
+    rng = random.Random(29)
+    paths = [
+        validate(word)
+        for word in (
+            *n3_classes,
+            *n4_classes,
+            *enumerate_paths(EnumerationQuery.create(5, max_length=12)),
+        )
+    ]
+    paths += [random_valid_path(rng, dim) for dim in (5, 6) for _ in range(20)]
+    assert any(not decide_embedded(path).embedded for path in paths[-40:])
+    emptied = 0
+    for path in paths:
+        generators = reflection_generators(path)
+        for closure in (
+            reflection_closure(generators),
+            reflection_closure(generators[: len(generators) // 2]),
+        ):
+            expected = filled_cubes_reference(closure)
+            assert list(filled_cubes(closure).items()) == list(expected.items()), path.word
+            emptied += 0 in expected.values()
+    assert emptied
 
 
 def test_filled_cubes_odd_dimension_checkerboard(n3_classes):

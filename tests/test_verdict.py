@@ -20,6 +20,7 @@ from cubeloops import (
     parse_word,
     validate,
 )
+from cubeloops.groups import QuotientElement
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops import lattice, paths, verdict
@@ -322,6 +323,24 @@ def test_build_report_reads_the_walk_once(monkeypatch, mode):
         calls.clear()
         build_report(parse_word(text, dim), mode=mode)
         assert len(calls) == (1 if mode == "fast" else 2), text
+
+
+def test_verify_report_reads_each_anchor_vector_once(monkeypatch):
+    # the filled-cube count reads packed lanes, so only the patch anchors
+    # read an element's vector: once per closure element
+    reads = []
+    vector = QuotientElement.vector
+
+    def counted(element):
+        reads.append(element)
+        return vector.fget(element)
+
+    word = parse_word("13423435241232124215", 5)
+    order = reflection_closure(reflection_generators(validate(word))).order
+    assert order == 512
+    monkeypatch.setattr(QuotientElement, "vector", property(counted))
+    build_report(word, mode="verify")
+    assert len(reads) == order
 
 
 def test_build_report_verify_mode_runs_oracles():

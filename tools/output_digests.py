@@ -54,6 +54,9 @@ def invocations() -> list[list[str]]:
         for mode in ("fast", "verify"):
             check = ["check", "--dim", str(dim), "--word", word, "--mode", mode]
             runs += [check, [*check, "--json"]]
+    # a non-embedded loop whose closure has 512 elements
+    check = ["check", "--dim", "5", "--word", "13423435241232124215", "--mode", "verify"]
+    runs += [check, [*check, "--json"]]
     for window in CENSUS_WINDOWS:
         for listing in ((), ("--json",)):
             for jobs in ("1", "2"):
