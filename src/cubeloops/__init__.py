@@ -18,7 +18,7 @@ in :mod:`cubeloops.oracles`, which this package does not import.
 
 from importlib import import_module
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 _EXPORTS = {
     "BadLabelError": "errors",
@@ -33,7 +33,6 @@ _EXPORTS = {
     "OddLengthError": "errors",
     "UnsupportedFormatError": "errors",
     "WordValidationError": "errors",
-    "CanonicalWord": "paths",
     "DirectionWord": "paths",
     "JordanPath": "paths",
     "SignSymmetry": "paths",

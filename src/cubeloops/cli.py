@@ -238,7 +238,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
     spec = FamilySpec(args.name, args.dim, alpha=args.alpha, beta=args.beta)
     word = family_word(spec)
-    report = build_report(word, mode=args.mode, family=spec.to_json_dict())
+    report = build_report(word, mode=args.mode, family=spec._asdict())
     return _print_report(args, report)
 
 

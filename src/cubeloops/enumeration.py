@@ -81,17 +81,19 @@ or not, and is cut.  At a closing edge the basis holds every row but the
 closing edge's pair row, and the walk is kept only when the rank plus
 that row's contribution (0 or 1) reaches the cap.
 
-That test is ``verdict.decide_embedded``'s verdict on C, so no class kept
-is decided again.  The even lattice does not depend on where the word
-starts.  The pair rows of direction d span ``(v_i ^ v_j) & ~bit(d)`` for
-any two of its edges i and j, the sum of their rows, and no translation
-of the vertices changes that row.  Taking another edge as a direction's
-first changes the product row by a pair row.  Translating every vertex
-by t changes the product row by ``t & ~bit(e)`` summed over all n
-directions e, where each bit of t occurs n - 1 times, an even number in
-odd dimension.  Relabelling permutes the coordinates of every row and
-keeps the rank.  So W and C, which differ by a rotation and a
-relabelling, have even lattices of one rank.
+That test is ``verdict.decide_embedded``'s verdict on C, so it replaces
+a filter run after the search; a listing of the kept classes reads each
+one's lattice once more, for its genus or its report.  The even lattice
+does not depend on where the word starts.  The pair rows of direction d
+span ``(v_i ^ v_j) & ~bit(d)`` for any two of its edges i and j, the sum
+of their rows, and no translation of the vertices changes that row.
+Taking another edge as a direction's first changes the product row by a
+pair row.  Translating every vertex by t changes the product row by
+``t & ~bit(e)`` summed over all n directions e, where each bit of t
+occurs n - 1 times, an even number in odd dimension.  Relabelling
+permutes the coordinates of every row and keeps the rank.  So W and C,
+which differ by a rotation and a relabelling, have even lattices of one
+rank.
 
 The rank cap also bounds each direction's edges: two direction-d edges
 with equal pair rows are the same cube edge, so a direction has at most 4
@@ -117,12 +119,11 @@ from __future__ import annotations
 
 import os
 from itertools import count
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .errors import BadParametersError
 from .lattice import pair_translation_lattice
 from .paths import (
-    CanonicalWord,
     DirectionWord,
     _is_least_rotation,
     _word_from_profile,
@@ -225,7 +226,7 @@ def _fits_the_cube(edges: int, dim: int) -> bool:
 
 def enumerate_paths(
     query: EnumerationQuery, jobs: int = 1
-) -> tuple[CanonicalWord, ...]:
+) -> tuple[DirectionWord, ...]:
     """All loop classes matching the query, one canonical word per class.
 
     Deterministic output sorted by (length, word), independent of the
@@ -260,7 +261,7 @@ def enumerate_paths(
 
 def _search(
     query: EnumerationQuery, shard: int = 0, shards: int = 1
-) -> list[CanonicalWord]:
+) -> list[DirectionWord]:
     """Depth-first walk emitting the canonical word of every class the
     query admits, each once; with ``shards`` > 1, only those in the
     ``shard``-th share of the subtrees (module docstring)."""
@@ -270,7 +271,7 @@ def _search(
     # the split depth of the module docstring (never reached unsharded)
     split_depth = n + 1 if shards > 1 else -1
     subtrees = count()
-    out: list[CanonicalWord] = []
+    out: list[DirectionWord] = []
 
     # embedded-only cut (module docstring): the prefix's even-lattice
     # echelon basis, pivots[k] holding the row whose leading bit is k; in
@@ -361,7 +362,7 @@ def _search(
                     rotated[first[e] - g] = m - last[e] + first[e]
                 profile = tuple(rotated)
                 if _is_least_rotation(profile):
-                    out.append(CanonicalWord(_word_from_profile(profile), n))
+                    out.append(DirectionWord(_word_from_profile(profile), n))
             last[d] = prior
         # edges left after the child's; the closing edge is handled above,
         # and vertex 0 is in visited, so a child needs at least one edge
@@ -425,14 +426,6 @@ class FamilySpec(NamedTuple):
     dim: int
     alpha: int | None = None
     beta: int | None = None
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
 
 
 def _up(a: int, b: int) -> list[int]:

@@ -196,24 +196,12 @@ def even_lattice_from_pair(
 
     Equals the pair lattice for even dimension; for odd dimension the
     product row is adjoined (it may or may not already lie in the pair
-    lattice — that dichotomy is the orientability test).  The pair rows
-    are fully reduced, so each pivot bit lies in one row only: XOR-ing in
-    every row whose leading bit the product holds reduces the product in
-    one pass.  A zero remainder lies in the pair lattice, which is
-    returned as it is; otherwise the remainder's leading bit is cleared
-    from the rows that hold it, and it joins them in descending order.
-    A pair lattice of full rank holds every row already.
+    lattice — that dichotomy is the orientability test).  A pair lattice
+    of full rank holds every row already.
     """
     if pair.dim % 2 == 0 or pair.rank == pair.dim:
         return pair
-    for row in pair.rows:
-        if product >> (row.bit_length() - 1) & 1:
-            product ^= row
-    if not product:
-        return pair
-    top = product.bit_length() - 1
-    rows = [row ^ product if row >> top & 1 else row for row in pair.rows]
-    return TranslationLattice(pair.dim, tuple(sorted([*rows, product], reverse=True)))
+    return TranslationLattice(pair.dim, _row_reduce([*pair.rows, product], pair.dim))
 
 
 def even_translation_lattice(path: JordanPath) -> TranslationLattice:

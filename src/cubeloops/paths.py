@@ -44,7 +44,6 @@ from .errors import (
 
 __all__ = [
     "DirectionWord",
-    "CanonicalWord",
     "JordanPath",
     "SignSymmetry",
     "parse_word",
@@ -94,15 +93,6 @@ class DirectionWord(_Word):
 
     def __str__(self) -> str:
         return ("" if self.dim <= 9 else " ").join(map(str, self.labels))
-
-
-class CanonicalWord(DirectionWord):
-    """A direction word that is the fixed point chosen by :func:`canonicalize`.
-
-    Built only by :func:`canonicalize` and by the census walk once it has
-    proved the word canonical; :func:`canonicalize` trusts the type."""
-
-    __slots__ = ()
 
 
 def format_word(labels: Sequence[int]) -> str:
@@ -265,7 +255,7 @@ def _repeat_profile(labels: Sequence[int]) -> tuple[int, ...]:
     return _read_walk(labels, repeat(0)).profile  # no trail: rows unused
 
 
-def canonicalize(word: DirectionWord) -> CanonicalWord:
+def canonicalize(word: DirectionWord) -> DirectionWord:
     """Representative of the word's class under shift, reversal, relabeling.
 
     Requires a closed word (every label count even); embeddedness and
@@ -274,22 +264,15 @@ def canonicalize(word: DirectionWord) -> CanonicalWord:
     the word of the least repeat profile over the rotations of the word
     and of its reversal (module docstring).  Those profiles rearrange the
     same gaps, so only rotations that start with the smallest are compared.
-
-    A :class:`CanonicalWord` is returned unchanged, without the search:
-    only this function and the census walk construct one, so it is
-    already the fixed point.  The walk (``enumeration._search``) builds a
-    word only after ``_is_least_rotation`` has proved its profile least.
-    Pass a plain :class:`DirectionWord` to recompute it.
     """
-    return _canonical_form(word, _repeat_profile(word.labels))
+    return _canonical_form(_repeat_profile(word.labels), word.dim)
 
 
-def _canonical_form(word: DirectionWord, profile: tuple[int, ...]) -> CanonicalWord:
-    """:func:`canonicalize` of a word, given its repeat profile."""
-    if isinstance(word, CanonicalWord):
-        return word
+def _canonical_form(profile: tuple[int, ...], dim: int) -> DirectionWord:
+    """:func:`canonicalize` of a word of dimension ``dim``, given its
+    repeat profile."""
     least = _least_rotation(profile, _reversed_profile(profile))
-    return CanonicalWord(_word_from_profile(least), word.dim)
+    return DirectionWord(_word_from_profile(least), dim)
 
 
 def _word_from_profile(profile: Sequence[int]) -> tuple[int, ...]:

@@ -7,10 +7,10 @@ exactly when the even translation lattice has order 4 (even dimension) or
 times lattice order.  A whole fast report is polynomial in m and n.  It
 reads the walk once (``paths._read_walk``) for the repeat profile, each
 direction's gap vector and edge count, and the pair and product rows;
-the rest is the canonical form (a least rotation of that profile, skipped
-for a census word, which is canonical already) and the sign symmetries
-(the word against its rotations and reversals that start with its first
-label, each compared in O(m)).
+the rest is the canonical form (a least rotation of that profile, which
+a census listing skips) and the sign symmetries (the word against its
+rotations and reversals that start with its first label, each compared
+in O(m)).
 
 Both census listings of ``enumerate`` live here.  The census walk has
 proved every class it returns closed, simple and covering, so a listing
@@ -149,14 +149,6 @@ class BoundDiagnostic(NamedTuple):
     reason: str
     limit: int | None = None
     heuristic: bool = False
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "limit": self.limit,
-            "heuristic": self.heuristic,
-        }
 
 
 def edge_bound(dim: int, length: int) -> BoundDiagnostic:
@@ -300,7 +292,7 @@ class SurfaceReport(NamedTuple):
             "oracle_checks": self.oracle_checks,
             "gap_invariant": [list(v) for v in self.gaps],
             "bounds": {
-                "edge_bound": self.edge_bound.to_json_dict(),
+                "edge_bound": self.edge_bound._asdict(),
                 "direction_load": self.direction_load.to_json_dict(),
             },
             "notes": list(self.notes),
@@ -355,18 +347,18 @@ def _yn(flag: bool) -> str:
 
 
 def build_report(
-    word: DirectionWord | JordanPath,
+    word: DirectionWord,
     mode: str = "fast",
     family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
     """Assemble the full report for a loop, in fast or verifying mode.
 
-    A :class:`DirectionWord` (from ``parse_word`` or built directly) is
-    validated first, a canonical one too; a :class:`JordanPath` is used
-    as it is.  The JSON census listing (:func:`_listed_classes`) builds
-    its reports from :func:`_report_shape` instead, one for each report
-    shape, from the walks the census has already proved simple; the text
-    listing (:func:`_listed_lines`) builds none.
+    The word (from ``parse_word`` or built directly) is validated first,
+    a canonical one too.  The JSON census listing
+    (:func:`_listed_classes`) builds its reports from
+    :func:`_report_shape` instead, one for each report shape, from the
+    walks the census has already proved simple; the text listing
+    (:func:`_listed_lines`) builds none.
 
     Fast mode derives everything from the translation lattice.  Verifying
     mode additionally runs the brute-force group closure and the exact
@@ -379,10 +371,10 @@ def build_report(
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
-    path = word if isinstance(word, JordanPath) else validate(word)
-    reading = _read_walk(path.word.labels, path.vertex_masks)
+    path = validate(word)
+    reading = _read_walk(word.labels, path.vertex_masks)
     shape = _report_shape(path, reading, mode)
-    canonical = _canonical_form(path.word, reading.profile)
+    canonical = _canonical_form(reading.profile, word.dim)
     return _report(path, shape, canonical, _gap_invariant(reading.gaps, {}), family)
 
 

@@ -239,7 +239,7 @@ def test_criterion_08_families_embedded_and_orientable():
 
 def test_criterion_09_negative_and_odd_dimension_cases():
     five = validate(parse_word("145231425232", 5))
-    assert not build_report(five).orientable.surface
+    assert not build_report(five.word).orientable.surface
     assert lattice_contains(
         pair_translation_lattice(five), direction_product_translation(five)
     )

@@ -292,12 +292,7 @@ def test_census_shards_partition_the_classes(n4_classes):
     for query, expected in windows:
         whole = enumeration._search(query)
         labels = [word.labels for word in whole]
-        # recomputed from a plain word: canonicalize returns a CanonicalWord
-        # as it is
-        assert all(
-            canonicalize(DirectionWord(word.labels, word.dim)) == word
-            for word in whole
-        )
+        assert all(canonicalize(word) == word for word in whole)
         assert len(set(labels)) == len(labels)
         assert expected is None or set(labels) == expected
         for shards in range(1, 5):
@@ -412,8 +407,8 @@ def test_the_three_gamma_families_give_n_squared_over_three_classes():
 def test_census_words_are_canonical_and_valid(n4_classes):
     for word in n4_classes:
         validate(word)
-        assert canonicalize(DirectionWord(word.labels, word.dim)) == word
-        assert canonicalize(word) is word
+        assert type(word) is DirectionWord
+        assert canonicalize(word) == word
         assert word.labels[0] == 1
 
 

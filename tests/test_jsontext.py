@@ -47,7 +47,7 @@ def _one_member_per_family(dim):
 
 def test_golden_reports():
     for path in _golden_paths().values():
-        _assert_same_text(build_report(path).to_json_dict())
+        _assert_same_text(build_report(path.word).to_json_dict())
 
 
 def test_n4_class_reports_fast_and_verify(n4_classes):
@@ -59,7 +59,7 @@ def test_n4_class_reports_fast_and_verify(n4_classes):
 def test_family_reports():
     for dim in range(4, 9):
         for spec in _one_member_per_family(dim):
-            report = build_report(family_word(spec), family=spec.to_json_dict())
+            report = build_report(family_word(spec), family=spec._asdict())
             _assert_same_text(report.to_json_dict())
 
 
@@ -189,7 +189,7 @@ def test_check_and_family_json_match_json_dumps(capsys):
             if value is not None:
                 argv += [flag, str(value)]
         assert main(argv) == 0
-        report = build_report(family_word(spec), family=spec.to_json_dict())
+        report = build_report(family_word(spec), family=spec._asdict())
         assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 

@@ -153,7 +153,7 @@ def test_even_lattice_matches_composed_direction_product(n3_classes, random_n5_p
         even = even_lattice_from_pair(pair, _product_row(path))
         assert even == expected == even_translation_lattice(path), path.word
         inside = lattice_contains(arcs, product)
-        assert (even is pair) == inside, path.word
+        assert (even == pair) == inside, path.word
         inside_seen.add(inside)
     assert inside_seen == {False, True}
 
@@ -306,6 +306,22 @@ def test_row_reduce_matches_reference_on_census_lattices(
         if path.dim % 2:
             expected = row_reduce_reference(even_rows)
             assert even_translation_lattice(path).rows == expected
+
+
+def test_even_lattice_matches_reference_on_the_n7_census():
+    # every pair rank of the 1,542 classes of dimension 7 up to 14 edges
+    # falls below 7, so every class adjoins its direction-product row
+    census = enumerate_paths(EnumerationQuery.create(7, max_length=14))
+    assert len(census) == 1542
+    inside_seen = set()
+    for path in map(validate, census):
+        _, even_rows = _pair_and_even_rows(path)
+        pair = pair_translation_lattice(path)
+        assert pair.rank < 7, path.word
+        even = even_lattice_from_pair(pair, _product_row(path))
+        assert even.rows == row_reduce_reference(even_rows), path.word
+        inside_seen.add(even == pair)
+    assert inside_seen == {False, True}
 
 
 def test_pair_lattice_matches_reference_on_random_loops():

@@ -108,7 +108,7 @@ def test_no_production_module_imports_the_oracles():
 
 def test_the_census_does_not_import_the_verdicts():
     # the walk decides embeddedness by its own even-lattice rank, so no
-    # class it keeps is decided again
+    # filter of the verdict layer runs after the search
     source = PACKAGE / "enumeration.py"
     assert not _imports(ast.parse(source.read_text(), filename=str(source)), "verdict")
 

@@ -11,7 +11,6 @@ import pytest
 
 from cubeloops import (
     BadLabelError,
-    CanonicalWord,
     DirectionWord,
     FamilySpec,
     JordanPath,
@@ -80,14 +79,14 @@ def test_words_are_checked_frozen_tuples():
     with pytest.raises(BadLabelError, match="label 5 out of range 1..4"):
         DirectionWord((1, 5), 4)
     word = canonicalize(parse_word("12314234", 4))
-    assert isinstance(word, CanonicalWord)
+    assert type(word) is DirectionWord
     assert len(word) == 8 == len(word.labels)
     twins = pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)
     for twin in twins:
-        assert type(twin) is CanonicalWord and twin == word and str(twin) == str(word)
+        assert type(twin) is DirectionWord and twin == word and str(twin) == str(word)
     # the census pickles its words between processes, and unpickling
     # checks again: a word that skipped the checks does not come back
-    forged = tuple.__new__(CanonicalWord, ((1, 5), 4))
+    forged = tuple.__new__(DirectionWord, ((1, 5), 4))
     with pytest.raises(BadLabelError):
         pickle.loads(pickle.dumps(forged))
     # equality and order are those of the (labels, dim) tuple
@@ -95,7 +94,7 @@ def test_words_are_checked_frozen_tuples():
     assert DirectionWord((1, 2, 1, 2), 2) < DirectionWord((1, 2, 2, 1), 2)
     # _replace builds the word through the same checks
     assert word._replace(dim=5) == (word.labels, 5)
-    assert type(word._replace(dim=5)) is CanonicalWord
+    assert type(word._replace(dim=5)) is DirectionWord
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         DirectionWord((1, 1), 2)._replace(dim=1)
     frozen = (word, "dim"), (validate(word), "word"), (SignSymmetry((1, 0), True), "flips")
@@ -181,6 +180,11 @@ def test_canonicalize_pinned_forms():
     assert str(canonicalize(parse_word("123214123214", 4))) == "123214123214"
     assert str(canonicalize(parse_word("123123", 3))) == "123123"
     assert str(canonicalize(parse_word("12341234", 4))) == "12341234"
+    # 121323 introduces its labels in order, yet its rotation 132312 has
+    # a smaller repeat profile
+    word = canonicalize(DirectionWord((1, 2, 1, 3, 2, 3), 3))
+    assert word == DirectionWord((1, 2, 3, 2, 1, 3), 3)
+    assert type(word) is DirectionWord
 
 
 def test_canonicalize_identifies_sharp_path_with_longest_class():

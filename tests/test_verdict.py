@@ -165,7 +165,7 @@ def test_edge_bound_odd_dimension_heuristic_flag():
 
 def test_per_direction_bound_pins():
     g8 = validate(parse_word("123214123214", 4))
-    load = build_report(g8).direction_load
+    load = build_report(g8.word).direction_load
     assert load.verdict == "maybe-embedded"
     assert load.counts == (4, 4, 2, 2)
     assert load.constrained_axes == (1, 2)
@@ -174,17 +174,17 @@ def test_per_direction_bound_pins():
         assert row[0] == 0 and row[1] == 0
 
     overloaded = validate(parse_word("12131214121324", 4))
-    load = build_report(overloaded).direction_load
+    load = build_report(overloaded.word).direction_load
     assert load.verdict == "ruled-out"
     assert load.overloaded_axes == (1,)
     assert load.counts[0] == 6
     assert not decide_embedded(overloaded).embedded
 
     g3 = validate(parse_word("12314234", 4))
-    assert build_report(g3).direction_load.verdict == "maybe-embedded"
-    assert build_report(g3).direction_load.constrained_axes == ()
+    assert build_report(g3.word).direction_load.verdict == "maybe-embedded"
+    assert build_report(g3.word).direction_load.constrained_axes == ()
 
-    odd = build_report(validate(parse_word("123123", 3))).direction_load
+    odd = build_report(parse_word("123123", 3)).direction_load
     assert odd.verdict == "not-applicable"
     assert odd.counts == (2, 2, 2)
 
@@ -194,7 +194,7 @@ def test_four_edge_direction_constraint_on_embedded(n4_classes):
         path = validate(word)
         if not decide_embedded(path).embedded:
             continue
-        load = build_report(path).direction_load
+        load = build_report(word).direction_load
         assert load.verdict == "maybe-embedded"
         for axis in load.constrained_axes:
             for row in even_translation_lattice(path).basis_vectors():

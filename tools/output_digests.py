@@ -88,6 +88,9 @@ def invocations() -> list[list[str]]:
     ):
         family = ["family", *member]
         runs += [family, [*family, "--json"], [*family, "--mode", "verify", "--json"]]
+    # gamma-a takes no alpha, which its family dict still names
+    gamma_a = ["family", "--name", "gamma-a", "--dim", "5", "--beta", "2"]
+    runs += [gamma_a, [*gamma_a, "--json"]]
     # a high-dimension member, about 2 s: its report walks 58,000 edges
     member = ["--name", "gamma-c", "--dim", "15000", "--alpha", "2", "--beta", "14000"]
     runs.append(["family", *member, "--json"])
@@ -99,7 +102,8 @@ def invocations() -> list[list[str]]:
     ]
     # the error paths: bad label, odd length, not closed, missing direction,
     # not embedded, dimension below 2, bad projection, refused census
-    # windows, unknown family, then the usage errors
+    # windows (the last one by enumerate_paths, past the query's checks),
+    # unknown family, then the usage errors
     runs += [
         ["check", "--dim", "3", "--word", "129123"],
         ["check", "--dim", "3", "--word", "12312"],
@@ -110,6 +114,7 @@ def invocations() -> list[list[str]]:
         ["export", "--dim", "5", "--word", "145231425232"],
         ["enumerate", "--dim", "10"],
         ["enumerate", "--dim", "10", "--length", "600"],
+        ["enumerate", "--dim", "10", "--max-length", "600"],
         ["family", "--name", "spiral", "--dim", "4"],
         *USAGE_ERRORS,
     ]
