@@ -18,7 +18,8 @@ coordinatewise.  A quotient element is therefore stored as one machine
 integer with two bits per coordinate (coordinate i occupies bits 2i and
 2i+1), which makes composition a handful of bitwise operations and gives a
 cheap total order for deterministic iteration.  The ambient group itself
-is kept in :mod:`cubeloops.oracles`, as a cross-check.
+is kept in :mod:`cubeloops.oracles`, as a cross-check, with the parts of
+the quotient's algebra that only the tests use.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ from typing import Iterable, NamedTuple
 
 __all__ = [
     "QuotientElement",
-    "compose_quotient",
     "flip_subgroup_order",
-    "in_flip_subgroup",
-    "quotient_identity",
     "close_under_composition",
 ]
 
@@ -41,13 +39,6 @@ def flip_subgroup_order(dim: int) -> int:
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
     return 2**dim if dim % 2 == 0 else 2 ** (dim - 1)
-
-
-def in_flip_subgroup(dim: int, flips: int) -> bool:
-    """Whether a flip pattern occurs in the edge-rotation groups for this dimension."""
-    if flips < 0 or flips >> dim:
-        raise ValueError(f"flip mask {flips:#x} out of range for dimension {dim}")
-    return dim % 2 == 0 or flips.bit_count() % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -87,33 +78,10 @@ class QuotientElement(NamedTuple):
     dim: int
     packed: int
 
-    @classmethod
-    def from_vector(cls, vector: Iterable[int]) -> "QuotientElement":
-        """Build from a Z_4 translation vector, checking the domain invariants."""
-        vec = tuple(v % 4 for v in vector)
-        flips = sum(1 << i for i, v in enumerate(vec) if v % 2)
-        if not in_flip_subgroup(len(vec), flips):
-            raise ValueError(
-                f"translation parity pattern {flips:#x} is not admissible in "
-                f"dimension {len(vec)}"
-            )
-        return cls(len(vec), _pack(vec))
-
     @property
     def vector(self) -> tuple[int, ...]:
         packed = self.packed
         return tuple([packed >> 2 * i & 3 for i in range(self.dim)])
-
-
-def quotient_identity(dim: int) -> QuotientElement:
-    return QuotientElement(dim, 0)
-
-
-def compose_quotient(a: QuotientElement, b: QuotientElement) -> QuotientElement:
-    if a.dim != b.dim:
-        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
-    lo = _lane_masks(a.dim)
-    return QuotientElement(a.dim, _compose_packed(a.packed, b.packed, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
     edge records its vertex (its own row would be zero) and every later
     edge adds its row.  The reduction stops at full rank
     (:func:`_row_reduce`), which most census classes reach."""
-    return _pair_lattice(path.dim, _read_walk(path.word.labels, path.vertex_masks))
+    return _pair_lattice(path.dim, _read_walk(path.word.labels))
 
 
 def _pair_lattice(dim: int, reading: _Reading) -> TranslationLattice:
@@ -175,17 +175,17 @@ def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
     dimension the product is not a translation and its vector has odd
     entries; it is returned for inspection but is not an even translation.
     """
-    from .groups import compose_quotient, quotient_identity
+    from .groups import QuotientElement, _compose_packed, _lane_masks
     from .reflection import reflection_generators
 
     gens = reflection_generators(path)
-    base: dict[int, int] = {}
-    for i, d in enumerate(path.word.labels):
-        base.setdefault(d, i)
-    element = quotient_identity(path.dim)
-    for d in sorted(base):
-        element = compose_quotient(element, gens[base[d]])
-    return element.vector
+    # read backwards, so that each direction keeps its first edge
+    firsts = dict(zip(reversed(path.word.labels), reversed(gens)))
+    lo = _lane_masks(path.dim)
+    packed = 0  # the identity
+    for element in firsts.values():
+        packed = _compose_packed(packed, element.packed, lo)
+    return QuotientElement(path.dim, packed).vector
 
 
 def even_lattice_from_pair(
@@ -206,5 +206,5 @@ def even_lattice_from_pair(
 
 def even_translation_lattice(path: JordanPath) -> TranslationLattice:
     """The full group of even translations mapping the surface to itself."""
-    reading = _read_walk(path.word.labels, path.vertex_masks)
+    reading = _read_walk(path.word.labels)
     return even_lattice_from_pair(_pair_lattice(path.dim, reading), reading.product)

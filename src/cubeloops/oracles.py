@@ -7,6 +7,8 @@ the tests can compare the two:
 - the ambient group of isometries x |-> v + (-1)^rho x of R^n, its
   projection to the quotient, and the edge rotations built in it
   independently of :func:`cubeloops.reflection.reflection_generators`;
+- the quotient's identity, composition and constructor from a vector,
+  which checks the flip pattern, and the flip-subgroup test;
 - the rotations about every edge of the cube, and the witness words that
   compose to a translation by four along one axis;
 - even translation lattices spanned from explicit vectors, the all-pairs
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import cone_disk
-from .groups import QuotientElement, _pack, in_flip_subgroup
+from .groups import QuotientElement, _compose_packed, _lane_masks, _pack
 from .lattice import TranslationLattice, parallel_pair_translation
-from .paths import JordanPath, _is_least_rotation, _repeat_profile
+from .paths import JordanPath, _is_least_rotation, _read_walk
 from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
 __all__ = [
@@ -54,6 +56,10 @@ __all__ = [
     "compose_ambient",
     "inverse_ambient",
     "project_to_quotient",
+    "in_flip_subgroup",
+    "quotient_identity",
+    "compose_quotient",
+    "quotient_from_vector",
     "flip_vector",
     "edge_rotation_flips",
     "cube_edge_generators",
@@ -152,6 +158,37 @@ def project_to_quotient(a: AmbientElement) -> QuotientElement:
             f"(translation {a.translation}, flips {flip_vector(a.dim, a.flips)})"
         )
     return QuotientElement(a.dim, _pack(a.translation))
+
+
+def in_flip_subgroup(dim: int, flips: int) -> bool:
+    """Whether a flip pattern occurs in the edge-rotation groups for this dimension."""
+    if flips < 0 or flips >> dim:
+        raise ValueError(f"flip mask {flips:#x} out of range for dimension {dim}")
+    return dim % 2 == 0 or flips.bit_count() % 2 == 0
+
+
+def quotient_identity(dim: int) -> QuotientElement:
+    return QuotientElement(dim, 0)
+
+
+def compose_quotient(a: QuotientElement, b: QuotientElement) -> QuotientElement:
+    if a.dim != b.dim:
+        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
+    lo = _lane_masks(a.dim)
+    return QuotientElement(a.dim, _compose_packed(a.packed, b.packed, lo))
+
+
+def quotient_from_vector(vector: Iterable[int]) -> QuotientElement:
+    """The quotient element of a Z_4 translation vector, whose parity
+    pattern must be an admissible flip pattern."""
+    vec = tuple(v % 4 for v in vector)
+    flips = sum(1 << i for i, v in enumerate(vec) if v % 2)
+    if not in_flip_subgroup(len(vec), flips):
+        raise ValueError(
+            f"translation parity pattern {flips:#x} is not admissible in "
+            f"dimension {len(vec)}"
+        )
+    return QuotientElement(len(vec), _pack(vec))
 
 
 def apply_doubled(
@@ -339,7 +376,7 @@ def is_canonical(labels: tuple[int, ...]) -> bool:
     start at the closed walk's smallest gap, and builds the relabelled
     word only for a walk that passes.
     """
-    profile = _repeat_profile(labels)
+    profile = _read_walk(labels).profile
     if min(profile) < profile[0]:
         return False
     return _is_least_rotation(profile)

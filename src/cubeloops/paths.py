@@ -31,7 +31,7 @@ choice depend on the loop's parallelism structure alone.
 from __future__ import annotations
 
 import re
-from itertools import count, islice, repeat
+from itertools import count, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -140,6 +140,54 @@ class JordanPath(NamedTuple):
         return len(self.word.labels)
 
 
+class _Reading(NamedTuple):
+    """A walk read once: ``masks`` is its vertex trail based at mask 0
+    (``JordanPath.vertex_masks``); ``gaps[d]`` lists direction d's
+    profile entries in word order, wrapping gap first (one per edge);
+    ``rows`` holds the pair row ``(v_i ^ v_first(d)) & ~bit(d)`` of each
+    edge after its direction's first, ``product`` the direction-product
+    row ``XOR_d v_first(d) & ~bit(d)``."""
+
+    masks: tuple[int, ...]
+    profile: tuple[int, ...]
+    gaps: dict[int, list[int]]
+    rows: list[int]
+    product: int
+
+
+def _read_walk(labels: Sequence[int]) -> _Reading:
+    """One pass over a word's labels, walking its vertex trail from mask
+    0.  A direction's wrapping gap is known only once its last edge is
+    read, so its first edge holds that edge's position until the pass
+    ends."""
+    m = len(labels)
+    masks = []
+    profile = [0] * m
+    gaps: dict[int, list[int]] = {}
+    firsts: dict[int, int] = {}
+    last: dict[int, int] = {}
+    rows = []
+    product = 0
+    vertex = 0
+    for i, d in enumerate(labels):
+        masks.append(vertex)
+        bit = 1 << d - 1
+        if d in last:
+            profile[i] = gap = i - last[d]
+            gaps[d].append(gap)
+            rows.append((vertex ^ firsts[d]) & ~bit)
+        else:
+            gaps[d] = [i]
+            firsts[d] = vertex
+            product ^= vertex & ~bit
+        last[d] = i
+        vertex ^= bit
+    for d, vector in gaps.items():
+        i = vector[0]
+        vector[0] = profile[i] = m - last[d] + i
+    return _Reading(tuple(masks), tuple(profile), gaps, rows, product)
+
+
 # the most unused directions a MissingDirectionError message names
 _LISTED = 10
 
@@ -152,107 +200,45 @@ def validate(word: DirectionWord) -> JordanPath:
     NotEmbeddedError (the walk revisits a vertex).  The dimension and the
     labels were checked when the :class:`DirectionWord` was built.
     """
-    labels = word.labels
+    return JordanPath(word, _checked_reading(word).masks)
+
+
+def _checked_reading(word: DirectionWord) -> _Reading:
+    """The one reading of the walk (:func:`_read_walk`) that
+    :func:`validate` checks, for a caller that reads more off it."""
     n = word.dim
-    if len(labels) % 2:
-        raise OddLengthError(
-            f"word has odd length {len(labels)}; closed walks have even length"
-        )
-    # read off the word, which a high dimension can far outnumber
-    odd: set[int] = set()
-    for lab in labels:
-        odd ^= {lab}
+    m = len(word.labels)
+    if m % 2:
+        raise OddLengthError(f"word has odd length {m}; closed walks have even length")
+    reading = _read_walk(word.labels)
+    # read off the directions used, which a high dimension can far outnumber
+    gaps = reading.gaps
+    odd = sorted(d for d, vector in gaps.items() if len(vector) % 2)
     if odd:
         raise NotClosedError(
-            f"direction(s) {sorted(odd)} used an odd number of times; the walk "
+            f"direction(s) {odd} used an odd number of times; the walk "
             "cannot close"
         )
-    used = set(labels)
-    unused = n - len(used)
+    unused = n - len(gaps)
     if unused:
-        listed = [*islice((d for d in range(1, n + 1) if d not in used), _LISTED)]
+        listed = [*islice((d for d in range(1, n + 1) if d not in gaps), _LISTED)]
         more = f" and {unused - len(listed)} more" if unused > len(listed) else ""
         raise MissingDirectionError(
             f"direction(s) {listed}{more} never used; the loop must span all "
             f"{n} directions"
         )
-    trail = []
-    vertex = 0
-    seen: set[int] = set()
-    for lab in labels:
-        if vertex in seen:
-            raise NotEmbeddedError(
-                f"walk revisits a vertex after {len(trail)} edges; "
-                "the loop must be simple"
-            )
-        seen.add(vertex)
-        trail.append(vertex)
-        vertex ^= 1 << (lab - 1)
-    # even counts force the walk back to its base
-    assert vertex == 0
-    return JordanPath(word, tuple(trail))
-
-
-def _census_path(word: DirectionWord) -> JordanPath:
-    """The walk of a word that ``enumeration.enumerate_paths`` returned,
-    based at mask 0, built without :func:`validate`'s checks: the census
-    walk has already proved it closed, simple and covering.  Any other
-    word, a canonical one included, goes through :func:`validate`."""
-    trail = []
-    append = trail.append
-    vertex = 0
-    for lab in word.labels:
-        append(vertex)
-        vertex ^= 1 << (lab - 1)
-    return JordanPath(word, tuple(trail))
+    masks = reading.masks
+    if len(set(masks)) < m:
+        first: dict[int, int] = {}
+        edges = next(i for i, v in enumerate(masks) if first.setdefault(v, i) < i)
+        raise NotEmbeddedError(
+            f"walk revisits a vertex after {edges} edges; the loop must be simple"
+        )
+    return reading
 
 
 # ---------------------------------------------------------------------------
 # canonical forms
-
-
-class _Reading(NamedTuple):
-    """A walk read once: ``gaps[d]`` lists direction d's profile entries in
-    word order, wrapping gap first (one per edge); ``rows`` holds the pair
-    row ``(v_i ^ v_first(d)) & ~bit(d)`` of each edge after its direction's
-    first, ``product`` the direction-product row ``XOR_d v_first(d) & ~bit(d)``."""
-
-    profile: tuple[int, ...]
-    gaps: dict[int, list[int]]
-    rows: list[int]
-    product: int
-
-
-def _read_walk(labels: Sequence[int], masks: Iterable[int]) -> _Reading:
-    """One pass over a walk's labels and vertex masks.  A direction's
-    wrapping gap is known only once its last edge is read, so its first
-    edge holds that edge's position until the pass ends."""
-    m = len(labels)
-    profile = [0] * m
-    gaps: dict[int, list[int]] = {}
-    firsts: dict[int, int] = {}
-    last: dict[int, int] = {}
-    rows = []
-    product = 0
-    for i, d, vertex in zip(count(), labels, masks):
-        if d in last:
-            profile[i] = gap = i - last[d]
-            gaps[d].append(gap)
-            rows.append((vertex ^ firsts[d]) & ~(1 << d - 1))
-        else:
-            gaps[d] = [i]
-            firsts[d] = vertex
-            product ^= vertex & ~(1 << d - 1)
-        last[d] = i
-    for d, vector in gaps.items():
-        i = vector[0]
-        vector[0] = profile[i] = m - last[d] + i
-    return _Reading(tuple(profile), gaps, rows, product)
-
-
-def _repeat_profile(labels: Sequence[int]) -> tuple[int, ...]:
-    """Cyclic distance from each position to the previous same-direction edge."""
-    return _read_walk(labels, repeat(0)).profile  # no trail: rows unused
 
 
 def canonicalize(word: DirectionWord) -> DirectionWord:
@@ -265,7 +251,7 @@ def canonicalize(word: DirectionWord) -> DirectionWord:
     and of its reversal (module docstring).  Those profiles rearrange the
     same gaps, so only rotations that start with the smallest are compared.
     """
-    return _canonical_form(_repeat_profile(word.labels), word.dim)
+    return _canonical_form(_read_walk(word.labels).profile, word.dim)
 
 
 def _canonical_form(profile: tuple[int, ...], dim: int) -> DirectionWord:
@@ -299,7 +285,10 @@ def _reversed_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
 def _least_rotation(seq: tuple[int, ...], reverse: tuple[int, ...]) -> tuple[int, ...]:
     """The least rotation of ``seq`` or of ``reverse``, the same cycle read
     backwards.  All rotations rearrange the same entries, so only those
-    that start with the smallest entry are compared."""
+    that start with the smallest entry are compared; the empty sequence
+    has only itself."""
+    if not seq:
+        return seq
     m = len(seq)
     low = min(seq)
     return min(
@@ -343,7 +332,7 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     distinct invariants certify distinct classes (the converse can fail).
     A direction's gap vector is read in word order (``_Reading.gaps``).
     """
-    return _gap_invariant(_read_walk(word.labels, repeat(0)).gaps, {})
+    return _gap_invariant(_read_walk(word.labels).gaps, {})
 
 
 def _gap_invariant(

@@ -39,12 +39,12 @@ def reflection_generators(path: JordanPath) -> tuple[QuotientElement, ...]:
     its midpoint gives the translation: 0 on the edge's own axis, 1 where
     the vertex coordinate is +1/2 and -1 = 3 (mod 4) where it is -1/2 on
     every other axis.  The flips, every axis but the edge's own, are the
-    parity pattern of that vector.
+    parity pattern of that vector: n - 1 axes, admissible in either parity.
     """
     n = path.dim
     return tuple(
-        QuotientElement.from_vector(
-            0 if k == d - 1 else (3 if (mask >> k) & 1 else 1) for k in range(n)
+        QuotientElement(
+            n, _pack(0 if k == d - 1 else 3 if mask >> k & 1 else 1 for k in range(n))
         )
         for d, mask in zip(path.word.labels, path.vertex_masks)
     )

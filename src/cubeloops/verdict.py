@@ -14,10 +14,10 @@ in O(m)).
 
 Both census listings of ``enumerate`` live here.  The census walk has
 proved every class it returns closed, simple and covering, so a listing
-reads each walk off its word without :func:`validate`'s checks
-(``paths._census_path``), and each census word is its own canonical
-word.  The text listing (:func:`_listed_lines`) reads each verdict and
-genus off the lattice, and in verify mode also runs the oracle checks,
+reads each walk once (``paths._read_walk``) without :func:`validate`'s
+checks, and each census word is its own canonical word.  The text
+listing (:func:`_listed_lines`) reads each verdict and genus off the
+lattice of that reading, and in verify mode also runs the oracle checks,
 without building a report.  The JSON listing (:func:`_listed_classes`)
 keys each class on the inputs that fix its report's shape
 (:func:`_report_shape`) and builds a :class:`SurfaceReport`, through the
@@ -65,13 +65,12 @@ from .paths import (
     JordanPath,
     SignSymmetry,
     _canonical_form,
-    _census_path,
+    _checked_reading,
     _gap_invariant,
     _read_walk,
     _Reading,
     format_word,
     path_symmetries,
-    validate,
 )
 
 if TYPE_CHECKING:
@@ -354,7 +353,8 @@ def build_report(
     """Assemble the full report for a loop, in fast or verifying mode.
 
     The word (from ``parse_word`` or built directly) is validated first,
-    a canonical one too.  The JSON census listing
+    a canonical one too, on the walk's one reading, which the whole report
+    is read off (``paths._checked_reading``).  The JSON census listing
     (:func:`_listed_classes`) builds its reports from
     :func:`_report_shape` instead, one for each report shape, from the
     walks the census has already proved simple; the text listing
@@ -371,8 +371,8 @@ def build_report(
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
-    path = validate(word)
-    reading = _read_walk(word.labels, path.vertex_masks)
+    reading = _checked_reading(word)
+    path = JordanPath(word, reading.masks)
     shape = _report_shape(path, reading, mode)
     canonical = _canonical_form(reading.profile, word.dim)
     return _report(path, shape, canonical, _gap_invariant(reading.gaps, {}), family)
@@ -483,18 +483,21 @@ def _report(
 
 def _listed_lines(words: Iterable[DirectionWord], mode: str) -> list[str]:
     """The text listing of census classes: each class's length, word,
-    embedded verdict and genus, read off its lattice.  Verify mode also
-    runs each class's oracle checks, without a report.  Every class is
-    decided before any line is returned, so a verify run whose oracles
-    disagree raises before the listing writes anything."""
+    embedded verdict and genus, read off its walk's one reading.  Verify
+    mode also runs each class's oracle checks, without a report.  Every
+    class is decided before any line is returned, so a verify run whose
+    oracles disagree raises before the listing writes anything."""
     lines = []
-    for path in map(_census_path, words):
-        decision = decide_embedded(path)
+    for word in words:
+        reading = _read_walk(word.labels)
+        pair = _pair_lattice(word.dim, reading)
+        lattice = even_lattice_from_pair(pair, reading.product)
+        decision = _decide_from_lattice(word.dim, len(word), lattice)
         if mode == "verify":
-            _run_oracles(path, decision)
+            _run_oracles(JordanPath(word, reading.masks), decision)
         flags = "embedded" if decision.embedded else "not embedded"
         genus = "" if decision.genus is None else f"  genus={decision.genus}"
-        lines.append(f"m={path.length:>3}  {path.word}  {flags}{genus}")
+        lines.append(f"m={len(word):>3}  {word}  {flags}{genus}")
     return lines
 
 
@@ -524,8 +527,9 @@ def _listed_classes(
     """
     forms: dict[tuple[int, ...], tuple[int, ...]] = {}
     inputs = []
-    for path in map(_census_path, words):
-        reading = _read_walk(path.word.labels, path.vertex_masks)
+    for word in words:
+        reading = _read_walk(word.labels)
+        path = JordanPath(word, reading.masks)
         shape = _report_shape(path, reading, mode)
         inputs.append((path, shape, _gap_invariant(reading.gaps, forms)))
     return _encoded_classes(inputs)

@@ -34,9 +34,7 @@ from cubeloops.cli import main
 from cubeloops.groups import (
     QuotientElement,
     close_under_composition,
-    compose_quotient,
     flip_subgroup_order,
-    quotient_identity,
 )
 from cubeloops.lattice import (
     direction_product_translation,
@@ -48,9 +46,12 @@ from cubeloops.oracles import (
     ambient_generators,
     ambient_identity,
     compose_ambient,
+    compose_quotient,
     cube_edge_generators,
     four_translation_witness,
     lattice_contains,
+    quotient_from_vector,
+    quotient_identity,
     span_lattice,
 )
 from cubeloops.reflection import (
@@ -260,7 +261,7 @@ def _random_even_vector(rng: random.Random, dim: int) -> QuotientElement:
     while True:
         vector = tuple(rng.randrange(4) for _ in range(dim))
         try:
-            return QuotientElement.from_vector(vector)
+            return quotient_from_vector(vector)
         except Exception:
             continue
 

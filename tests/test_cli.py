@@ -19,9 +19,9 @@ import pytest
 from conftest import fresh_interpreter_env
 
 import cubeloops
-import cubeloops.enumeration as enumeration
 import cubeloops.errors as errors
 import cubeloops.geometry as geometry
+import cubeloops.lattice as lattice
 import cubeloops.paths as paths
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
@@ -479,17 +479,18 @@ def test_family_json_carries_spec(capsys):
 
 
 def test_family_validates_its_word_once(capsys, monkeypatch):
-    # the report validates the family word; nothing walks it before that
+    # the report validates the family word on the one reading of its walk
+    # that it is built from; nothing walks it before that
     calls = 0
-    walk = verdict.validate
+    read = paths._read_walk
 
-    def counted(word):
+    def counted(labels):
         nonlocal calls
         calls += 1
-        return walk(word)
+        return read(labels)
 
-    for module in (verdict, enumeration):
-        monkeypatch.setattr(module, "validate", counted)
+    for module in (paths, lattice, verdict):
+        monkeypatch.setattr(module, "_read_walk", counted)
     assert main(["family", "--name", "sharp", "--dim", "6"]) == 0
     capsys.readouterr()
     assert calls == 1

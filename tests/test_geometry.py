@@ -25,8 +25,8 @@ from cubeloops.geometry import (
     closure_within_budget,
     cone_disk,
 )
-from cubeloops.groups import QuotientElement, flip_subgroup_order
-from cubeloops.oracles import apply_doubled
+from cubeloops.groups import flip_subgroup_order
+from cubeloops.oracles import apply_doubled, quotient_from_vector
 from cubeloops.reflection import reflection_closure, reflection_generators
 
 
@@ -162,7 +162,7 @@ def test_export_obj_hexagon_layout():
     assert "v 0.5 0.5 0.5" in lines  # identity rim start
     # each patch's group opens with its apex, the center of its anchor cube
     for index, patch in enumerate(patches.patches):
-        apex = apply_doubled(QuotientElement.from_vector(patch.anchor), (0, 0, 0))
+        apex = apply_doubled(quotient_from_vector(patch.anchor), (0, 0, 0))
         group = lines.index(f"g patch_{index}")
         assert lines[group + 1] == "v " + " ".join(f"{c / 2:.1f}" for c in apex)
     # faces use 1-based indices into a contiguous per-patch vertex block

@@ -12,20 +12,21 @@ from cubeloops import FamilySpec, family_word, validate
 from cubeloops.groups import (
     QuotientElement,
     close_under_composition,
-    compose_quotient,
     flip_subgroup_order,
-    in_flip_subgroup,
-    quotient_identity,
 )
 from cubeloops.oracles import (
     AmbientElement,
     ambient_identity,
     apply_doubled,
     compose_ambient,
+    compose_quotient,
     cube_edge_generators,
     edge_rotation_flips,
+    in_flip_subgroup,
     inverse_ambient,
     project_to_quotient,
+    quotient_from_vector,
+    quotient_identity,
 )
 from cubeloops.reflection import reflection_generators
 
@@ -156,15 +157,15 @@ def _random_quotient_element(rng, n):
     vector = tuple(
         rng.choice((0, 2)) + ((flips >> k) & 1) for k in range(n)
     )
-    return QuotientElement.from_vector(vector)
+    return quotient_from_vector(vector)
 
 
 def test_quotient_compose_reference_example():
     # two edge rotations about parallel direction-1 edges; the functional
     # oracle (map evaluation on points) gives translation (0,2,0,0)
     rho1 = edge_rotation_flips(4, 1)
-    a = QuotientElement.from_vector((0, 1, 1, 1))
-    b = QuotientElement.from_vector((0, 3, 1, 1))
+    a = quotient_from_vector((0, 1, 1, 1))
+    b = quotient_from_vector((0, 3, 1, 1))
     assert parity_mask(a) == rho1 and parity_mask(b) == rho1
     ab = compose_quotient(a, b)
     assert ab.vector == (0, 2, 0, 0)
@@ -195,14 +196,14 @@ def test_quotient_vector_flip_roundtrip():
     for _ in range(200):
         n = rng.choice((3, 4, 5))
         q = _random_quotient_element(rng, n)
-        assert QuotientElement.from_vector(q.vector) == q
+        assert quotient_from_vector(q.vector) == q
         assert in_flip_subgroup(n, parity_mask(q))
 
 
 def test_quotient_rejects_bad_vectors():
     # parity of entries must be a legal flip pattern: (1,0,0) has odd weight
     with pytest.raises(ValueError, match="pattern 0x1 is not admissible in dimension 3"):
-        QuotientElement.from_vector((1, 0, 0))
+        quotient_from_vector((1, 0, 0))
 
 
 def test_full_edge_generator_closure_orders():
@@ -265,7 +266,7 @@ def test_closure_matches_breadth_first_reference(n4_classes, random_n5_paths):
             while len(picks) < 6:
                 vector = [rng.randrange(4) for _ in range(n)]
                 if in_flip_subgroup(n, _mask(v % 2 for v in vector)):
-                    picks += [QuotientElement.from_vector(vector)] * rng.randint(1, 2)
+                    picks += [quotient_from_vector(vector)] * rng.randint(1, 2)
             assert close_under_composition(picks) == _breadth_first_closure(picks)
 
 

@@ -13,11 +13,6 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.groups import (
-    QuotientElement,
-    compose_quotient,
-    quotient_identity,
-)
 from cubeloops.lattice import (
     _row_reduce,
     direction_product_translation,
@@ -30,8 +25,11 @@ from cubeloops.lattice import (
 from cubeloops.oracles import (
     BadVectorError,
     all_pairs_lattice,
+    compose_quotient,
     halve_even_vector,
     lattice_contains,
+    quotient_from_vector,
+    quotient_identity,
     row_reduce_reference,
     span_lattice,
 )
@@ -258,7 +256,7 @@ def test_lattice_elements_lie_in_reflection_closure(n3_classes, n4_m8_classes):
         path = validate(word)
         closure = reflection_closure(reflection_generators(path))
         for v in even_translation_lattice(path).basis_vectors():
-            assert QuotientElement.from_vector(v) in closure.elements
+            assert quotient_from_vector(v) in closure.elements
 
 
 def test_row_reduce_matches_reference_on_random_rows():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import pickle
 import random
+import re
 
 import pytest
 
@@ -32,6 +34,7 @@ from cubeloops.oracles import (
     all_pairs_lattice,
     halve_even_vector,
     is_canonical,
+    quotient_from_vector,
     row_reduce_reference,
 )
 from cubeloops.paths import _min_cyclic, gap_invariant, path_symmetries
@@ -140,6 +143,23 @@ def test_validate_error_precedence():
     # odd length wins over everything downstream of it
     with pytest.raises(OddLengthError):
         validate(parse_word("11122", 3))
+    # two faults at once: not closed and missing direction 4, then missing
+    # direction 3 and a revisit; each message names the first fault found
+    for text, dim, error, message in (
+        ("1213", 4, NotClosedError, "direction(s) [2, 3] used an odd number"),
+        ("1122", 3, MissingDirectionError, "direction(s) [3] never used"),
+        ("1122", 2, NotEmbeddedError, "revisits a vertex after 2 edges;"),
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            validate(parse_word(text, dim))
+    # a late first revisit: the sharp loop of dimension 8 with a
+    # back-and-forth along axis 1 spliced in after 20 of its 28 edges,
+    # closed and covering, revisits a vertex after 21 edges and again
+    # after 22; run twice over, the loop is back at its start after 28
+    sharp = family_word(FamilySpec("sharp", 8)).labels
+    for labels, edges in ((sharp[:20] + (1, 1) + sharp[20:], 21), (sharp * 2, 28)):
+        with pytest.raises(NotEmbeddedError, match=f"after {edges} edges;"):
+            validate(DirectionWord(labels, 8))
 
 
 def test_validate_accepts_references():
@@ -185,6 +205,11 @@ def test_canonicalize_pinned_forms():
     word = canonicalize(DirectionWord((1, 2, 1, 3, 2, 3), 3))
     assert word == DirectionWord((1, 2, 3, 2, 1, 3), 3)
     assert type(word) is DirectionWord
+    # every label count of the empty word is even, so it is closed, and
+    # its class holds only itself
+    empty = DirectionWord((), 3)
+    assert canonicalize(empty) == empty
+    assert gap_invariant(empty) == ()
 
 
 def test_canonicalize_identifies_sharp_path_with_longest_class():
@@ -451,22 +476,31 @@ def test_gap_invariant_matches_the_modular_reference():
     assert checked >= 400
 
 
-def test_walk_reading_matches_the_references(n3_classes, n4_classes):
-    # the one pass that build_report and the census listing read each walk
-    # with, field by field against forms computed another way: the pair
-    # rows against the arc walk over every parallel pair, the odd-dimension
-    # product row against the composed edge rotations, the gap vectors and
-    # the profile against the word's listed positions, the edge counts
-    # against the label counts
+def _reference_walks(n3_classes, n4_classes):
+    """The n=3 and n=4 censuses, n=5 up to 12 edges and random loops up to
+    n=8, whose trails ``random_valid_path`` walks on its own."""
     rng = random.Random(8128)
     census = enumerate_paths(EnumerationQuery.create(5, max_length=12))
-    walks = [
+    return [
         *map(validate, (*n3_classes, *n4_classes, *census)),
         *(random_valid_path(rng, dim) for dim in range(3, 9) for _ in range(25)),
     ]
-    for path in walks:
+
+
+def test_walk_reading_matches_the_references(n3_classes, n4_classes):
+    # the one pass that validate, build_report and the census listings
+    # read each walk with, field by field against forms computed another
+    # way: the trail against the XOR of each prefix's edge bits, the pair
+    # rows against the arc walk over every parallel pair, the
+    # odd-dimension product row against the composed edge rotations, the
+    # gap vectors and the profile against the word's listed positions, the
+    # edge counts against the label counts
+    for path in _reference_walks(n3_classes, n4_classes):
         labels, masks, dim = path.word.labels, path.vertex_masks, path.dim
-        reading = paths._read_walk(labels, masks)
+        reading = paths._read_walk(labels)
+        bits = (1 << d - 1 for d in labels[:-1])
+        assert reading.masks == masks, labels
+        assert masks == (*itertools.accumulate(bits, operator.xor, initial=0),)
         pair = TranslationLattice(dim, row_reduce_reference(reading.rows))
         assert pair == all_pairs_lattice(path), labels
         if dim % 2:
@@ -486,6 +520,14 @@ def test_walk_reading_matches_the_references(n3_classes, n4_classes):
         assert reading.profile == _profile(labels)
         counts = tuple(labels.count(d) for d in range(1, dim + 1))
         assert _edge_counts(dim, reading.gaps) == counts
+
+
+def test_reflection_generators_are_admissible(n3_classes, n4_classes):
+    # generators are packed without the flip-subgroup check; an edge
+    # rotation flips n - 1 axes, admissible in either parity of n
+    for path in _reference_walks(n3_classes, n4_classes):
+        for element in reflection_generators(path):
+            assert quotient_from_vector(element.vector) == element
 
 
 def test_gap_invariant_separates_small_censuses(n3_classes, n4_m8_classes):

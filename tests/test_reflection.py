@@ -14,17 +14,15 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.groups import (
-    compose_quotient,
-    flip_subgroup_order,
-    quotient_identity,
-)
+from cubeloops.groups import flip_subgroup_order
 from cubeloops.oracles import (
     ambient_generators,
     ambient_identity,
     compose_ambient,
+    compose_quotient,
     filled_cubes_reference,
     four_translation_witness,
+    quotient_identity,
 )
 from cubeloops.reflection import (
     filled_cubes,

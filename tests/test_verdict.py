@@ -24,7 +24,6 @@ from cubeloops.groups import QuotientElement
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops import lattice, paths, verdict
-from cubeloops.paths import _census_path
 from cubeloops.verdict import _report_shape, edge_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
@@ -253,12 +252,10 @@ LISTED_WINDOWS = (
 
 @pytest.mark.parametrize("window, modes", LISTED_WINDOWS, ids=repr)
 def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
-    # the listing reads each class's walk off without validate and builds a
-    # report only for the first class of each shape; validate and
-    # build_report, one class at a time, are the oracles
+    # the listing reads each class's walk without validate's checks and
+    # builds a report only for the first class of each shape;
+    # build_report, which validates one class at a time, is the oracle
     words = enumerate_paths(EnumerationQuery.create(**window))
-    walks = [_census_path(word) for word in words]
-    assert walks == [validate(word) for word in words]
     shapes = []
 
     def recorded(walk, reading, mode):
@@ -291,31 +288,49 @@ REPORTED_WORDS = (("12314234", 4), ("145231425232", 5), ("123123", 3))
 
 @pytest.mark.parametrize("mode", ("fast", "verify"))
 def test_build_report_builds_one_repeat_profile(monkeypatch, mode):
-    # the canonical form and the gap invariant share one profile
-    calls = []
-    profile = paths._repeat_profile
+    # the canonical form and the gap invariant are read off the one
+    # reading that validates the word, not off profiles of their own
+    readings, used = [], []
+    read = paths._read_walk
+    canonical_form, gap_invariant = verdict._canonical_form, verdict._gap_invariant
 
-    def counted(labels):
-        calls.append(labels)
-        return profile(labels)
+    def recorded(labels):
+        readings.append(read(labels))
+        return readings[-1]
 
-    monkeypatch.setattr(paths, "_repeat_profile", counted)
+    def canonical(profile, dim):
+        used.append(profile)
+        return canonical_form(profile, dim)
+
+    def invariant(gaps, forms):
+        used.append(gaps)
+        return gap_invariant(gaps, forms)
+
+    monkeypatch.setattr(paths, "_read_walk", recorded)
+    monkeypatch.setattr(verdict, "_canonical_form", canonical)
+    monkeypatch.setattr(verdict, "_gap_invariant", invariant)
     for text, dim in REPORTED_WORDS:
-        calls.clear()
+        readings.clear()
+        used.clear()
         build_report(parse_word(text, dim), mode=mode)
-        assert len(calls) <= 1, text
+        profile, gaps = used
+        assert profile is readings[0].profile and gaps is readings[0].gaps, text
 
 
 @pytest.mark.parametrize("mode", ("fast", "verify"))
 def test_build_report_reads_the_walk_once(monkeypatch, mode):
-    # verify mode reads the walk once more, for the closure's budget
-    # (geometry.closure_within_budget)
+    # one reading validates the word and feeds the whole report; verify
+    # mode reads the walk once more, for the closure's budget
+    # (geometry.closure_within_budget re-derives the even lattice).  That
+    # second reading is kept: it costs about 0.2% of a verify report, and
+    # handing the budget the report's lattice would add a parameter or a
+    # second copy of the budget's formula
     calls = []
     read = paths._read_walk
 
-    def counted(labels, masks):
+    def counted(labels):
         calls.append(labels)
-        return read(labels, masks)
+        return read(labels)
 
     for module in (paths, lattice, verdict):
         monkeypatch.setattr(module, "_read_walk", counted)
@@ -323,6 +338,31 @@ def test_build_report_reads_the_walk_once(monkeypatch, mode):
         calls.clear()
         build_report(parse_word(text, dim), mode=mode)
         assert len(calls) == (1 if mode == "fast" else 2), text
+
+
+@pytest.mark.parametrize("mode", ("fast", "verify"))
+@pytest.mark.parametrize("listing", ("_listed_lines", "_listed_classes"))
+def test_listings_read_each_walk_once(monkeypatch, listing, mode):
+    # each class's one reading gives its trail and its verdict, and in the
+    # JSON listing its report's inputs; verify mode reads it once more, for
+    # the closure's budget, as build_report does
+    calls = []
+    read = paths._read_walk
+
+    def counted(labels):
+        calls.append(labels)
+        return read(labels)
+
+    def second_reading(path):
+        raise AssertionError(f"a second reading of {path.word}")
+
+    for module in (paths, lattice, verdict):
+        monkeypatch.setattr(module, "_read_walk", counted)
+    monkeypatch.setattr(verdict, "decide_embedded", second_reading)
+    words = enumerate_paths(EnumerationQuery.create(4))
+    [*getattr(verdict, listing)(words, mode)]
+    per_class = 1 if mode == "fast" else 2
+    assert calls == [word.labels for word in words for _ in range(per_class)]
 
 
 def test_verify_report_reads_each_anchor_vector_once(monkeypatch):

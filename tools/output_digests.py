@@ -110,6 +110,10 @@ def invocations() -> list[list[str]]:
         ["check", "--dim", "3", "--word", "32123121"],
         ["check", "--dim", "4", "--word", "123123"],
         ["check", "--dim", "3", "--word", "112233"],
+        # two faults at once: the first in validate's order is named
+        ["check", "--dim", "4", "--word", "1213"],
+        ["check", "--dim", "3", "--word", "1122"],
+        ["check", "--dim", "2", "--word", "1122"],
         ["check", "--dim", "1", "--word", "11"],
         ["export", "--dim", "5", "--word", "145231425232"],
         ["enumerate", "--dim", "10"],
