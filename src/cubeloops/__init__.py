@@ -18,7 +18,7 @@ in :mod:`cubeloops.oracles`, which this package does not import.
 
 from importlib import import_module
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 _EXPORTS = {
     "BadLabelError": "errors",

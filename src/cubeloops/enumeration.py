@@ -83,10 +83,11 @@ that row's contribution (0 or 1) reaches the cap.
 
 That test is ``verdict.decide_embedded``'s verdict on C, so it replaces
 a filter run after the search; a listing of the kept classes reads each
-one's lattice once more, for its genus or its report.  The even lattice
-does not depend on where the word starts.  The pair rows of direction d
-span ``(v_i ^ v_j) & ~bit(d)`` for any two of its edges i and j, the sum
-of their rows, and no translation of the vertices changes that row.
+one's walk once more, into a ``JordanPath`` whose rows give the lattice
+of its genus or its report.  The even lattice does not depend on where
+the word starts.  The pair rows of direction d span
+``(v_i ^ v_j) & ~bit(d)`` for any two of its edges i and j, the sum of
+their rows, and no translation of the vertices changes that row.
 Taking another edge as a direction's first changes the product row by a
 pair row.  Translating every vertex by t changes the product row by
 ``t & ~bit(e)`` summed over all n directions e, where each bit of t
@@ -232,11 +233,14 @@ def enumerate_paths(
     Deterministic output sorted by (length, word), independent of the
     worker count: the search emits each class once, so ``jobs`` shards
     (at most the CPU count) split its subtrees and the parent merges them.
-    Raises ValueError when ``jobs`` is below 1, or when a nonempty window
-    ends above ``MAX_CENSUS_LENGTH`` edges.
+    Raises ValueError when ``jobs`` is below 1, when the limit is
+    negative (a query built without :meth:`EnumerationQuery.create`), or
+    when a nonempty window ends above ``MAX_CENSUS_LENGTH`` edges.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if query.limit is not None and query.limit < 0:
+        raise ValueError(f"limit must be nonnegative, not {query.limit}")
     if query.min_length > query.max_length:
         return ()
     if query.max_length > MAX_CENSUS_LENGTH:

@@ -58,7 +58,8 @@ def closure_within_budget(path: JordanPath) -> ReflectionClosure:
     """The reflection closure, refused up front when its patches would
     place over PATCH_COORDINATE_BUDGET coordinates: m + 1 points in R^n per
     element, flip-subgroup order times the path's even translation lattice
-    order elements, a lattice read off the trail in O(mn)."""
+    order elements.  That lattice reduces the rows the path carries
+    (``JordanPath.rows``); the walk is not read again."""
     n = path.dim
     order = flip_subgroup_order(n) * even_translation_lattice(path).order
     coordinates = order * (path.length + 1) * n

@@ -18,7 +18,10 @@ an odd number of times from edge i up to edge j, which with the common axis
 cleared is the parity of the edges strictly between them.  For odd
 dimension the product of the rotations about each direction's first edge
 is a pure even translation with halved row ``XOR_d v_first(d) & ~bit(d)``;
-whether it lies in the pair lattice decides orientability.  The arc walk
+whether it lies in the pair lattice decides orientability.  A path
+carries both kinds of row, read with its trail (``JordanPath.rows`` and
+``JordanPath.product``), so the lattices here reduce rows and walk no
+word.  The arc walk
 (:func:`parallel_pair_translation`) and the rotation composition
 (:func:`direction_product_translation`) remain as independent cross-checks;
 lattices spanned from explicit vectors live in :mod:`cubeloops.oracles`.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .paths import JordanPath, _read_walk, _Reading
+from .paths import JordanPath
 
 __all__ = [
     "TranslationLattice",
@@ -153,15 +156,11 @@ def parallel_pair_translation(
 def pair_translation_lattice(path: JordanPath) -> TranslationLattice:
     """Subgroup generated by pairing every edge with its direction's first edge.
 
-    One pass over the trail (``paths._read_walk``): a direction's first
-    edge records its vertex (its own row would be zero) and every later
-    edge adds its row.  The reduction stops at full rank
-    (:func:`_row_reduce`), which most census classes reach."""
-    return _pair_lattice(path.dim, _read_walk(path.word.labels))
-
-
-def _pair_lattice(dim: int, reading: _Reading) -> TranslationLattice:
-    return TranslationLattice(dim, _row_reduce(reading.rows, dim))
+    Reduces the path's pair rows (``JordanPath.rows``, read with its
+    trail), one per edge after its direction's first, whose own row would
+    be zero.  The reduction stops at full rank (:func:`_row_reduce`),
+    which most census classes reach."""
+    return TranslationLattice(path.dim, _row_reduce(path.rows, path.dim))
 
 
 def direction_product_translation(path: JordanPath) -> tuple[int, ...]:
@@ -192,7 +191,7 @@ def even_lattice_from_pair(
     pair: TranslationLattice, product: int
 ) -> TranslationLattice:
     """The even translation lattice, given a walk's pair lattice and its
-    direction-product row (``paths._Reading``).
+    direction-product row (``JordanPath.product``).
 
     Equals the pair lattice for even dimension; for odd dimension the
     product row is adjoined (it may or may not already lie in the pair
@@ -206,5 +205,4 @@ def even_lattice_from_pair(
 
 def even_translation_lattice(path: JordanPath) -> TranslationLattice:
     """The full group of even translations mapping the surface to itself."""
-    reading = _read_walk(path.word.labels)
-    return even_lattice_from_pair(_pair_lattice(path.dim, reading), reading.product)
+    return even_lattice_from_pair(pair_translation_lattice(path), path.product)

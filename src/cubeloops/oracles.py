@@ -45,7 +45,7 @@ from .errors import CubeLoopsError, InternalInvariantError
 from .geometry import cone_disk
 from .groups import QuotientElement, _compose_packed, _lane_masks, _pack
 from .lattice import TranslationLattice, parallel_pair_translation
-from .paths import JordanPath, _is_least_rotation, _read_walk
+from .paths import DirectionWord, JordanPath, _is_least_rotation, _read_walk
 from .reflection import ReflectionClosure, reflection_closure, reflection_generators
 
 __all__ = [
@@ -376,7 +376,8 @@ def is_canonical(labels: tuple[int, ...]) -> bool:
     start at the closed walk's smallest gap, and builds the relabelled
     word only for a walk that passes.
     """
-    profile = _read_walk(labels).profile
+    # a DirectionWord needs dimension 2 or more, and (1, 1) is in the domain
+    profile = _read_walk(DirectionWord(labels, max(2, *labels))).profile
     if min(profile) < profile[0]:
         return False
     return _is_least_rotation(profile)

@@ -121,15 +121,30 @@ def parse_word(text: str, dim: int) -> DirectionWord:
 
 
 class JordanPath(NamedTuple):
-    """A validated closed embedded covering walk, with its vertex trail.
+    """A walk read once (:func:`_read_walk`): its word, its vertex trail
+    and what the lattices, the canonical form and the gap invariant read
+    off it.  :func:`validate` returns one only for a closed embedded
+    covering walk.
 
-    ``vertex_masks[i]`` is the vertex the walk occupies *before* edge i+1;
-    :func:`validate` starts the trail at mask 0, and the final edge
-    returns there.
+    ``vertex_masks[i]`` is the vertex the walk occupies *before* edge
+    i+1; the trail starts at mask 0, and the final edge returns there.
+    ``profile`` is the repeat profile (module docstring); ``gaps[d]``
+    lists direction d's profile entries in word order, wrapping gap first
+    (one per edge), keyed by the directions used; ``rows`` holds the pair
+    row ``(v_i ^ v_first(d)) & ~bit(d)`` of each edge after its
+    direction's first, ``product`` the direction-product row
+    ``XOR_d v_first(d) & ~bit(d)``.  Translating the trail changes no
+    pair row, and the product row only in even dimension, where no
+    lattice reads it, so ``path._replace(vertex_masks=...)`` rebases a
+    walk.  ``gaps`` is a dict, so a path is not hashable.
     """
 
     word: DirectionWord
     vertex_masks: tuple[int, ...]
+    profile: tuple[int, ...]
+    gaps: dict[int, list[int]]
+    rows: list[int]
+    product: int
 
     @property
     def dim(self) -> int:
@@ -140,26 +155,12 @@ class JordanPath(NamedTuple):
         return len(self.word.labels)
 
 
-class _Reading(NamedTuple):
-    """A walk read once: ``masks`` is its vertex trail based at mask 0
-    (``JordanPath.vertex_masks``); ``gaps[d]`` lists direction d's
-    profile entries in word order, wrapping gap first (one per edge);
-    ``rows`` holds the pair row ``(v_i ^ v_first(d)) & ~bit(d)`` of each
-    edge after its direction's first, ``product`` the direction-product
-    row ``XOR_d v_first(d) & ~bit(d)``."""
-
-    masks: tuple[int, ...]
-    profile: tuple[int, ...]
-    gaps: dict[int, list[int]]
-    rows: list[int]
-    product: int
-
-
-def _read_walk(labels: Sequence[int]) -> _Reading:
+def _read_walk(word: DirectionWord) -> JordanPath:
     """One pass over a word's labels, walking its vertex trail from mask
-    0.  A direction's wrapping gap is known only once its last edge is
-    read, so its first edge holds that edge's position until the pass
-    ends."""
+    0, with no checks (:func:`validate` makes them).  A direction's
+    wrapping gap is known only once its last edge is read, so its first
+    edge holds that edge's position until the pass ends."""
+    labels = word.labels
     m = len(labels)
     masks = []
     profile = [0] * m
@@ -185,7 +186,7 @@ def _read_walk(labels: Sequence[int]) -> _Reading:
     for d, vector in gaps.items():
         i = vector[0]
         vector[0] = profile[i] = m - last[d] + i
-    return _Reading(tuple(masks), tuple(profile), gaps, rows, product)
+    return JordanPath(word, tuple(masks), tuple(profile), gaps, rows, product)
 
 
 # the most unused directions a MissingDirectionError message names
@@ -193,26 +194,21 @@ _LISTED = 10
 
 
 def validate(word: DirectionWord) -> JordanPath:
-    """Check the Jordan-path requirements and return the walk based at mask 0.
+    """Check the Jordan-path requirements on the walk's one reading
+    (:func:`_read_walk`), and return it.
 
     Raises, in order of precedence: OddLengthError, NotClosedError (some
     label count odd), MissingDirectionError (a direction never used),
     NotEmbeddedError (the walk revisits a vertex).  The dimension and the
     labels were checked when the :class:`DirectionWord` was built.
     """
-    return JordanPath(word, _checked_reading(word).masks)
-
-
-def _checked_reading(word: DirectionWord) -> _Reading:
-    """The one reading of the walk (:func:`_read_walk`) that
-    :func:`validate` checks, for a caller that reads more off it."""
     n = word.dim
     m = len(word.labels)
     if m % 2:
         raise OddLengthError(f"word has odd length {m}; closed walks have even length")
-    reading = _read_walk(word.labels)
+    path = _read_walk(word)
     # read off the directions used, which a high dimension can far outnumber
-    gaps = reading.gaps
+    gaps = path.gaps
     odd = sorted(d for d, vector in gaps.items() if len(vector) % 2)
     if odd:
         raise NotClosedError(
@@ -227,14 +223,14 @@ def _checked_reading(word: DirectionWord) -> _Reading:
             f"direction(s) {listed}{more} never used; the loop must span all "
             f"{n} directions"
         )
-    masks = reading.masks
+    masks = path.vertex_masks
     if len(set(masks)) < m:
         first: dict[int, int] = {}
         edges = next(i for i, v in enumerate(masks) if first.setdefault(v, i) < i)
         raise NotEmbeddedError(
             f"walk revisits a vertex after {edges} edges; the loop must be simple"
         )
-    return reading
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ def canonicalize(word: DirectionWord) -> DirectionWord:
     and of its reversal (module docstring).  Those profiles rearrange the
     same gaps, so only rotations that start with the smallest are compared.
     """
-    return _canonical_form(_read_walk(word.labels).profile, word.dim)
+    return _canonical_form(_read_walk(word).profile, word.dim)
 
 
 def _canonical_form(profile: tuple[int, ...], dim: int) -> DirectionWord:
@@ -330,15 +326,15 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
     consecutive occurrences; each gap vector is taken up to rotation and
     reversal.  The multiset is unchanged by all four word symmetries, so
     distinct invariants certify distinct classes (the converse can fail).
-    A direction's gap vector is read in word order (``_Reading.gaps``).
+    A direction's gap vector is read in word order (``JordanPath.gaps``).
     """
-    return _gap_invariant(_read_walk(word.labels).gaps, {})
+    return _gap_invariant(_read_walk(word).gaps, {})
 
 
 def _gap_invariant(
     gaps: dict[int, list[int]], forms: dict[tuple[int, ...], tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
-    """:func:`gap_invariant` of a walk's gap vectors (``_Reading.gaps``),
+    """:func:`gap_invariant` of a walk's gap vectors (``JordanPath.gaps``),
     each vector's least form read from ``forms``, or computed and added
     there on its first sight."""
     out = []

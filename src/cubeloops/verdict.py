@@ -5,21 +5,22 @@ walk's vertex trail determines in O(mn) time: the surface is embedded
 exactly when the even translation lattice has order 4 (even dimension) or
 8 (odd), and the reflection group order follows as flip-subgroup order
 times lattice order.  A whole fast report is polynomial in m and n.  It
-reads the walk once (``paths._read_walk``) for the repeat profile, each
-direction's gap vector and edge count, and the pair and product rows;
-the rest is the canonical form (a least rotation of that profile, which
-a census listing skips) and the sign symmetries (the word against its
-rotations and reversals that start with its first label, each compared
-in O(m)).
+reads the walk once, into a :class:`~cubeloops.paths.JordanPath` that
+carries the repeat profile, each direction's gap vector and edge count,
+and the pair and product rows; the rest is the canonical form (a least
+rotation of that profile, which a census listing skips) and the sign
+symmetries (the word against its rotations and reversals that start with
+its first label, each compared in O(m)).
 
 Both census listings of ``enumerate`` live here.  The census walk has
 proved every class it returns closed, simple and covering, so a listing
 reads each walk once (``paths._read_walk``) without :func:`validate`'s
 checks, and each census word is its own canonical word.  The text
-listing (:func:`_listed_lines`) reads each verdict and genus off the
-lattice of that reading, and in verify mode also runs the oracle checks,
-without building a report.  The JSON listing (:func:`_listed_classes`)
-keys each class on the inputs that fix its report's shape
+listing (:func:`_listed_lines`) takes each verdict and genus from
+:func:`decide_embedded` on that path, and in verify mode also runs the
+oracle checks on it, without building a report.  The JSON listing
+(:func:`_listed_classes`) keys each class on the inputs that fix its
+report's shape
 (:func:`_report_shape`) and builds a :class:`SurfaceReport`, through the
 core that :func:`build_report` shares (``_report``), only for the first
 class of each shape.
@@ -34,7 +35,7 @@ are orientable.  In odd dimension the surface (and its quotient by the
 pair lattice) is orientable exactly when the direction-product translation
 falls outside the pair lattice — that is, when the even lattice has higher
 rank than the pair lattice — while the quotient by all even translations
-is never orientable.  A report reduces its reading's pair rows, each edge
+is never orientable.  A report reduces its path's pair rows, each edge
 against its direction's first vertex, and in odd dimension adjoins the
 direction-product row of the first vertices, unless the pair lattice has
 full rank already.
@@ -56,21 +57,20 @@ from .errors import BudgetExceededError, InternalInvariantError
 from .groups import flip_subgroup_order
 from .lattice import (
     TranslationLattice,
-    _pair_lattice,
     even_lattice_from_pair,
     even_translation_lattice,
+    pair_translation_lattice,
 )
 from .paths import (
     DirectionWord,
     JordanPath,
     SignSymmetry,
     _canonical_form,
-    _checked_reading,
     _gap_invariant,
     _read_walk,
-    _Reading,
     format_word,
     path_symmetries,
+    validate,
 )
 
 if TYPE_CHECKING:
@@ -353,11 +353,11 @@ def build_report(
     """Assemble the full report for a loop, in fast or verifying mode.
 
     The word (from ``parse_word`` or built directly) is validated first,
-    a canonical one too, on the walk's one reading, which the whole report
-    is read off (``paths._checked_reading``).  The JSON census listing
-    (:func:`_listed_classes`) builds its reports from
-    :func:`_report_shape` instead, one for each report shape, from the
-    walks the census has already proved simple; the text listing
+    a canonical one too, and the whole report is read off the path that
+    :func:`~cubeloops.paths.validate` returns, the walk's one reading.
+    The JSON census listing (:func:`_listed_classes`) builds its reports
+    from :func:`_report_shape` instead, one for each report shape, from
+    the walks the census has already proved simple; the text listing
     (:func:`_listed_lines`) builds none.
 
     Fast mode derives everything from the translation lattice.  Verifying
@@ -371,11 +371,10 @@ def build_report(
     """
     if mode not in ("fast", "verify"):
         raise ValueError(f"mode must be 'fast' or 'verify', not {mode!r}")
-    reading = _checked_reading(word)
-    path = JordanPath(word, reading.masks)
-    shape = _report_shape(path, reading, mode)
-    canonical = _canonical_form(reading.profile, word.dim)
-    return _report(path, shape, canonical, _gap_invariant(reading.gaps, {}), family)
+    path = validate(word)
+    shape = _report_shape(path, mode)
+    canonical = _canonical_form(path.profile, word.dim)
+    return _report(word, shape, canonical, _gap_invariant(path.gaps, {}), family)
 
 
 class _Shape(NamedTuple):
@@ -426,12 +425,12 @@ class _Shape(NamedTuple):
     refusal: tuple[str, ...]
 
 
-def _report_shape(path: JordanPath, reading: _Reading, mode: str) -> _Shape:
-    """The inputs that fix the report's shape, from the walk and its one
-    reading (``paths._read_walk``); in verify mode (any other mode is
-    fast) the oracles run here, and raise when they disagree."""
-    pair = _pair_lattice(path.dim, reading)
-    lattice = even_lattice_from_pair(pair, reading.product)
+def _report_shape(path: JordanPath, mode: str) -> _Shape:
+    """The inputs that fix the report's shape, from the walk's one reading
+    (``paths._read_walk``); in verify mode (any other mode is fast) the
+    oracles run here, and raise when they disagree."""
+    pair = pair_translation_lattice(path)
+    lattice = even_lattice_from_pair(pair, path.product)
     checks, refusal = None, ()
     if mode == "verify":
         decision = _decide_from_lattice(path.dim, path.length, lattice)
@@ -440,28 +439,28 @@ def _report_shape(path: JordanPath, reading: _Reading, mode: str) -> _Shape:
         lattice,
         pair.rank,
         path_symmetries(path),
-        _edge_counts(path.dim, reading.gaps),
+        _edge_counts(path.dim, path.gaps),
         checks,
         refusal,
     )
 
 
 def _report(
-    path: JordanPath,
+    word: DirectionWord,
     shape: _Shape,
     canonical: DirectionWord,
     gaps: tuple[tuple[int, ...], ...],
     family: dict[str, Any] | None = None,
 ) -> SurfaceReport:
     """The report of a walk, given its shape's inputs and per-class fields."""
-    n = path.dim
-    m = path.length
+    n = word.dim
+    m = len(word)
     lattice = shape.lattice
     decision = _decide_from_lattice(n, m, lattice)
     checks = shape.oracle_checks
     return SurfaceReport(
         dim=n,
-        word=path.word,
+        word=word,
         canonical=canonical,
         length=m,
         lattice=lattice,
@@ -483,18 +482,16 @@ def _report(
 
 def _listed_lines(words: Iterable[DirectionWord], mode: str) -> list[str]:
     """The text listing of census classes: each class's length, word,
-    embedded verdict and genus, read off its walk's one reading.  Verify
+    embedded verdict and genus, decided on its walk's one reading.  Verify
     mode also runs each class's oracle checks, without a report.  Every
     class is decided before any line is returned, so a verify run whose
     oracles disagree raises before the listing writes anything."""
     lines = []
     for word in words:
-        reading = _read_walk(word.labels)
-        pair = _pair_lattice(word.dim, reading)
-        lattice = even_lattice_from_pair(pair, reading.product)
-        decision = _decide_from_lattice(word.dim, len(word), lattice)
+        path = _read_walk(word)
+        decision = decide_embedded(path)
         if mode == "verify":
-            _run_oracles(JordanPath(word, reading.masks), decision)
+            _run_oracles(path, decision)
         flags = "embedded" if decision.embedded else "not embedded"
         genus = "" if decision.genus is None else f"  genus={decision.genus}"
         lines.append(f"m={len(word):>3}  {word}  {flags}{genus}")
@@ -518,27 +515,28 @@ def _listed_classes(
     Each class's walk (module docstring) is read once
     (``paths._read_walk``) for its gap invariant and the inputs that fix
     its report's shape (:class:`_Shape`, whose docstring proves the key
-    exact), in verify mode its oracle checks among them.  Every class's
-    inputs are computed here, before any text: a verify run whose oracles
-    disagree raises before the listing writes anything, and interleaving
-    the inputs with the encoding made the full n=4 listing about 7%
-    slower (600 alternating in-process calls each way, 2 CPUs, Python
-    3.11.7).
+    exact), in verify mode its oracle checks among them.  Only the word,
+    the shape and the gap invariant are kept per class, not the path,
+    whose trail and rows would grow the listing's peak memory.  Every
+    class's inputs are computed here, before any text: a verify run whose
+    oracles disagree raises before the listing writes anything, and
+    interleaving the inputs with the encoding made the full n=4 listing
+    about 7% slower (600 alternating in-process calls each way, 2 CPUs,
+    Python 3.11.7).
     """
     forms: dict[tuple[int, ...], tuple[int, ...]] = {}
     inputs = []
     for word in words:
-        reading = _read_walk(word.labels)
-        path = JordanPath(word, reading.masks)
-        shape = _report_shape(path, reading, mode)
-        inputs.append((path, shape, _gap_invariant(reading.gaps, forms)))
+        path = _read_walk(word)
+        shape = _report_shape(path, mode)
+        inputs.append((word, shape, _gap_invariant(path.gaps, forms)))
     return _encoded_classes(inputs)
 
 
 def _encoded_classes(
-    inputs: list[tuple[JordanPath, _Shape, tuple[tuple[int, ...], ...]]],
+    inputs: list[tuple[DirectionWord, _Shape, tuple[tuple[int, ...], ...]]],
 ) -> Iterator[list[Encoded]]:
-    """Each class's text, from its walk, shape and gaps.
+    """Each class's text, from its word, shape and gaps.
 
     On a shape's first class its report is built from those inputs and
     its :meth:`SurfaceReport.to_json_dict` is encoded with slots for the
@@ -559,18 +557,18 @@ def _encoded_classes(
             text = vectors[vector] = dumps(vector, 2).replace("\n", _VECTOR_NEWLINE)
         return text
 
-    for path, shape, gaps in inputs:
+    for word, shape, gaps in inputs:
         template = templates.get(shape)
         if template is None:
-            document = _report(path, shape, path.word, gaps).to_json_dict()
+            document = _report(word, shape, word, gaps).to_json_dict()
             document["word"] = document["canonical"] = _SLOT
-            document["gap_invariant"] = [_SLOT] * path.dim
+            document["gap_invariant"] = [_SLOT] * word.dim
             text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)
             *parts, tail = text.split(slot)
             template = templates[shape] = parts, tail
-        word = dumps(str(path.word), 2)
+        quoted = dumps(str(word), 2)
         parts, tail = template
-        values = (word, word, *map(vector_text, gaps))
+        values = (quoted, quoted, *map(vector_text, gaps))
         text = "".join(chain.from_iterable(zip(parts, values, strict=True)))
         yield [Encoded(text + tail)]
 

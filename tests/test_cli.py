@@ -21,7 +21,6 @@ from conftest import fresh_interpreter_env
 import cubeloops
 import cubeloops.errors as errors
 import cubeloops.geometry as geometry
-import cubeloops.lattice as lattice
 import cubeloops.paths as paths
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
@@ -484,12 +483,12 @@ def test_family_validates_its_word_once(capsys, monkeypatch):
     calls = 0
     read = paths._read_walk
 
-    def counted(labels):
+    def counted(word):
         nonlocal calls
         calls += 1
-        return read(labels)
+        return read(word)
 
-    for module in (paths, lattice, verdict):
+    for module in (paths, verdict):
         monkeypatch.setattr(module, "_read_walk", counted)
     assert main(["family", "--name", "sharp", "--dim", "6"]) == 0
     capsys.readouterr()

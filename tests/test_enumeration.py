@@ -451,6 +451,18 @@ def test_query_limit_truncates_sorted_census(n4_classes):
     assert limited == n4_classes[:3]
 
 
+def test_census_refuses_a_negative_limit_built_directly():
+    # a query built without create keeps its limit as given; a negative
+    # one would slice classes off the end of the census, so it is refused
+    # like create refuses it, an empty window's too
+    for query in (
+        EnumerationQuery(4, 8, 16, False, -1),
+        EnumerationQuery(3, 8, 6, limit=-2),
+    ):
+        with pytest.raises(ValueError, match="^limit must be nonnegative, not -"):
+            enumerate_paths(query)
+
+
 def test_family_word_reference_values():
     assert str(family_word(FamilySpec("d-series", 3))) == "123123"
     assert str(family_word(FamilySpec("d-series", 4))) == "12341243"
@@ -501,6 +513,21 @@ def test_expand_word_reproduces_the_repeating_series():
     other = expand_word(seed, 5, 1)
     path = validate(other)
     assert decide_embedded(path).embedded
+
+
+def test_expand_word_reads_each_walk_once(monkeypatch):
+    # the seed's one reading is validated and gives its pair lattice; the
+    # raised word is read once more, to validate it
+    lengths = []
+    read = paths._read_walk
+
+    def counted(word):
+        lengths.append(len(word))
+        return read(word)
+
+    monkeypatch.setattr(paths, "_read_walk", counted)
+    expand_word(parse_word("121323", 3), 6, 3)
+    assert lengths == [6, 12]
 
 
 def test_expand_word_rejects_bad_requests():

@@ -15,7 +15,6 @@ from cubeloops import (
     BadLabelError,
     DirectionWord,
     FamilySpec,
-    JordanPath,
     MissingDirectionError,
     NotClosedError,
     NotEmbeddedError,
@@ -497,9 +496,9 @@ def test_walk_reading_matches_the_references(n3_classes, n4_classes):
     # edge counts against the label counts
     for path in _reference_walks(n3_classes, n4_classes):
         labels, masks, dim = path.word.labels, path.vertex_masks, path.dim
-        reading = paths._read_walk(labels)
+        reading = paths._read_walk(path.word)
         bits = (1 << d - 1 for d in labels[:-1])
-        assert reading.masks == masks, labels
+        assert reading.vertex_masks == masks, labels
         assert masks == (*itertools.accumulate(bits, operator.xor, initial=0),)
         pair = TranslationLattice(dim, row_reduce_reference(reading.rows))
         assert pair == all_pairs_lattice(path), labels
@@ -565,7 +564,7 @@ def test_path_symmetries_base_independent():
     based = validate(word)
     reference = {s.flips for s in path_symmetries(based)}
     for base in range(1, 16):
-        path = JordanPath(word, tuple(v ^ base for v in based.vertex_masks))
+        path = based._replace(vertex_masks=tuple(v ^ base for v in based.vertex_masks))
         assert {s.flips for s in path_symmetries(path)} == reference
 
 
@@ -630,7 +629,7 @@ def test_path_symmetries_match_brute_force_on_random_loops():
                 based = validate(word)
                 for base in (0, rng.randrange(1, 1 << dim)):
                     masks = tuple(v ^ base for v in based.vertex_masks)
-                    path = JordanPath(word, masks)
+                    path = based._replace(vertex_masks=masks)
                     found = {s.flips for s in path_symmetries(path)}
                     assert found == _brute_force_symmetries(path), (word, base)
 

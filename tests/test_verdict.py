@@ -23,7 +23,7 @@ from cubeloops import (
 from cubeloops.groups import QuotientElement
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
-from cubeloops import lattice, paths, verdict
+from cubeloops import oracles, paths, verdict
 from cubeloops.verdict import _report_shape, edge_bound
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
@@ -258,8 +258,8 @@ def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
     words = enumerate_paths(EnumerationQuery.create(**window))
     shapes = []
 
-    def recorded(walk, reading, mode):
-        shapes.append(_report_shape(walk, reading, mode))
+    def recorded(walk, mode):
+        shapes.append(_report_shape(walk, mode))
         return shapes[-1]
 
     monkeypatch.setattr(verdict, "_report_shape", recorded)
@@ -294,8 +294,8 @@ def test_build_report_builds_one_repeat_profile(monkeypatch, mode):
     read = paths._read_walk
     canonical_form, gap_invariant = verdict._canonical_form, verdict._gap_invariant
 
-    def recorded(labels):
-        readings.append(read(labels))
+    def recorded(word):
+        readings.append(read(word))
         return readings[-1]
 
     def canonical(profile, dim):
@@ -317,52 +317,43 @@ def test_build_report_builds_one_repeat_profile(monkeypatch, mode):
         assert profile is readings[0].profile and gaps is readings[0].gaps, text
 
 
-@pytest.mark.parametrize("mode", ("fast", "verify"))
-def test_build_report_reads_the_walk_once(monkeypatch, mode):
-    # one reading validates the word and feeds the whole report; verify
-    # mode reads the walk once more, for the closure's budget
-    # (geometry.closure_within_budget re-derives the even lattice).  That
-    # second reading is kept: it costs about 0.2% of a verify report, and
-    # handing the budget the report's lattice would add a parameter or a
-    # second copy of the budget's formula
+def _count_readings(monkeypatch) -> list[DirectionWord]:
+    """The words of every walk read from here on, in reading order: each
+    module that binds ``paths._read_walk`` gets a counted one."""
     calls = []
     read = paths._read_walk
 
-    def counted(labels):
-        calls.append(labels)
-        return read(labels)
+    def counted(word):
+        calls.append(word)
+        return read(word)
 
-    for module in (paths, lattice, verdict):
+    for module in (paths, verdict, oracles):
         monkeypatch.setattr(module, "_read_walk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ("fast", "verify"))
+def test_build_report_reads_the_walk_once(monkeypatch, mode):
+    # one reading validates the word and feeds the whole report, the
+    # verify-mode oracles too: the closure's budget reduces the rows that
+    # path carries (geometry.closure_within_budget), and reads no walk
+    calls = _count_readings(monkeypatch)
     for text, dim in REPORTED_WORDS:
         calls.clear()
-        build_report(parse_word(text, dim), mode=mode)
-        assert len(calls) == (1 if mode == "fast" else 2), text
+        word = parse_word(text, dim)
+        build_report(word, mode=mode)
+        assert calls == [word], text
 
 
 @pytest.mark.parametrize("mode", ("fast", "verify"))
 @pytest.mark.parametrize("listing", ("_listed_lines", "_listed_classes"))
 def test_listings_read_each_walk_once(monkeypatch, listing, mode):
-    # each class's one reading gives its trail and its verdict, and in the
-    # JSON listing its report's inputs; verify mode reads it once more, for
-    # the closure's budget, as build_report does
-    calls = []
-    read = paths._read_walk
-
-    def counted(labels):
-        calls.append(labels)
-        return read(labels)
-
-    def second_reading(path):
-        raise AssertionError(f"a second reading of {path.word}")
-
-    for module in (paths, lattice, verdict):
-        monkeypatch.setattr(module, "_read_walk", counted)
-    monkeypatch.setattr(verdict, "decide_embedded", second_reading)
+    # each class's one reading gives its verdict, and in the JSON listing
+    # its report's inputs; in verify mode it feeds the oracles too
+    calls = _count_readings(monkeypatch)
     words = enumerate_paths(EnumerationQuery.create(4))
     [*getattr(verdict, listing)(words, mode)]
-    per_class = 1 if mode == "fast" else 2
-    assert calls == [word.labels for word in words for _ in range(per_class)]
+    assert calls == [*words]
 
 
 def test_verify_report_reads_each_anchor_vector_once(monkeypatch):

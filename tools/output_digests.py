@@ -103,7 +103,7 @@ def invocations() -> list[list[str]]:
     # the error paths: bad label, odd length, not closed, missing direction,
     # not embedded, dimension below 2, bad projection, refused census
     # windows (the last one by enumerate_paths, past the query's checks),
-    # unknown family, then the usage errors
+    # a negative census limit, unknown family, then the usage errors
     runs += [
         ["check", "--dim", "3", "--word", "129123"],
         ["check", "--dim", "3", "--word", "12312"],
@@ -119,6 +119,7 @@ def invocations() -> list[list[str]]:
         ["enumerate", "--dim", "10"],
         ["enumerate", "--dim", "10", "--length", "600"],
         ["enumerate", "--dim", "10", "--max-length", "600"],
+        ["enumerate", "--dim", "4", "--limit", "-1"],
         ["family", "--name", "spiral", "--dim", "4"],
         *USAGE_ERRORS,
     ]
