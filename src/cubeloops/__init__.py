@@ -18,7 +18,7 @@ in :mod:`cubeloops.oracles`, which this package does not import.
 
 from importlib import import_module
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 _EXPORTS = {
     "BadLabelError": "errors",
@@ -39,7 +39,6 @@ _EXPORTS = {
     "canonicalize": "paths",
     "parse_word": "paths",
     "validate": "paths",
-    "SurfaceReport": "verdict",
     "build_report": "verdict",
     "decide_embedded": "verdict",
     "PatchSet": "geometry",

@@ -22,11 +22,11 @@ import argparse
 import os
 import sys
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import IO, Any, Sequence
 
 from .errors import CubeLoopsError, InternalInvariantError
 from .paths import parse_word, validate
-from .verdict import SurfaceReport, _listed_classes, _listed_lines, build_report
+from .verdict import _listed_classes, _listed_lines, build_report, render_text
 
 __all__ = ["main"]
 
@@ -242,23 +242,26 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return _print_report(args, report)
 
 
-def _print_report(args: argparse.Namespace, report: SurfaceReport) -> int:
+def _print_report(args: argparse.Namespace, report: dict[str, Any]) -> int:
     if args.json:
         from .jsontext import dumps
 
-        print(dumps(report.to_json_dict(), 2))
+        print(dumps(report, 2))
     else:
-        print(report.render_text())
+        print(render_text(report))
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .geometry import expand_patches, export_mesh, vertex_incidence
+    from .geometry import _check_export, expand_patches, export_mesh, vertex_incidence
 
     word = _parse_cli_word(args)
     path = validate(word)
-    patches = expand_patches(path)
     projection = _parse_projection(args)
+    # a bad format or projection is refused before any patch is placed,
+    # even for a closure over the patch budget
+    _check_export(path.dim, args.format, projection)
+    patches = expand_patches(path)
     incidence = vertex_incidence(patches)
     data = export_mesh(
         patches, format=args.format, projection=projection, incidence=incidence

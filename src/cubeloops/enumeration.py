@@ -233,12 +233,15 @@ def enumerate_paths(
     Deterministic output sorted by (length, word), independent of the
     worker count: the search emits each class once, so ``jobs`` shards
     (at most the CPU count) split its subtrees and the parent merges them.
-    Raises ValueError when ``jobs`` is below 1, when the limit is
-    negative (a query built without :meth:`EnumerationQuery.create`), or
-    when a nonempty window ends above ``MAX_CENSUS_LENGTH`` edges.
+    Raises ValueError when ``jobs`` is below 1, when the dimension is
+    below 2 or the limit negative (a query built without
+    :meth:`EnumerationQuery.create`), or when a nonempty window ends above
+    ``MAX_CENSUS_LENGTH`` edges.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if query.dim < 2:
+        raise ValueError(f"dimension must be at least 2, not {query.dim}")
     if query.limit is not None and query.limit < 0:
         raise ValueError(f"limit must be nonnegative, not {query.limit}")
     if query.min_length > query.max_length:

@@ -170,10 +170,24 @@ def vertex_incidence(patches: PatchSet) -> VertexIncidence:
     return VertexIncidence(worst, worst < 8, counts)
 
 
-def _check_projection(
-    dim: int, projection: tuple[int, ...] | None, needed: int
-) -> tuple[int, ...]:
-    """Validate dropped axes and return the kept axis indices (0-based)."""
+# the coordinates an OBJ vertex has
+_OBJ_AXES = 3
+
+
+def _check_export(
+    dim: int, format: str, projection: tuple[int, ...] | None
+) -> tuple[int, ...] | None:
+    """Check a mesh request, which needs no patch: return the axes an OBJ
+    mesh keeps (0-based), or None for JSON."""
+    if format == "json":
+        if projection:
+            raise BadProjectionError(
+                "projection applies to OBJ output only; JSON is always "
+                "full-dimensional"
+            )
+        return None
+    if format != "obj":
+        raise UnsupportedFormatError(f"unknown mesh format {format!r} (use obj or json)")
     dropped = tuple(projection or ())
     for axis in dropped:
         if not 1 <= axis <= dim:
@@ -181,10 +195,10 @@ def _check_projection(
     if len(set(dropped)) != len(dropped):
         raise BadProjectionError(f"projection axes repeat: {dropped}")
     kept = tuple(k for k in range(dim) if (k + 1) not in dropped)
-    if len(kept) != needed:
+    if len(kept) != _OBJ_AXES:
         raise BadProjectionError(
             f"dropping axes {dropped or '()'} leaves {len(kept)} coordinates; "
-            f"OBJ output needs exactly {needed}"
+            f"OBJ output needs exactly {_OBJ_AXES}"
         )
     return kept
 
@@ -205,6 +219,7 @@ def export_mesh(
     ``incidence`` is the patch set's :func:`vertex_incidence` when the
     caller has it already.
     """
+    kept = _check_export(patches.dim, format, projection)
     if incidence is None:
         incidence = vertex_incidence(patches)
     warning = None
@@ -213,17 +228,9 @@ def export_mesh(
             "surface has self-intersections: "
             f"{incidence.max_multiplicity} patch boundaries meet at a vertex"
         )
-    if format == "obj":
-        kept = _check_projection(patches.dim, projection, 3)
-        return _render_obj(patches, kept, warning)
-    if format == "json":
-        if projection:
-            raise BadProjectionError(
-                "projection applies to OBJ output only; JSON is always "
-                "full-dimensional"
-            )
+    if kept is None:
         return _render_json(patches, warning)
-    raise UnsupportedFormatError(f"unknown mesh format {format!r} (use obj or json)")
+    return _render_obj(patches, kept, warning)
 
 
 def _render_obj(

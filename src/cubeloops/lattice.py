@@ -32,6 +32,7 @@ The composition imports the group layers (:mod:`cubeloops.groups`,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .paths import JordanPath
@@ -43,16 +44,10 @@ __all__ = [
     "direction_product_translation",
     "even_translation_lattice",
     "even_lattice_from_pair",
-    "double_bit_vector",
 ]
 
 
-def double_bit_vector(mask: int, dim: int) -> tuple[int, ...]:
-    """Expand a halved row into a mod-4 vector with entries in {0,2}."""
-    return tuple(2 if (mask >> k) & 1 else 0 for k in range(dim))
-
-
-def _row_reduce(rows: list[int], dim: int) -> tuple[int, ...]:
+def _row_reduce(rows: Iterable[int], dim: int) -> tuple[int, ...]:
     """Fully reduced GF(2) echelon basis of rows in ``dim`` bits, sorted
     descending (canonical).
 
@@ -105,10 +100,6 @@ class TranslationLattice(NamedTuple):
     @property
     def order(self) -> int:
         return 1 << len(self.rows)
-
-    def basis_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Basis as mod-4 vectors with entries in {0,2}."""
-        return tuple(double_bit_vector(row, self.dim) for row in self.rows)
 
 
 def parallel_pair_translation(

@@ -12,7 +12,8 @@ the tests can compare the two:
 - the rotations about every edge of the cube, and the witness words that
   compose to a translation by four along one axis;
 - even translation lattices spanned from explicit vectors, the all-pairs
-  lattice from the arc walk, and lattice membership;
+  lattice from the arc walk, lattice membership, and a lattice's basis
+  doubled back to mod-4 vectors;
 - row reduction by inserting each row into a fully reduced basis, the
   reference for the pivot-table ``cubeloops.lattice._row_reduce``;
 - the canonicity test on a whole word, the bridge between the census
@@ -67,6 +68,8 @@ __all__ = [
     "ambient_generators",
     "four_translation_witness",
     "halve_even_vector",
+    "double_bit_vector",
+    "basis_vectors",
     "row_reduce_reference",
     "span_lattice",
     "all_pairs_lattice",
@@ -308,6 +311,16 @@ def halve_even_vector(vector: tuple[int, ...]) -> int:
         if entry:
             mask |= 1 << k
     return mask
+
+
+def double_bit_vector(mask: int, dim: int) -> tuple[int, ...]:
+    """Expand a halved row into a mod-4 vector with entries in {0,2}."""
+    return tuple(2 if (mask >> k) & 1 else 0 for k in range(dim))
+
+
+def basis_vectors(lattice: TranslationLattice) -> tuple[tuple[int, ...], ...]:
+    """A lattice's basis as mod-4 vectors with entries in {0,2}."""
+    return tuple(double_bit_vector(row, lattice.dim) for row in lattice.rows)
 
 
 def _leading_bit(row: int) -> int:

@@ -136,14 +136,17 @@ class JordanPath(NamedTuple):
     ``XOR_d v_first(d) & ~bit(d)``.  Translating the trail changes no
     pair row, and the product row only in even dimension, where no
     lattice reads it, so ``path._replace(vertex_masks=...)`` rebases a
-    walk.  ``gaps`` is a dict, so a path is not hashable.
+    walk.  The rows and each gap vector are tuples, so no caller can
+    change a validated path's verdict through them; ``gaps`` itself is a
+    dict, so a path is not hashable, and a key of it can still be
+    assigned.
     """
 
     word: DirectionWord
     vertex_masks: tuple[int, ...]
     profile: tuple[int, ...]
-    gaps: dict[int, list[int]]
-    rows: list[int]
+    gaps: dict[int, tuple[int, ...]]
+    rows: tuple[int, ...]
     product: int
 
     @property
@@ -186,7 +189,8 @@ def _read_walk(word: DirectionWord) -> JordanPath:
     for d, vector in gaps.items():
         i = vector[0]
         vector[0] = profile[i] = m - last[d] + i
-    return JordanPath(word, tuple(masks), tuple(profile), gaps, rows, product)
+        gaps[d] = tuple(vector)
+    return JordanPath(word, tuple(masks), tuple(profile), gaps, tuple(rows), product)
 
 
 # the most unused directions a MissingDirectionError message names
@@ -332,13 +336,13 @@ def gap_invariant(word: DirectionWord) -> tuple[tuple[int, ...], ...]:
 
 
 def _gap_invariant(
-    gaps: dict[int, list[int]], forms: dict[tuple[int, ...], tuple[int, ...]]
+    gaps: dict[int, tuple[int, ...]], forms: dict[tuple[int, ...], tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """:func:`gap_invariant` of a walk's gap vectors (``JordanPath.gaps``),
     each vector's least form read from ``forms``, or computed and added
     there on its first sight."""
     out = []
-    for vec in map(tuple, gaps.values()):
+    for vec in gaps.values():
         form = forms.get(vec)
         if form is None:
             form = forms[vec] = _min_cyclic(vec)

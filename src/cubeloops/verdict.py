@@ -12,6 +12,10 @@ rotation of that profile, which a census listing skips) and the sign
 symmetries (the word against its rotations and reversals that start with
 its first label, each compared in O(m)).
 
+A report exists in one form: the JSON document that ``check --json``
+writes (``"schema": 1``), a dict in the schema's key order, which
+:func:`build_report` returns and :func:`render_text` writes as text.
+
 Both census listings of ``enumerate`` live here.  The census walk has
 proved every class it returns closed, simple and covering, so a listing
 reads each walk once (``paths._read_walk``) without :func:`validate`'s
@@ -20,10 +24,9 @@ listing (:func:`_listed_lines`) takes each verdict and genus from
 :func:`decide_embedded` on that path, and in verify mode also runs the
 oracle checks on it, without building a report.  The JSON listing
 (:func:`_listed_classes`) keys each class on the inputs that fix its
-report's shape
-(:func:`_report_shape`) and builds a :class:`SurfaceReport`, through the
-core that :func:`build_report` shares (``_report``), only for the first
-class of each shape.
+report's shape (:func:`_report_shape`) and builds a report document,
+through the core that :func:`build_report` shares (``_report``), only for
+the first class of each shape.
 The verifying path recomputes the group by brute-force closure and the
 self-intersection test by exact patch geometry; any disagreement between
 the three methods is an internal invariant violation, never a user error.
@@ -68,7 +71,6 @@ from .paths import (
     _canonical_form,
     _gap_invariant,
     _read_walk,
-    format_word,
     path_symmetries,
     validate,
 )
@@ -78,13 +80,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EmbeddedDecision",
-    "OrientabilityFlags",
     "BoundDiagnostic",
-    "DirectionLoadDiagnostic",
-    "SurfaceReport",
     "decide_embedded",
     "edge_bound",
     "build_report",
+    "render_text",
 ]
 
 RULED_OUT = "ruled-out"
@@ -126,19 +126,13 @@ def _decide_from_lattice(
     return EmbeddedDecision(True, order, chi, genus)
 
 
-class OrientabilityFlags(NamedTuple):
-    """Orientability of the surface and of its two standard quotients."""
-
-    surface: bool
-    quotient_by_pair_lattice: bool
-    quotient_by_even_translations: bool
-
-
-def _orientable(dim: int, pair_rank: int, even_rank: int) -> OrientabilityFlags:
+def _orientable(dim: int, pair_rank: int, even_rank: int) -> tuple[bool, bool, bool]:
+    """Orientability of the surface, of its quotient by the pair lattice
+    and of its quotient by all even translations (module docstring)."""
     if dim % 2 == 0:
-        return OrientabilityFlags(True, True, True)
+        return True, True, True
     surface = even_rank != pair_rank
-    return OrientabilityFlags(surface, surface, False)
+    return surface, surface, False
 
 
 class BoundDiagnostic(NamedTuple):
@@ -187,158 +181,88 @@ def edge_bound(dim: int, length: int) -> BoundDiagnostic:
     return BoundDiagnostic(MAYBE_EMBEDDED, f"within {within}", limit, heuristic)
 
 
-class DirectionLoadDiagnostic(NamedTuple):
-    """Per-direction edge counts against the four-edge ceiling (even dim).
-
-    An embedded surface in even dimension admits at most four edges per
-    direction; a direction carrying exactly four forces every lattice
-    element to vanish on that axis (recorded in ``constrained_axes``).
-    """
-
-    verdict: str
-    reason: str
-    counts: tuple[int, ...]
-    overloaded_axes: tuple[int, ...] = ()
-    constrained_axes: tuple[int, ...] = ()
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "counts": list(self.counts),
-            "overloaded_axes": list(self.overloaded_axes),
-            "constrained_axes": list(self.constrained_axes),
-        }
-
-
-def _edge_counts(dim: int, gaps: dict[int, list[int]]) -> tuple[int, ...]:
+def _edge_counts(dim: int, gaps: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(len(gaps[d]) for d in range(1, dim + 1))
 
 
-def _direction_load(dim: int, counts: tuple[int, ...]) -> DirectionLoadDiagnostic:
+def _direction_load(dim: int, counts: tuple[int, ...]) -> dict[str, Any]:
+    """Per-direction edge counts against the four-edge ceiling (even dim),
+    as the report's ``bounds.direction_load`` member.
+
+    An embedded surface in even dimension admits at most four edges per
+    direction; a direction carrying exactly four forces every lattice
+    element to vanish on that axis (listed in ``constrained_axes``).
+    """
     if dim % 2:
-        return DirectionLoadDiagnostic(
-            NOT_APPLICABLE,
-            "per-direction ceiling applies to even dimension only",
-            counts,
-        )
-    overloaded = tuple(d + 1 for d, c in enumerate(counts) if c > 4)
-    constrained = tuple(d + 1 for d, c in enumerate(counts) if c == 4)
-    if overloaded:
-        return DirectionLoadDiagnostic(
-            RULED_OUT,
-            f"direction(s) {list(overloaded)} carry more than 4 edges",
-            counts,
-            overloaded,
-            constrained,
-        )
-    return DirectionLoadDiagnostic(
-        MAYBE_EMBEDDED,
-        "no direction carries more than 4 edges",
-        counts,
-        (),
-        constrained,
-    )
-
-
-class SurfaceReport(NamedTuple):
-    """Everything the tool can say about one loop's periodic surface."""
-
-    dim: int
-    word: DirectionWord
-    canonical: DirectionWord
-    length: int
-    lattice: TranslationLattice
-    reflection_group_order: int
-    embedded: bool
-    orientable: OrientabilityFlags
-    euler_char: int | None
-    genus: int | None
-    symmetries: tuple[SignSymmetry, ...]
-    gaps: tuple[tuple[int, ...], ...]
-    edge_bound: BoundDiagnostic
-    direction_load: DirectionLoadDiagnostic
-    family: dict[str, Any] | None = None
-    oracle_checks: dict[str, Any] | None = None
-    notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema": 1,
-            "dim": self.dim,
-            "word": str(self.word),
-            "canonical": str(self.canonical),
-            "m": self.length,
-            "embedded": self.embedded,
-            "s_q_order": self.reflection_group_order,
-            "lattice_basis": [
-                [row >> k & 1 for k in range(self.dim)] for row in self.lattice.rows
-            ],
-            "lattice_order": self.lattice.order,
-            "orientable_sigma": self.orientable.surface,
-            "orientable_quotient_lambda0": self.orientable.quotient_by_pair_lattice,
-            "orientable_quotient_2z": self.orientable.quotient_by_even_translations,
-            "euler_char": self.euler_char,
-            "genus": self.genus,
-            "symmetries": [
-                {
-                    "flips": list(s.flips),
-                    "orientation_preserving": s.orientation_preserving,
-                }
-                for s in self.symmetries
-            ],
-            "family": self.family,
-            "oracle_checks": self.oracle_checks,
-            "gap_invariant": [list(v) for v in self.gaps],
-            "bounds": {
-                "edge_bound": self.edge_bound._asdict(),
-                "direction_load": self.direction_load.to_json_dict(),
-            },
-            "notes": list(self.notes),
-        }
-
-    def render_text(self) -> str:
-        lines = [
-            f"word:       {self.word}",
-            f"canonical:  {format_word(self.canonical.labels)}"
-            + (f"  ({self.canonical})" if self.dim <= 9 else ""),
-            f"dim:        {self.dim}   edges: {self.length}",
-            f"embedded:   {_yn(self.embedded)}   "
-            f"(lattice order {self.lattice.order}, "
-            f"reflection group order {self.reflection_group_order})",
-            "orientable: "
-            f"surface {_yn(self.orientable.surface)}; "
-            f"quotient/pair-lattice "
-            f"{_yn(self.orientable.quotient_by_pair_lattice)}; "
-            f"quotient/even-translations "
-            f"{_yn(self.orientable.quotient_by_even_translations)}",
-        ]
-        if self.euler_char is not None:
-            genus = "n/a" if self.genus is None else str(self.genus)
-            lines.append(f"euler char: {self.euler_char}   genus: {genus}")
-        basis = (
-            " ".join(str(v).replace(" ", "") for v in self.lattice.basis_vectors())
-            or "(trivial)"
-        )
-        lines.append(f"lattice:    {basis}")
-        if self.symmetries:
-            syms = " ".join(
-                str(s.flips).replace(" ", "") for s in self.symmetries
-            )
+        overloaded, constrained = [], []
+        verdict = NOT_APPLICABLE
+        reason = "per-direction ceiling applies to even dimension only"
+    else:
+        overloaded = [d + 1 for d, c in enumerate(counts) if c > 4]
+        constrained = [d + 1 for d, c in enumerate(counts) if c == 4]
+        if overloaded:
+            verdict = RULED_OUT
+            reason = f"direction(s) {overloaded} carry more than 4 edges"
         else:
-            syms = "none"
-        lines.append(f"symmetries: {syms}")
-        lines.append(
-            f"bounds:     {self.edge_bound.verdict} ({self.edge_bound.reason}); "
-            f"direction load {self.direction_load.verdict}"
-        )
-        if self.family:
-            lines.append(f"family:     {self.family}")
-        if self.oracle_checks:
-            lines.append(f"oracles:    {self.oracle_checks}")
-        for note in self.notes:
-            lines.append(f"note:       {note}")
-        return "\n".join(lines)
+            verdict = MAYBE_EMBEDDED
+            reason = "no direction carries more than 4 edges"
+    return {
+        "verdict": verdict,
+        "reason": reason,
+        "counts": list(counts),
+        "overloaded_axes": overloaded,
+        "constrained_axes": constrained,
+    }
+
+
+def render_text(report: dict[str, Any]) -> str:
+    """The text form of a report document (:func:`build_report`)."""
+    canonical = report["canonical"]
+    if report["dim"] <= 9:
+        # one digit per label: spaced out, then as the report writes it
+        canonical = f"{' '.join(canonical)}  ({canonical})"
+    orientable = (
+        report["orientable_sigma"],
+        report["orientable_quotient_lambda0"],
+        report["orientable_quotient_2z"],
+    )
+    lines = [
+        f"word:       {report['word']}",
+        f"canonical:  {canonical}",
+        f"dim:        {report['dim']}   edges: {report['m']}",
+        f"embedded:   {_yn(report['embedded'])}   "
+        f"(lattice order {report['lattice_order']}, "
+        f"reflection group order {report['s_q_order']})",
+        "orientable: surface {}; quotient/pair-lattice {}; "
+        "quotient/even-translations {}".format(*map(_yn, orientable)),
+    ]
+    if report["euler_char"] is not None:
+        genus = "n/a" if report["genus"] is None else str(report["genus"])
+        lines.append(f"euler char: {report['euler_char']}   genus: {genus}")
+    # the halved basis rows doubled, and the flips, as tuples without spaces
+    basis = " ".join(
+        _tuple_text(2 * bit for bit in row) for row in report["lattice_basis"]
+    )
+    lines.append(f"lattice:    {basis or '(trivial)'}")
+    syms = " ".join(_tuple_text(s["flips"]) for s in report["symmetries"])
+    lines.append(f"symmetries: {syms or 'none'}")
+    bounds = report["bounds"]
+    lines.append(
+        f"bounds:     {bounds['edge_bound']['verdict']} "
+        f"({bounds['edge_bound']['reason']}); "
+        f"direction load {bounds['direction_load']['verdict']}"
+    )
+    if report["family"]:
+        lines.append(f"family:     {report['family']}")
+    if report["oracle_checks"]:
+        lines.append(f"oracles:    {report['oracle_checks']}")
+    for note in report["notes"]:
+        lines.append(f"note:       {note}")
+    return "\n".join(lines)
+
+
+def _tuple_text(items: Iterable[int]) -> str:
+    return str(tuple(items)).replace(" ", "")
 
 
 def _yn(flag: bool) -> str:
@@ -349,8 +273,11 @@ def build_report(
     word: DirectionWord,
     mode: str = "fast",
     family: dict[str, Any] | None = None,
-) -> SurfaceReport:
-    """Assemble the full report for a loop, in fast or verifying mode.
+) -> dict[str, Any]:
+    """The full report of a loop, in fast or verifying mode, as the JSON
+    document that ``check --json`` writes (``"schema": 1``); its keys are
+    listed in the README, and :func:`render_text` writes its text form.
+    ``family`` is written as the report's ``family`` member.
 
     The word (from ``parse_word`` or built directly) is validated first,
     a canonical one too, and the whole report is read off the path that
@@ -379,26 +306,29 @@ def build_report(
 
 class _Shape(NamedTuple):
     """The inputs of a walk's report that fix its shape: every report
-    field but the word, the canonical word and the gap invariant.
+    member but ``word``, ``canonical`` and ``gap_invariant``.
 
     Walks with equal shapes have one dimension n (the lattice holds it)
-    and reports that agree in every other field once ``family`` is set
-    alike (a census listing sets none).  Each field of the report is a
+    and reports that agree in every other member once ``family`` is set
+    alike (a census listing sets none).  Each member of the report is a
     function of n and these inputs:
 
-    - ``lattice`` is the even lattice, held here;
-    - the length m is the sum of ``counts``, each edge counted in its
+    - ``lattice_basis`` and ``lattice_order`` are read off the even
+      lattice, held here;
+    - the length ``m`` is the sum of ``counts``, each edge counted in its
       direction;
-    - the decision (embedded flag, reflection group order, χ and genus) is
-      :func:`_decide_from_lattice` of (n, m, the even lattice);
-    - ``orientable`` is :func:`_orientable` of (n, ``pair_rank``, the even
-      lattice's rank): only the pair lattice's rank is held, since its
-      rows would split shapes (keyed on them, the 1,494 classes of the
-      full n=5 census up to 14 edges would make 121 templates for 93
-      shapes);
+    - the decision (``embedded``, ``s_q_order``, ``euler_char`` and
+      ``genus``) is :func:`_decide_from_lattice` of (n, m, the even
+      lattice);
+    - the three ``orientable_*`` flags are :func:`_orientable` of (n,
+      ``pair_rank``, the even lattice's rank): only the pair lattice's
+      rank is held, since its rows would split shapes (keyed on them, the
+      1,494 classes of the full n=5 census up to 14 edges would make 121
+      templates for 93 shapes);
     - ``symmetries`` are held;
-    - ``edge_bound`` is :func:`edge_bound` of (n, m);
-    - ``direction_load`` is :func:`_direction_load` of (n, ``counts``);
+    - ``bounds.edge_bound`` is :func:`edge_bound` of (n, m);
+    - ``bounds.direction_load`` is :func:`_direction_load` of (n,
+      ``counts``);
     - ``oracle_checks`` are held, as their items in a fixed key order,
       each value of one type (an int, a bool, or None when refused), so
       tuple equality is equality of the checks (``True == 1`` never
@@ -451,33 +381,46 @@ def _report(
     canonical: DirectionWord,
     gaps: tuple[tuple[int, ...], ...],
     family: dict[str, Any] | None = None,
-) -> SurfaceReport:
-    """The report of a walk, given its shape's inputs and per-class fields."""
+) -> dict[str, Any]:
+    """The report document of a walk, in the schema's key order, given its
+    shape's inputs and per-class values."""
     n = word.dim
     m = len(word)
     lattice = shape.lattice
     decision = _decide_from_lattice(n, m, lattice)
+    surface, by_pair, by_even = _orientable(n, shape.pair_rank, lattice.rank)
     checks = shape.oracle_checks
-    return SurfaceReport(
-        dim=n,
-        word=word,
-        canonical=canonical,
-        length=m,
-        lattice=lattice,
-        reflection_group_order=decision.reflection_group_order,
-        embedded=decision.embedded,
-        orientable=_orientable(n, shape.pair_rank, lattice.rank),
-        euler_char=decision.euler_char,
-        genus=decision.genus,
-        symmetries=shape.symmetries,
-        gaps=gaps,
-        edge_bound=edge_bound(n, m),
-        direction_load=_direction_load(n, shape.counts),
-        family=family,
-        oracle_checks=None if checks is None else dict(checks),
-        notes=_report_notes(n, decision.embedded, shape.symmetries)
-        + shape.refusal,
-    )
+    return {
+        "schema": 1,
+        "dim": n,
+        "word": str(word),
+        "canonical": str(canonical),
+        "m": m,
+        "embedded": decision.embedded,
+        "s_q_order": decision.reflection_group_order,
+        "lattice_basis": [[row >> k & 1 for k in range(n)] for row in lattice.rows],
+        "lattice_order": lattice.order,
+        "orientable_sigma": surface,
+        "orientable_quotient_lambda0": by_pair,
+        "orientable_quotient_2z": by_even,
+        "euler_char": decision.euler_char,
+        "genus": decision.genus,
+        "symmetries": [
+            {"flips": list(s.flips), "orientation_preserving": s.orientation_preserving}
+            for s in shape.symmetries
+        ],
+        "family": family,
+        "oracle_checks": None if checks is None else dict(checks),
+        "gap_invariant": [list(v) for v in gaps],
+        "bounds": {
+            "edge_bound": edge_bound(n, m)._asdict(),
+            "direction_load": _direction_load(n, shape.counts),
+        },
+        "notes": [
+            *_report_notes(n, decision.embedded, shape.symmetries),
+            *shape.refusal,
+        ],
+    }
 
 
 def _listed_lines(words: Iterable[DirectionWord], mode: str) -> list[str]:
@@ -509,8 +452,7 @@ def _listed_classes(
     words: Iterable[DirectionWord], mode: str
 ) -> Iterator[list[Encoded]]:
     """The JSON listing's classes for ``jsontext.stream``, one encoded
-    report at a time, with one :class:`SurfaceReport` built per report
-    shape.
+    report at a time, with one report document built per report shape.
 
     Each class's walk (module docstring) is read once
     (``paths._read_walk``) for its gap invariant and the inputs that fix
@@ -538,10 +480,10 @@ def _encoded_classes(
 ) -> Iterator[list[Encoded]]:
     """Each class's text, from its word, shape and gaps.
 
-    On a shape's first class its report is built from those inputs and
-    its :meth:`SurfaceReport.to_json_dict` is encoded with slots for the
-    word, the canonical word and each of the ``dim`` gap vectors (one
-    per direction, all used); the text is split at the slots.  Each class
+    On a shape's first class its report document (``_report``) is built
+    from those inputs and encoded with slots for the word, the canonical
+    word and each of the ``dim`` gap vectors (one per direction, all
+    used); the text is split at the slots.  Each class
     of that shape joins its own values into those parts; a gap vector's
     text is also encoded once.
     """
@@ -560,7 +502,7 @@ def _encoded_classes(
     for word, shape, gaps in inputs:
         template = templates.get(shape)
         if template is None:
-            document = _report(word, shape, word, gaps).to_json_dict()
+            document = _report(word, shape, word, gaps)
             document["word"] = document["canonical"] = _SLOT
             document["gap_invariant"] = [_SLOT] * word.dim
             text = dumps(document, 2).replace("\n", _CLASS_NEWLINE)

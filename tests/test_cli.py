@@ -21,6 +21,7 @@ from conftest import fresh_interpreter_env
 import cubeloops
 import cubeloops.errors as errors
 import cubeloops.geometry as geometry
+import cubeloops.jsontext as jsontext
 import cubeloops.paths as paths
 import cubeloops.reflection as reflection
 import cubeloops.verdict as verdict
@@ -34,7 +35,7 @@ from cubeloops import (
     validate,
 )
 from cubeloops.cli import _build_parser, main
-from cubeloops.verdict import SurfaceReport, _listed_classes
+from cubeloops.verdict import _listed_classes
 
 
 def test_check_text_report(capsys):
@@ -281,9 +282,9 @@ def test_enumerate_text_listing_matches_the_reports(capsys):
         expected = []
         for word in enumerate_paths(query):
             report = build_report(word)
-            flags = "embedded" if report.embedded else "not embedded"
-            genus = f"  genus={report.genus}" if report.genus is not None else ""
-            expected.append(f"m={report.length:>3}  {word}  {flags}{genus}")
+            flags = "embedded" if report["embedded"] else "not embedded"
+            genus = f"  genus={report['genus']}" if report["genus"] is not None else ""
+            expected.append(f"m={report['m']:>3}  {word}  {flags}{genus}")
         assert lines == [*expected, f"{len(expected)} classes"], dim
 
 
@@ -333,7 +334,7 @@ def test_enumerate_json_is_streamed_byte_for_byte(capsys, argv):
             "limit": query.limit,
         },
         "count": len(reports),
-        "classes": [report.to_json_dict() for report in reports],
+        "classes": reports,
     }
     assert main(["enumerate", *argv, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
@@ -350,9 +351,7 @@ def test_class_documents_match_the_plain_encoding(dim, max_length, mode):
     words = enumerate_paths(query)
     texts = [item for items in _listed_classes(words, mode) for item in items]
     assert texts == [
-        json.dumps(build_report(word, mode=mode).to_json_dict(), indent=2).replace(
-            "\n", "\n    "
-        )
+        json.dumps(build_report(word, mode=mode), indent=2).replace("\n", "\n    ")
         for word in words
     ]
 
@@ -387,8 +386,8 @@ def test_enumerate_verify_text_runs_the_oracles_without_reports(
     expected = []
     for word in words:
         report = build_report(word)
-        flags = "embedded" if report.embedded else "not embedded"
-        genus = "" if report.genus is None else f"  genus={report.genus}"
+        flags = "embedded" if report["embedded"] else "not embedded"
+        genus = "" if report["genus"] is None else f"  genus={report['genus']}"
         expected.append(f"m={len(word):>3}  {word}  {flags}{genus}\n")
     calls = {"oracles": 0, "symmetries": 0, "reports": 0}
 
@@ -405,9 +404,7 @@ def test_enumerate_verify_text_runs_the_oracles_without_reports(
     symmetries = counting("symmetries", verdict.path_symmetries)
     for module in (paths, verdict):
         monkeypatch.setattr(module, "path_symmetries", symmetries)
-    monkeypatch.setattr(
-        SurfaceReport, "__new__", staticmethod(counting("reports", SurfaceReport.__new__))
-    )
+    monkeypatch.setattr(verdict, "_report", counting("reports", verdict._report))
     assert main(["enumerate", "--dim", "4", "--mode", "verify"]) == 0
     assert capsys.readouterr().out == "".join(expected) + "69 classes\n"
     assert calls == {"oracles": 69, "symmetries": 0, "reports": 0}
@@ -426,7 +423,7 @@ def test_class_documents_key_on_the_oracle_checks(monkeypatch):
     monkeypatch.setattr(verdict, "_run_oracles", marked)
     words = enumerate_paths(EnumerationQuery.create(4))
     texts = [item for items in _listed_classes(words, "verify") for item in items]
-    documents = [build_report(word, mode="verify").to_json_dict() for word in words]
+    documents = [build_report(word, mode="verify") for word in words]
     assert {document["oracle_checks"]["marker"] for document in documents} == {0, 1, 2}
     assert texts == [
         json.dumps(document, indent=2).replace("\n", "\n    ")
@@ -443,23 +440,27 @@ def test_enumerate_json_encodes_each_report_shape_once(
 ):
     # one report per shape, built and encoded once: a class whose shape is
     # known joins its word and gap vectors into the shape's text
-    built, calls = [], []
-    new, to_json_dict = SurfaceReport.__new__, SurfaceReport.to_json_dict
+    built, encoded = [], []
+    report, dumps = verdict._report, jsontext.dumps
 
-    def counted_new(cls, *args, **kwargs):
-        report = new(cls, *args, **kwargs)
-        built.append(report)
-        return report
+    def counted_report(*args):
+        built.append(args)
+        return report(*args)
 
-    def counted(report):
-        calls.append(report)
-        return to_json_dict(report)
+    def counted_dumps(value, indent):
+        if isinstance(value, dict):
+            encoded.append(value)
+        return dumps(value, indent)
 
-    monkeypatch.setattr(SurfaceReport, "__new__", staticmethod(counted_new))
-    monkeypatch.setattr(SurfaceReport, "to_json_dict", counted)
+    monkeypatch.setattr(verdict, "_report", counted_report)
+    monkeypatch.setattr(jsontext, "dumps", counted_dumps)
     assert main(["enumerate", *argv, "--json"]) == 0
     capsys.readouterr()
-    assert (len(built), len(calls)) == (shapes, shapes)
+    assert (len(built), len(encoded)) == (shapes, shapes)
+    # the text listing builds no report
+    assert main(["enumerate", *argv]) == 0
+    capsys.readouterr()
+    assert (len(built), len(encoded)) == (shapes, shapes)
 
 
 def test_family_text(capsys):
@@ -600,6 +601,31 @@ def test_export_garbled_projection(capsys):
     code = main(["export", "--dim", "4", "--word", "12314234", "--project", "x"])
     assert code == 2
     assert "invalid request" in capsys.readouterr().err
+
+
+def test_export_request_is_checked_before_any_patch(monkeypatch, capsys):
+    # sharp n=11 has 8,192 patches within the budget, and sharp n=20 is
+    # over it; a bad format or projection is named before either is placed
+    def no_patches(*args):
+        raise AssertionError("the patches were placed")
+
+    monkeypatch.setattr(reflection, "close_under_composition", no_patches)
+    monkeypatch.setattr(geometry, "expand_patches", no_patches)
+    for dim in (11, 20):
+        word = str(family_word(FamilySpec("sharp", dim))).split()
+        export = ["export", "--dim", str(dim), "--word", *word]
+        for options, message in (
+            ((), "BadProjection: dropping axes () leaves"),
+            (("--project", "1,2"), "BadProjection: dropping axes (1, 2) leaves"),
+            (("--format", "json", "--project", "1"), "BadProjection: projection applies"),
+            (("--project", "x"), "invalid request: --project expects axis numbers"),
+        ):
+            start = time.perf_counter()
+            assert main([*export, *options]) == 2, (dim, options)
+            assert time.perf_counter() - start < 1, (dim, options)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message), (dim, options)
 
 
 def test_export_io_error(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_census_dimension_four_embedded(n4_embedded_classes):
     assert "1231413214" in compacts
     assert "123214123214" in compacts
     genus_by_length = sorted(
-        (len(w), build_report(w).genus) for w in n4_embedded_classes
+        (len(w), build_report(w)["genus"]) for w in n4_embedded_classes
     )
     assert genus_by_length == [(8, 9), (8, 9), (8, 9), (10, 13), (12, 17)]
 
@@ -451,7 +451,7 @@ def test_query_limit_truncates_sorted_census(n4_classes):
     assert limited == n4_classes[:3]
 
 
-def test_census_refuses_a_negative_limit_built_directly():
+def test_census_refuses_a_negative_limit_built_directly(monkeypatch):
     # a query built without create keeps its limit as given; a negative
     # one would slice classes off the end of the census, so it is refused
     # like create refuses it, an empty window's too
@@ -461,6 +461,18 @@ def test_census_refuses_a_negative_limit_built_directly():
     ):
         with pytest.raises(ValueError, match="^limit must be nonnegative, not -"):
             enumerate_paths(query)
+    # a dimension below 2 is refused with create's message before the
+    # walk, which raised an IndexError at dimension 0 and walked dimension 1
+    # before DirectionWord refused its words
+    def no_walk(*args):
+        raise AssertionError("the census walk ran")
+
+    monkeypatch.setattr(enumeration, "_search", no_walk)
+    for query, dim in ((EnumerationQuery(0, 0, 4), 0), (EnumerationQuery(1, 2, 2), 1)):
+        with pytest.raises(ValueError, match=f"^dimension must be at least 2, not {dim}$"):
+            enumerate_paths(query)
+        with pytest.raises(ValueError, match=f"^dimension must be at least 2, not {dim}$"):
+            EnumerationQuery.create(dim)
 
 
 def test_family_word_reference_values():

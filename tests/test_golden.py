@@ -36,4 +36,4 @@ CASES = {
 def test_report_matches_golden(name):
     word, dim = CASES[name]
     expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    assert build_report(parse_word(word, dim)).to_json_dict() == expected
+    assert build_report(parse_word(word, dim)) == expected

@@ -47,20 +47,19 @@ def _one_member_per_family(dim):
 
 def test_golden_reports():
     for path in _golden_paths().values():
-        _assert_same_text(build_report(path.word).to_json_dict())
+        _assert_same_text(build_report(path.word))
 
 
 def test_n4_class_reports_fast_and_verify(n4_classes):
     for word in n4_classes:
         for mode in ("fast", "verify"):
-            _assert_same_text(build_report(word, mode=mode).to_json_dict())
+            _assert_same_text(build_report(word, mode=mode))
 
 
 def test_family_reports():
     for dim in range(4, 9):
         for spec in _one_member_per_family(dim):
-            report = build_report(family_word(spec), family=spec._asdict())
-            _assert_same_text(report.to_json_dict())
+            _assert_same_text(build_report(family_word(spec), family=spec._asdict()))
 
 
 def test_golden_mesh_documents():
@@ -181,7 +180,7 @@ def test_unsupported_values_raise_type_error(value):
 def test_check_and_family_json_match_json_dumps(capsys):
     for name, (word, dim) in CASES.items():
         assert main(["check", "--dim", str(dim), "--word", word, "--json"]) == 0
-        expected = build_report(parse_word(word, dim)).to_json_dict()
+        expected = build_report(parse_word(word, dim))
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n", name
     for spec in _one_member_per_family(6):
         argv = ["family", "--name", spec.name, "--dim", "6", "--json"]
@@ -190,7 +189,7 @@ def test_check_and_family_json_match_json_dumps(capsys):
                 argv += [flag, str(value)]
         assert main(argv) == 0
         report = build_report(family_word(spec), family=spec._asdict())
-        assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 def test_export_json_matches_the_streamed_encoder(capsys):

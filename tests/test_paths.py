@@ -21,6 +21,7 @@ from cubeloops import (
     OddLengthError,
     SignSymmetry,
     canonicalize,
+    decide_embedded,
     expand_patches,
     family_word,
     parse_word,
@@ -28,7 +29,11 @@ from cubeloops import (
 )
 from cubeloops import EnumerationQuery, enumerate_paths, paths
 from cubeloops.groups import QuotientElement
-from cubeloops.lattice import TranslationLattice, direction_product_translation
+from cubeloops.lattice import (
+    TranslationLattice,
+    direction_product_translation,
+    pair_translation_lattice,
+)
 from cubeloops.oracles import (
     all_pairs_lattice,
     halve_even_vector,
@@ -179,6 +184,21 @@ def test_walk_vertices_shape_and_distinctness():
     # consecutive vertices differ exactly in the edge's bit
     for i, lab in enumerate(path.word.labels):
         assert masks[i] ^ masks[(i + 1) % 6] == 1 << (lab - 1)
+
+
+def test_validated_path_cannot_be_changed_in_place():
+    # the pair rows and each gap vector are tuples: appending to them
+    # turned the embedded verdict to False and the edge counts to
+    # (3, 2, 2, 2); the gaps dict itself can still be assigned
+    path = validate(parse_word("12314234", 4))
+    with pytest.raises(AttributeError):
+        path.rows.append(1)
+    with pytest.raises(AttributeError):
+        path.gaps[1].append(99)
+    assert decide_embedded(path).embedded
+    assert pair_translation_lattice(path).order == 4
+    assert _edge_counts(4, path.gaps) == (2, 2, 2, 2)
+    assert all(type(vector) is tuple for vector in path.gaps.values())
 
 
 def test_walk_vertices_g5_eight_distinct():
@@ -510,7 +530,7 @@ def test_walk_reading_matches_the_references(n3_classes, n4_classes):
         for i, d in enumerate(labels):
             positions.setdefault(d, []).append(i)
         assert reading.gaps == {
-            d: [(pos[k] - pos[k - 1]) % m for k in range(len(pos))]
+            d: tuple((pos[k] - pos[k - 1]) % m for k in range(len(pos)))
             for d, pos in positions.items()
         }, labels
         assert paths._gap_invariant(reading.gaps, {}) == _reference_gap_invariant(

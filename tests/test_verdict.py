@@ -24,7 +24,7 @@ from cubeloops.groups import QuotientElement
 from cubeloops.lattice import even_translation_lattice
 from cubeloops.reflection import reflection_closure, reflection_generators
 from cubeloops import oracles, paths, verdict
-from cubeloops.verdict import _report_shape, edge_bound
+from cubeloops.verdict import _report_shape, edge_bound, render_text
 from conftest import REFERENCE_WORDS_N3, REFERENCE_WORDS_N4
 
 EMBEDDED_N4 = {"12314234", "12314324", "12321434", "1231413214", "123214123214"}
@@ -66,21 +66,21 @@ def test_decide_embedded_matches_closure_order(n4_classes):
 
 def test_decide_orientable_even_dimension(n4_m8_classes):
     for word in n4_m8_classes:
-        flags = build_report(word).orientable
-        assert flags.surface and flags.quotient_by_pair_lattice
-        assert flags.quotient_by_even_translations
+        report = build_report(word)
+        assert report["orientable_sigma"] and report["orientable_quotient_lambda0"]
+        assert report["orientable_quotient_2z"]
 
 
 def test_decide_orientable_odd_dimension_pins():
-    flags = build_report(parse_word("123123", 3)).orientable
-    assert flags.surface is True
-    assert flags.quotient_by_pair_lattice is True
-    assert flags.quotient_by_even_translations is False
+    report = build_report(parse_word("123123", 3))
+    assert report["orientable_sigma"] is True
+    assert report["orientable_quotient_lambda0"] is True
+    assert report["orientable_quotient_2z"] is False
 
-    flags = build_report(parse_word("145231425232", 5)).orientable
-    assert flags.surface is False
-    assert flags.quotient_by_pair_lattice is False
-    assert flags.quotient_by_even_translations is False
+    report = build_report(parse_word("145231425232", 5))
+    assert report["orientable_sigma"] is False
+    assert report["orientable_quotient_lambda0"] is False
+    assert report["orientable_quotient_2z"] is False
 
 
 def test_euler_genus_reference_values():
@@ -93,13 +93,13 @@ def test_euler_genus_reference_values():
         ("12321232", 3, (-4, None)),
     ):
         report = build_report(parse_word(text, dim))
-        assert (report.euler_char, report.genus) == expected
+        assert (report["euler_char"], report["genus"]) == expected
 
 
 def test_euler_genus_consistency(n4_embedded_classes):
     for word in n4_embedded_classes:
         report = build_report(word)
-        chi, genus = report.euler_char, report.genus
+        chi, genus = report["euler_char"], report["genus"]
         assert chi % 2 == 0
         assert genus is not None
         assert chi == 2 - 2 * genus
@@ -127,8 +127,13 @@ def test_embedded_decision_matches_the_full_report(n3_classes, n4_classes):
     for word in words:
         decision = decide_embedded(validate(word))
         report = build_report(word)
-        for field in ("embedded", "reflection_group_order", "euler_char", "genus"):
-            assert getattr(decision, field) == getattr(report, field), (word, field)
+        for field, key in (
+            ("embedded", "embedded"),
+            ("reflection_group_order", "s_q_order"),
+            ("euler_char", "euler_char"),
+            ("genus", "genus"),
+        ):
+            assert getattr(decision, field) == report[key], (word, field)
         seen.add((decision.embedded, word.dim % 2, decision.genus is None))
     # a non-embedded loop, an odd embedded one and an even embedded one
     assert {(False, 0, True), (True, 1, True), (True, 0, False)} <= seen
@@ -164,28 +169,29 @@ def test_edge_bound_odd_dimension_heuristic_flag():
 
 def test_per_direction_bound_pins():
     g8 = validate(parse_word("123214123214", 4))
-    load = build_report(g8.word).direction_load
-    assert load.verdict == "maybe-embedded"
-    assert load.counts == (4, 4, 2, 2)
-    assert load.constrained_axes == (1, 2)
+    load = build_report(g8.word)["bounds"]["direction_load"]
+    assert load["verdict"] == "maybe-embedded"
+    assert load["counts"] == [4, 4, 2, 2]
+    assert load["constrained_axes"] == [1, 2]
     # the four-edge directions force zero entries across the whole lattice
-    for row in even_translation_lattice(g8).basis_vectors():
+    for row in oracles.basis_vectors(even_translation_lattice(g8)):
         assert row[0] == 0 and row[1] == 0
 
     overloaded = validate(parse_word("12131214121324", 4))
-    load = build_report(overloaded.word).direction_load
-    assert load.verdict == "ruled-out"
-    assert load.overloaded_axes == (1,)
-    assert load.counts[0] == 6
+    load = build_report(overloaded.word)["bounds"]["direction_load"]
+    assert load["verdict"] == "ruled-out"
+    assert load["overloaded_axes"] == [1]
+    assert load["counts"][0] == 6
     assert not decide_embedded(overloaded).embedded
 
     g3 = validate(parse_word("12314234", 4))
-    assert build_report(g3.word).direction_load.verdict == "maybe-embedded"
-    assert build_report(g3.word).direction_load.constrained_axes == ()
+    load = build_report(g3.word)["bounds"]["direction_load"]
+    assert load["verdict"] == "maybe-embedded"
+    assert load["constrained_axes"] == []
 
-    odd = build_report(parse_word("123123", 3)).direction_load
-    assert odd.verdict == "not-applicable"
-    assert odd.counts == (2, 2, 2)
+    odd = build_report(parse_word("123123", 3))["bounds"]["direction_load"]
+    assert odd["verdict"] == "not-applicable"
+    assert odd["counts"] == [2, 2, 2]
 
 
 def test_four_edge_direction_constraint_on_embedded(n4_classes):
@@ -193,30 +199,30 @@ def test_four_edge_direction_constraint_on_embedded(n4_classes):
         path = validate(word)
         if not decide_embedded(path).embedded:
             continue
-        load = build_report(word).direction_load
-        assert load.verdict == "maybe-embedded"
-        for axis in load.constrained_axes:
-            for row in even_translation_lattice(path).basis_vectors():
+        load = build_report(word)["bounds"]["direction_load"]
+        assert load["verdict"] == "maybe-embedded"
+        for axis in load["constrained_axes"]:
+            for row in oracles.basis_vectors(even_translation_lattice(path)):
                 assert row[axis - 1] == 0
 
 
 def test_build_report_reference_g6():
     report = build_report(parse_word("12321434", 4))
-    assert report.embedded
-    assert report.genus == 9
-    assert report.euler_char == -16
-    assert {s.flips for s in report.symmetries} == {(0, 0, 1, 0)}
-    assert report.length == 8
-    assert report.reflection_group_order == 64
+    assert report["embedded"]
+    assert report["genus"] == 9
+    assert report["euler_char"] == -16
+    assert [s["flips"] for s in report["symmetries"]] == [[0, 0, 1, 0]]
+    assert report["m"] == 8
+    assert report["s_q_order"] == 64
 
 
 def test_build_report_reference_hexagon():
     report = build_report(parse_word("123123", 3))
-    assert report.embedded
-    assert report.reflection_group_order == 32
-    assert report.lattice.order == 8
-    assert report.euler_char == -2
-    assert report.genus is None
+    assert report["embedded"]
+    assert report["s_q_order"] == 32
+    assert report["lattice_order"] == 8
+    assert report["euler_char"] == -2
+    assert report["genus"] is None
 
 
 def test_build_report_propagates_validation_errors():
@@ -264,7 +270,7 @@ def test_listing_reports_match_their_oracles(monkeypatch, window, modes):
 
     monkeypatch.setattr(verdict, "_report_shape", recorded)
     for mode in modes:
-        documents = [build_report(word, mode=mode).to_json_dict() for word in words]
+        documents = [build_report(word, mode=mode) for word in words]
         shapes.clear()
         listing = verdict._listed_classes(words, mode)
         texts = [text for items in listing for text in items]
@@ -376,7 +382,7 @@ def test_verify_report_reads_each_anchor_vector_once(monkeypatch):
 
 def test_build_report_verify_mode_runs_oracles():
     report = build_report(parse_word("12314234", 4), mode="verify")
-    checks = report.oracle_checks
+    checks = report["oracle_checks"]
     assert checks is not None
     assert checks["closure_order"] == 64
     assert checks["closure_agrees"] is True
@@ -400,20 +406,42 @@ def test_verify_mode_runs_both_oracles_above_dimension_five():
     ]
     for word in words:
         report = build_report(word, mode="verify")
-        checks = report.oracle_checks
+        checks = report["oracle_checks"]
         assert checks["closure_agrees"] is True, word
         assert checks["filled_cube_counts_equal"] is True, word
         assert checks["geometric_agrees"] is True, word
-        assert checks["geometric_embedded"] is report.embedded, word
-        assert (checks["geometric_max_multiplicity"] <= 4) is report.embedded, word
+        assert checks["geometric_embedded"] is report["embedded"], word
+        assert (checks["geometric_max_multiplicity"] <= 4) is report["embedded"], word
 
 
 def test_build_report_fast_mode_skips_oracles():
-    assert build_report(parse_word("12314234", 4)).oracle_checks is None
+    assert build_report(parse_word("12314234", 4))["oracle_checks"] is None
 
 
 def test_report_json_document_shape():
-    doc = build_report(parse_word("123214123214", 4)).to_json_dict()
+    doc = build_report(parse_word("123214123214", 4))
+    assert [*doc] == [
+        "schema",
+        "dim",
+        "word",
+        "canonical",
+        "m",
+        "embedded",
+        "s_q_order",
+        "lattice_basis",
+        "lattice_order",
+        "orientable_sigma",
+        "orientable_quotient_lambda0",
+        "orientable_quotient_2z",
+        "euler_char",
+        "genus",
+        "symmetries",
+        "family",
+        "oracle_checks",
+        "gap_invariant",
+        "bounds",
+        "notes",
+    ]
     assert doc["schema"] == 1
     assert doc["dim"] == 4
     assert doc["word"] == "123214123214"
@@ -439,17 +467,66 @@ def test_report_json_document_shape():
 
 
 def test_report_text_rendering_mentions_key_facts():
-    text = build_report(parse_word("12321434", 4)).render_text()
+    text = render_text(build_report(parse_word("12321434", 4)))
     assert "embedded:   yes" in text
     assert "genus: 9" in text
     assert "12321434" in text
 
 
+_NOTES = (
+    "note:       walk base normalized to the all-plus cube corner; every "
+    "reported quantity is independent of that choice\n"
+    "note:       the lattice shown is the part determined by the word alone; "
+    "an initial surface with extra sign symmetries can enlarge the full "
+    "translation lattice (the symmetry list above is the available proxy)"
+)
+
+
+def test_report_text_pins():
+    # the text is read off the document: the spaced canonical word from
+    # its string up to dimension 9, the lattice rows doubled, the flips
+    report = build_report(parse_word("12321434", 4), mode="verify")
+    assert render_text(report) == (
+        "word:       12321434\n"
+        "canonical:  1 2 3 4 3 2 1 4  (12343214)\n"
+        "dim:        4   edges: 8\n"
+        "embedded:   yes   (lattice order 4, reflection group order 64)\n"
+        "orientable: surface yes; quotient/pair-lattice yes; "
+        "quotient/even-translations yes\n"
+        "euler char: -16   genus: 9\n"
+        "lattice:    (2,2,0,2) (0,0,2,0)\n"
+        "symmetries: (0,0,1,0)\n"
+        "bounds:     maybe-embedded (within the limit 12); "
+        "direction load maybe-embedded\n"
+        "oracles:    {'closure_order': 64, 'closure_agrees': True, "
+        "'filled_cube_counts_equal': True, 'geometric_max_multiplicity': 4, "
+        "'geometric_embedded': True, 'geometric_agrees': True}\n" + _NOTES
+    )
+    spec = FamilySpec("d-series", 11)
+    report = build_report(family_word(spec), family=spec._asdict())
+    assert render_text(report) == (
+        "word:       1 2 3 4 5 6 7 8 9 10 11 1 2 11 10 9 8 7 6 5 4 3\n"
+        "canonical:  1 2 3 4 5 6 7 8 9 10 11 9 8 7 6 5 4 3 2 1 10 11\n"
+        "dim:        11   edges: 22\n"
+        "embedded:   yes   (lattice order 8, reflection group order 8192)\n"
+        "orientable: surface yes; quotient/pair-lattice yes; "
+        "quotient/even-translations no\n"
+        "euler char: -4608   genus: n/a\n"
+        "lattice:    (0,0,2,0,2,0,2,0,2,0,2) (2,0,0,2,0,2,0,2,0,2,0) "
+        "(2,2,0,0,0,0,0,0,0,0,0)\n"
+        "symmetries: none\n"
+        "bounds:     maybe-embedded (within the working limit 82); "
+        "direction load not-applicable\n"
+        "family:     {'name': 'd-series', 'dim': 11, 'alpha': None, 'beta': None}\n"
+        + _NOTES
+    )
+
+
 def test_reports_for_all_references_are_deterministic():
     for name, text in {**REFERENCE_WORDS_N3, **REFERENCE_WORDS_N4}.items():
         dim = 3 if name in REFERENCE_WORDS_N3 else 4
-        first = build_report(parse_word(text, dim)).to_json_dict()
-        second = build_report(parse_word(text, dim)).to_json_dict()
+        first = build_report(parse_word(text, dim))
+        second = build_report(parse_word(text, dim))
         assert first == second
         assert first["embedded"] == (text in EMBEDDED_N4 or dim == 3)
 
@@ -458,5 +535,5 @@ def test_sharp_family_symmetries_high_dimension():
     # 2^64 - 1 sign masks could never be tried one by one; the candidates
     # are the m - 1 masks taking the base vertex to another loop vertex
     report = build_report(family_word(FamilySpec("sharp", 64)))
-    assert report.embedded
-    assert len(report.symmetries) == 3
+    assert report["embedded"]
+    assert len(report["symmetries"]) == 3

@@ -18,6 +18,7 @@ import io
 import sys
 
 from cubeloops.cli import main
+from cubeloops.enumeration import FamilySpec, family_word
 
 # the twelve words of tests/golden, as (dimension, word)
 GOLDENS = (
@@ -100,6 +101,12 @@ def invocations() -> list[list[str]]:
         ["export", "--dim", "5", "--word", "145231425232", "--project", "1,2"],
         ["export", "--dim", "4", "--word", "12321434", "--format", "json"],
     ]
+    # OBJ exports with no --project, refused before any patch is placed:
+    # sharp n=11 (8,192 patches) and sharp n=20, whose closure is also over
+    # the patch budget but whose projection is named first
+    for dim in ("11", "20"):
+        sharp = str(family_word(FamilySpec("sharp", int(dim)))).split()
+        runs.append(["export", "--dim", dim, "--word", *sharp])
     # the error paths: bad label, odd length, not closed, missing direction,
     # not embedded, dimension below 2, bad projection, refused census
     # windows (the last one by enumerate_paths, past the query's checks),
