@@ -32,8 +32,7 @@ __all__ = ["main"]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # exact reports pass Python's default limit of 4,300 digits for printing
     # an int near dimension 14,300; Pythons without the limit have no getter
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -87,6 +86,33 @@ def _discard(stream: IO[str]) -> None:
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` returns or prints, in one
+    parse instead of two.
+
+    The full parser hands everything after the command name to that
+    command's own parser, which parses it again; here a known command's
+    parser reads those arguments directly.  Arguments it does not know
+    are refused by the full parser in argparse's own words, as they would
+    be there.  Anything else (no command, an unknown one, or an option
+    before it, ``-h`` among them) goes to the full parser."""
+    parser = _build_parser()
+    commands = next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 @lru_cache(maxsize=1)

@@ -62,6 +62,10 @@ class _Word(NamedTuple):
     dim: int
 
 
+# each label of a word up to dimension 9 is one digit: its text by index
+_DIGITS = "0123456789"
+
+
 class DirectionWord(_Word):
     """A raw edge word.  Only the dimension and the label range are checked
     at construction, raising in that order ValueError (dimension below 2)
@@ -92,7 +96,9 @@ class DirectionWord(_Word):
         return len(self.labels)
 
     def __str__(self) -> str:
-        return ("" if self.dim <= 9 else " ").join(map(str, self.labels))
+        if self.dim <= 9:
+            return "".join(map(_DIGITS.__getitem__, self.labels))
+        return " ".join(map(str, self.labels))
 
 
 def format_word(labels: Sequence[int]) -> str:
@@ -113,10 +119,7 @@ def parse_word(text: str, dim: int) -> DirectionWord:
     for token in tokens:
         if not (token.isascii() and token.isdigit()):
             raise BadLabelError(f"not a direction label: {token!r}")
-    if dim <= 9:
-        labels = tuple(int(ch) for tok in tokens for ch in tok)
-    else:
-        labels = tuple(int(tok) for tok in tokens)
+    labels = tuple(map(int, "".join(tokens) if dim <= 9 else tokens))
     return DirectionWord(labels, dim)
 
 

@@ -34,7 +34,7 @@ from cubeloops import (
     parse_word,
     validate,
 )
-from cubeloops.cli import _build_parser, main
+from cubeloops.cli import _build_parser, _parse_args, main
 from cubeloops.verdict import _listed_classes
 
 
@@ -786,12 +786,13 @@ def test_output_digest_invocations_parse():
     spec.loader.exec_module(tool)
     runs = tool.invocations()
     assert runs
+    # through the parse that main makes, so the list covers its fast path
     for argv in runs:
         if argv in tool.USAGE_ERRORS:
             with pytest.raises(SystemExit):
-                _build_parser().parse_args(argv)
+                _parse_args(argv)
         else:
-            _build_parser().parse_args(argv)
+            _parse_args(argv)
 
 
 def test_unknown_subcommand_exits_via_argparse():
@@ -816,17 +817,119 @@ def test_parser_reuse_keeps_calls_independent(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    def refused(argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
     check_json = ["check", "--dim", "4", "--word", "12321434", "--json"]
     check_text = ["check", "--dim", "4", "--word", "12321434"]
     export_five = ["export", "--dim", "5", "--word", "145231425232", "--project", "4,5"]
     export_four = ["export", "--dim", "4", "--word", "12314234"]
+    # enumerate and family share the dim, mode and json options
+    census = ["enumerate", "--dim", "5", "--embedded-only", "--mode", "verify", "--json"]
+    member = ["family", "--name", "sharp", "--dim", "6"]
     alone = {}
-    for argv in (check_json, check_text, export_five, export_four):
+    for argv in (check_json, check_text, export_five, export_four, census, member):
         _build_parser.cache_clear()
         alone[tuple(argv)] = run(argv)
-    for first, second in ((check_json, check_text), (export_five, export_four)):
+    bogus = ["check", "--dim", "4", "--word", "12321434", "--json", "--bogus"]
+    _build_parser.cache_clear()
+    refusal = refused(bogus)
+    assert refusal.endswith("error: unrecognized arguments: --bogus\n")
+    pairs = ((check_json, check_text), (export_five, export_four), (census, member))
+    for first, second in pairs:
         _build_parser.cache_clear()
         assert run(first) == alone[tuple(first)]
         assert run(second) == alone[tuple(second)]
+        # a refused call between two good ones leaves nothing behind
+        assert run(first) == alone[tuple(first)]
+        assert refused(bogus) == refusal
+        assert run(second) == alone[tuple(second)]
     assert alone[tuple(check_text)][1] != alone[tuple(check_json)][1]
     assert "# projection: dropped axes [4]" in alone[tuple(export_four)][1]
+    assert '"oracle_checks": {' in alone[tuple(census)][1]
+    assert alone[tuple(member)][1].startswith("word:")
+
+
+# argument lists for the parse that main makes, against the whole parser
+_ABOVE_NINE = str(family_word(FamilySpec("d-series", 10))).split()
+PARSE_CASES = [
+    # read by the whole parser: no command, an unknown one, an option first
+    [],
+    ["frobnicate"],
+    ["frobnicate", "--dim", "4"],
+    ["chec", "--dim", "4", "--word", "12321434"],
+    ["--json", "check", "--dim", "4", "--word", "12321434"],
+    ["-h"],
+    ["--help"],
+    ["--he", "check"],
+    # read by the command's own parser
+    ["check", "--dim", "4", "--word", "12321434"],
+    ["check", "--json", "--dim", "4", "--word", "12321434"],
+    ["check", "--dim", "10", "--word", *_ABOVE_NINE, "--json"],
+    ["check", "--dim=4", "--word=12321434", "--mode=verify"],
+    ["check", "--di", "4", "--wo", "12321434", "--js"],
+    ["check", "--mode", "verify", "--mode", "fast", "--dim", "4", "--word", "12"],
+    ["check", "--dim", "4", "--word", "-1"],
+    ["check", "--dim", "-4", "--word", "1"],
+    ["check", "--dim", "4"],
+    ["check", "--word"],
+    ["check", "--dim", "x", "--word", "123123"],
+    ["check", "--dim", "3", "--word", "123123", "--mode", "slow"],
+    ["check", "--dim", "4", "--word", "12321434", "--bogus"],
+    ["check", "--dim", "4", "--word", "12321434", "--bogus", "x", "--json"],
+    ["check", "--dim", "4", "--word", "12321434", "--", "--json"],
+    ["check", "check"],
+    ["check", "-h"],
+    ["check", "--dim", "4", "--word", "12321434", "--help"],
+    ["check", "--he"],
+    ["enumerate", "--dim", "4", "stray"],
+    ["enumerate", "--dim", "5", "--max-length", "12", "--jobs", "2", "--embedded-only"],
+    ["enumerate", "--dim", "4", "--limit", "x"],
+    ["enumerate", "--length", "8"],
+    ["family", "--name", "gamma-b", "--dim", "12", "--alpha", "2", "--beta", "7"],
+    ["family", "--dim", "6"],
+    ["family", "-h"],
+    ["export", "--dim", "4", "--word", "12321434", "-o", "out.obj", "--format", "json"],
+    ["export", "--dim", "4", "--word", "12321434", "--format", "png"],
+    ["export", "--dim", "5", "--word", "145231425232", "--project"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace's fields, or the exit code, with both streams."""
+    try:
+        fields, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    captured = capsys.readouterr()
+    return fields, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parse_matches_the_whole_parser(argv, capsys):
+    # the whole parser stays the reference: the same fields for what it
+    # takes, the same exit code and words for what it refuses, the same
+    # help page
+    expected = _parse_outcome(_build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(_parse_args, argv, capsys) == expected
+    fields, code, out, err = expected
+    assert (fields is None) == (code is not None)
+    assert bool(out) == (code == 0)
+    assert bool(err) == (code == 2)
+
+
+def test_a_known_command_is_parsed_once(monkeypatch, capsys):
+    # its own parser reads its arguments; the whole parser reads none
+    parser = _build_parser()
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole parser read a known command")
+
+    monkeypatch.setattr(parser, "parse_known_args", whole)
+    assert main(["check", "--dim", "4", "--word", "12321434", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["embedded"] is True
+    with pytest.raises(AssertionError, match="whole parser"):
+        main(["frobnicate"])

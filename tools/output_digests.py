@@ -7,6 +7,10 @@ compare the files to show that a change keeps every output byte-identical:
 
     PYTHONPATH=<checkout>/src python tools/output_digests.py > digests.txt
 
+The usage lines of the refused argument lists and the help page are
+wrapped to the terminal's width (``COLUMNS``), so compare runs made at one
+width.
+
 Standard library only; nothing from ``perfbench/`` is imported.
 """
 
@@ -45,8 +49,23 @@ CENSUS_WINDOWS = (
 )
 
 
-# argument lists the parser refuses: a check without --word
-USAGE_ERRORS = (["check", "--dim", "4"],)
+# argument lists on which the parser exits, one for each way main reads
+# its arguments: with no command, an unknown one or an option before it,
+# the whole parser reads them; after a known command, that command's own
+# parser does, and the whole parser refuses what it leaves over
+USAGE_ERRORS = (
+    ["check", "--dim", "4"],
+    [],
+    ["frobnicate", "--dim", "4"],
+    ["--json", "check", "--dim", "4", "--word", "12321434"],
+    ["check", "--dim", "4", "--word", "12321434", "--bogus"],
+    ["enumerate", "--dim", "4", "stray"],
+    ["check", "--dim", "x", "--word", "123123"],
+    ["check", "--dim", "3", "--word", "123123", "--mode", "slow"],
+    ["export", "--dim", "4", "--word", "12321434", "--format", "png"],
+    # the help page, on standard output with exit code 0
+    ["check", "-h"],
+)
 
 
 def invocations() -> list[list[str]]:
@@ -55,6 +74,9 @@ def invocations() -> list[list[str]]:
         for mode in ("fast", "verify"):
             check = ["check", "--dim", str(dim), "--word", word, "--mode", mode]
             runs += [check, [*check, "--json"]]
+    # labels above 9 as separate arguments, which --word gathers
+    d_series = str(family_word(FamilySpec("d-series", 10))).split()
+    runs.append(["check", "--dim", "10", "--word", *d_series, "--json"])
     # a non-embedded loop whose closure has 512 elements
     check = ["check", "--dim", "5", "--word", "13423435241232124215", "--mode", "verify"]
     runs += [check, [*check, "--json"]]
