@@ -89,15 +89,11 @@ def _discard(stream: IO[str]) -> None:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """What ``_build_parser().parse_args(argv)`` returns or prints, in one
-    parse instead of two.
+    """What ``_build_parser().parse_args(argv)`` returns or prints.
 
-    The full parser hands everything after the command name to that
-    command's own parser, which parses it again; here a known command's
-    parser reads those arguments directly.  Arguments it does not know
-    are refused by the full parser in argparse's own words, as they would
-    be there.  Anything else (no command, an unknown one, or an option
-    before it, ``-h`` among them) goes to the full parser."""
+    A known command is read from its own option table by
+    :func:`_read_exact` when it can be; the whole parser reads the rest,
+    so every refusal and help page is argparse's own."""
     parser = _build_parser()
     commands = next(
         action.choices
@@ -105,14 +101,48 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if isinstance(action, argparse._SubParsersAction)
     )
     command = commands.get(argv[0]) if argv else None
-    if command is None:
+    args = None if command is None else _read_exact(command, argv[1:])
+    if args is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
-    )
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
     return args
+
+
+def _read_exact(
+    parser: argparse.ArgumentParser, args: Sequence[str]
+) -> argparse.Namespace | None:
+    """What ``parser.parse_args(args)`` returns, read from the parser's own
+    tables, or None for argparse to read.  Only store and store-true
+    options spelled whole are read; a store option takes one value, or for
+    ``nargs="+"`` those up to the next token that starts with ``-``.  A
+    value that is missing, starts with ``-`` or is refused by the option's
+    type or choices declines, as do ``-h``, ``--``, any other token and a
+    missing required option."""
+    options, values, i = parser._option_string_actions, {}, 0
+    while i < len(args):
+        action = options.get(args[i])
+        i = start = i + 1
+        if type(action) is argparse._StoreTrueAction:
+            values[action.dest] = action.const
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs not in (None, "+"):
+            return None
+        while i < len(args) and (action.nargs or i == start) and args[i][:1] != "-":
+            i += 1
+        try:
+            read = [action.type(v) if action.type else v for v in args[start:i]]
+        except (TypeError, ValueError):
+            return None
+        choices = action.choices
+        if not read or choices is not None and any(v not in choices for v in read):
+            return None
+        # a later occurrence overwrites an earlier one, as in argparse
+        values[action.dest] = read if action.nargs else read[0]
+    actions = parser._actions
+    if any(action.required and action.dest not in values for action in actions):
+        return None
+    defaults = {a.dest: a.default for a in actions if a.default != argparse.SUPPRESS}
+    return argparse.Namespace(**{**parser._defaults, **defaults, **values})
 
 
 @lru_cache(maxsize=1)

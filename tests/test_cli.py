@@ -873,6 +873,12 @@ PARSE_CASES = [
     ["check", "--di", "4", "--wo", "12321434", "--js"],
     ["check", "--mode", "verify", "--mode", "fast", "--dim", "4", "--word", "12"],
     ["check", "--dim", "4", "--word", "-1"],
+    # values that argparse's own int takes, a lone "-" and an empty word
+    ["check", "--dim", " 4", "--word", "12321434"],
+    ["check", "--dim", "4_0", "--word", "12321434"],
+    ["check", "--dim", "\u0664", "--word", "12321434"],
+    ["check", "--dim", "4", "--word", "-"],
+    ["check", "--dim", "4", "--word", ""],
     ["check", "--dim", "-4", "--word", "1"],
     ["check", "--dim", "4"],
     ["check", "--word"],
@@ -921,15 +927,62 @@ def test_parse_matches_the_whole_parser(argv, capsys):
     assert bool(err) == (code == 2)
 
 
-def test_a_known_command_is_parsed_once(monkeypatch, capsys):
-    # its own parser reads its arguments; the whole parser reads none
+def test_benchmark_spellings_bypass_the_parse_loop(monkeypatch):
+    # every op shape of perfbench/workloads.py is read from its command's
+    # option table; argparse's parse loop runs for none of them
+    def loop(*args, **kwargs):
+        raise AssertionError("argparse parsed the command line")
+
     parser = _build_parser()
+    commands = next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
 
-    def whole(*args, **kwargs):
-        raise AssertionError("the whole parser read a known command")
+    def table(command):
+        return (
+            dict(command._option_string_actions),
+            [(action, dict(vars(action))) for action in command._actions],
+            dict(command._defaults),
+        )
 
-    monkeypatch.setattr(parser, "parse_known_args", whole)
-    assert main(["check", "--dim", "4", "--word", "12321434", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["embedded"] is True
-    with pytest.raises(AssertionError, match="whole parser"):
-        main(["frobnicate"])
+    before = {name: table(command) for name, command in commands.items()}
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", loop)
+    above_nine = " ".join(_ABOVE_NINE)
+    shapes = [
+        ["check", "--json", "--dim", "4", "--word", "12321434"],
+        ["check", "--json", "--dim", "5", "--word", "145231425232", "--mode", "verify"],
+        ["check", "--json", "--dim", "10", "--word", above_nine],
+        ["check", "--dim", "4", "--word", "12321434"],
+        ["enumerate", "--json", "--jobs", "1", "--dim", "4"],
+        ["enumerate", "--embedded-only", "--jobs", "1", "--dim", "5"]
+        + ["--max-length", "14"],
+        ["family", "--name", "gamma-b", "--dim", "12", "--alpha", "2", "--beta", "7"],
+        ["export", "--dim", "4", "--word", "12321434", "--format", "json"],
+        ["export", "--dim", "5", "--word", "145231425232", "--format", "obj"]
+        + ["--project", "4,5"],
+    ]
+    for argv in shapes:
+        assert _parse_args(argv).command == argv[0]
+    assert _parse_args(shapes[2]).word == [above_nine]
+    with pytest.raises(AssertionError, match="argparse parsed"):
+        _parse_args(["check", "--dim=4", "--word=12321434"])
+    assert {name: table(command) for name, command in commands.items()} == before
+
+
+def test_parse_crosscheck_finds_no_difference(capsys):
+    # tools/parse_crosscheck.py: seeded well-formed and mutated command
+    # lines, the fast reader against the whole parser
+    tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "parse_crosscheck", tools / "parse_crosscheck.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([]) == 0
+    report = capsys.readouterr().out
+    counts = re.findall(r"(\d+) (?:generated|read|differ)", report)
+    generated, read, differ = map(int, counts)
+    assert (generated, differ) == (4000, 0)
+    assert read >= 0.4 * generated

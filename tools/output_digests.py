@@ -49,10 +49,10 @@ CENSUS_WINDOWS = (
 )
 
 
-# argument lists on which the parser exits, one for each way main reads
-# its arguments: with no command, an unknown one or an option before it,
-# the whole parser reads them; after a known command, that command's own
-# parser does, and the whole parser refuses what it leaves over
+# argument lists on which the parser exits: with no command, an unknown
+# one or an option before it, and after a known command with an unknown
+# token, a bad value or a missing option, all of which the whole parser
+# reads and refuses
 USAGE_ERRORS = (
     ["check", "--dim", "4"],
     [],
@@ -77,6 +77,17 @@ def invocations() -> list[list[str]]:
     # labels above 9 as separate arguments, which --word gathers
     d_series = str(family_word(FamilySpec("d-series", 10))).split()
     runs.append(["check", "--dim", "10", "--word", *d_series, "--json"])
+    # spellings the option-table reader takes: a repeated option, which the
+    # later one overwrites, and options in another order; then one that it
+    # hands to argparse, which reads its abbreviation and --opt=value
+    runs += [
+        ["check", "--dim", "4", "--word", "12321434", "--mode", "verify"]
+        + ["--mode", "fast", "--json"],
+        ["check", "--json", "--word", "12321434", "--dim", "4"],
+        ["enumerate", "--jobs", "1", "--json", "--dim", "4", "--limit", "3"],
+        ["export", "--format", "json", "--word", "12321434", "--dim", "4"],
+        ["check", "--dim=4", "--word=12321434", "--js"],
+    ]
     # a non-embedded loop whose closure has 512 elements
     check = ["check", "--dim", "5", "--word", "13423435241232124215", "--mode", "verify"]
     runs += [check, [*check, "--json"]]
